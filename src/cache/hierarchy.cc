@@ -82,13 +82,12 @@ Hierarchy::access(AccessKind kind, ThreadId tid, Addr vaddr, Cycle now)
         OutstandingMiss &m = it->second;
         const bool needs_l1_slot =
             is_fetch ? !m.fillL1i : !m.fillL1d;
-        if (needs_l1_slot && l1_mshr_used >= l1.config().mshrs) {
-            ++blockedAccesses_;
-            return res;  // Blocked
-        }
+        if (needs_l1_slot && l1_mshr_used >= l1.config().mshrs)
+            return blocked(res, generation_);
         if (needs_l1_slot) {
             ++l1_mshr_used;
             (is_fetch ? m.fillL1i : m.fillL1d) = true;
+            ++generation_;
         }
         l1.access(line, false);  // record the demand miss
 
@@ -118,20 +117,15 @@ Hierarchy::access(AccessKind kind, ThreadId tid, Addr vaddr, Cycle now)
     // --- New miss: classify, check resources, then commit ----------
     const MissSource source = classifyMiss(line);
 
-    if (l1_mshr_used >= l1.config().mshrs) {
-        ++blockedAccesses_;
-        return res;
-    }
-    if (source != MissSource::L2 && mshrUsedL2_ >= l2_.config().mshrs) {
-        ++blockedAccesses_;
-        return res;
-    }
+    if (l1_mshr_used >= l1.config().mshrs)
+        return blocked(res, generation_);
+    if (source != MissSource::L2 && mshrUsedL2_ >= l2_.config().mshrs)
+        return blocked(res, generation_);
     if (source == MissSource::Dram) {
-        if (mshrUsedL3_ >= l3_.config().mshrs ||
-            !dram_.canAccept(line, MemOp::Read)) {
-            ++blockedAccesses_;
-            return res;
-        }
+        if (mshrUsedL3_ >= l3_.config().mshrs)
+            return blocked(res, generation_);
+        if (!dram_.canAccept(line, MemOp::Read))
+            return blocked(res, 0);
     }
 
     // Committed: record demand stats (consistent with the probes).
@@ -175,6 +169,7 @@ Hierarchy::access(AccessKind kind, ThreadId tid, Addr vaddr, Cycle now)
         ++pendingDram_[tid];
 
     misses_.emplace(line, std::move(m));
+    ++generation_;
 
     switch (source) {
       case MissSource::L2: {
@@ -218,6 +213,14 @@ Hierarchy::access(AccessKind kind, ThreadId tid, Addr vaddr, Cycle now)
 }
 
 void
+Hierarchy::replayBlocked(AccessKind kind, ThreadId tid, Addr vaddr)
+{
+    Tlb &tlb = kind == AccessKind::InstFetch ? itlb_ : dtlb_;
+    (void)tlb.lookup(tid, pt_->vpageOf(vaddr));
+    ++blockedAccesses_;
+}
+
+void
 Hierarchy::maybePrefetch(ThreadId tid, Addr demand_line, Cycle now)
 {
     const Addr line = demand_line + config_.l1d.lineBytes;
@@ -234,6 +237,7 @@ Hierarchy::maybePrefetch(ThreadId tid, Addr demand_line, Cycle now)
     m.prefetch = true;
     misses_.emplace(line, std::move(m));
     ++mshrUsedPrefetch_;
+    ++generation_;
 
     ThreadSnapshot snap;
     if (snapshotProvider_)
@@ -281,6 +285,7 @@ Hierarchy::handleFill(Addr line_addr, Cycle now)
              (unsigned long long)line_addr);
     OutstandingMiss m = std::move(it->second);
     misses_.erase(it);
+    ++generation_;
 
     // Install outermost-first so inner victims can land outward.
     if (m.source == MissSource::Dram && !l3_.probe(line_addr)) {
@@ -361,6 +366,7 @@ void
 Hierarchy::prewarmLine(ThreadId tid, Addr vaddr, bool into_l1)
 {
     const Addr line = lineAlign(pt_->translate(tid, vaddr));
+    ++generation_;
     if (!l3_.probe(line))
         l3_.insert(line, false);
     if (!l2_.probe(line))

@@ -14,7 +14,9 @@
  * line requests coalesce into one MSHR entry with multiple targets.
  * When a needed MSHR (or the DRAM queue) is full, the access reports
  * Blocked and the core retries — that back-pressure is what clogs the
- * pipeline on memory-intensive workloads.
+ * pipeline on memory-intensive workloads.  A retry made while the
+ * resource generation is unchanged cannot succeed, so the core
+ * replays only its TLB lookup and blocked count (replayBlocked).
  */
 
 #ifndef SMTDRAM_CACHE_HIERARCHY_HH
@@ -55,6 +57,10 @@ struct AccessResult {
     Cycle latency = 0;          ///< valid for Hit (includes TLB penalty)
     std::uint64_t missId = 0;   ///< valid for Pending
     Cycle tlbPenalty = 0;       ///< informational
+    /** Blocked only: the resourceGeneration() an MSHR or miss-table
+     *  limit blocked at, or 0 when DRAM queue space blocked (that
+     *  space frees without the hierarchy seeing it). */
+    std::uint64_t blockedGen = 0;
 };
 
 /** The memory system below the core. */
@@ -76,6 +82,23 @@ class Hierarchy
      */
     AccessResult access(AccessKind kind, ThreadId tid, Addr vaddr,
                         Cycle now);
+
+    /**
+     * Bumped by every change a Blocked access's checks read: an MSHR
+     * or miss-table allocation, a coalesce that takes an L1 MSHR, a
+     * prefetch allocation, a fill, a prewarm install.  Starts at 1.
+     * An access that blocked with AccessResult::blockedGen equal to
+     * the current value would block again at the same check.
+     */
+    std::uint64_t resourceGeneration() const { return generation_; }
+
+    /**
+     * Repeat an access that blocked at the current resourceGeneration()
+     * without re-walking the hierarchy: only its side effects run —
+     * the I/D-TLB lookup (LRU and hit/miss stats) and the blocked
+     * count — so state evolves exactly as a real blocked access().
+     */
+    void replayBlocked(AccessKind kind, ThreadId tid, Addr vaddr);
 
     /** Register the completion callback (one per miss target). */
     void setMissCallback(MissCallback cb) { missCallback_ = std::move(cb); }
@@ -195,6 +218,15 @@ class Hierarchy
         std::vector<Target> targets;
     };
 
+    /** Count a blocked access; @p gen becomes its blockedGen. */
+    AccessResult
+    blocked(AccessResult res, std::uint64_t gen)
+    {
+        ++blockedAccesses_;
+        res.blockedGen = gen;
+        return res;
+    }
+
     /** Issue a next-line prefetch for the demand miss at @p line. */
     void maybePrefetch(ThreadId tid, Addr demand_line, Cycle now);
 
@@ -247,6 +279,7 @@ class Hierarchy
     std::vector<std::uint32_t> pendingDram_;
 
     std::uint64_t nextMissId_ = 1;
+    std::uint64_t generation_ = 1;
     std::uint64_t dramReadsIssued_ = 0;
     std::uint64_t dramWritesIssued_ = 0;
     std::uint64_t blockedAccesses_ = 0;

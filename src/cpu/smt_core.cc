@@ -49,8 +49,8 @@ SmtCore::SmtCore(const CoreConfig &config, Hierarchy &hierarchy)
         t.fetchQueue.init(config_.fetchQueueCap);
     }
     writeBuffer_.init(config_.writeBufferCap);
-    intIq_.reserve(config_.intIqSize);
-    fpIq_.reserve(config_.fpIqSize);
+    intReady_.reserve(config_.intIqSize);
+    fpReady_.reserve(config_.fpIqSize);
 
     hierarchy_.setMissCallback(
         [this](std::uint64_t miss_id, Cycle when) {
@@ -144,25 +144,36 @@ SmtCore::robSlot(ThreadId tid, InstSeq seq) const
     return threads_[tid].rob[seq & (config_.robPerThread - 1)];
 }
 
-const SmtCore::DynInst *
-SmtCore::resolveProducer(ThreadId tid, InstSeq seq, std::uint8_t dist,
-                         InstSeq &pseq_out) const
+void
+SmtCore::linkProducer(ThreadId tid, DynInst &c, unsigned operand,
+                      std::uint8_t dist)
 {
-    pseq_out = 0;
+    c.nextConsumer[operand] = kNoLink;
     if (dist == 0)
-        return nullptr;
-    if (static_cast<InstSeq>(dist) > seq)
-        return nullptr;  // producer precedes the measured stream
-    const InstSeq pseq = seq - dist;
+        return;
+    if (static_cast<InstSeq>(dist) > c.seq)
+        return;  // producer precedes the measured stream
+    const InstSeq pseq = c.seq - dist;
     if (pseq < threads_[tid].robHead)
-        return nullptr;  // producer already committed
-    const DynInst &p = robSlot(tid, pseq);
+        return;  // producer already committed
+    DynInst &p = robSlot(tid, pseq);
     panic_if(p.seq != pseq, "ROB ring corrupted (seq %llu vs %llu)",
              (unsigned long long)p.seq, (unsigned long long)pseq);
-    if (!producesValue(p.op.cls))
-        return nullptr;
-    pseq_out = pseq;
-    return &p;
+    if (!producesValue(p.op.cls) || p.state == DynInst::State::Completed)
+        return;
+    c.nextConsumer[operand] = p.consumers;
+    p.consumers = (c.seq << 1) | operand;
+    ++c.pending;
+}
+
+void
+SmtCore::makeReady(ThreadId tid, const DynInst &c)
+{
+    std::vector<ReadyRef> &list = c.isFp ? fpReady_ : intReady_;
+    const auto pos = std::upper_bound(
+        list.begin(), list.end(), c.age,
+        [](std::uint64_t age, const ReadyRef &r) { return age < r.age; });
+    list.insert(pos, ReadyRef{c.age, c.seq, tid});
 }
 
 // --------------------------------------------------------------------
@@ -170,15 +181,19 @@ SmtCore::resolveProducer(ThreadId tid, InstSeq seq, std::uint8_t dist,
 // --------------------------------------------------------------------
 
 void
-SmtCore::commitStage(Cycle now)
+SmtCore::commitStage()
 {
-    (void)now;
-    std::uint32_t budget = config_.commitWidth;
     const std::uint32_t n = config_.numThreads;
     const std::uint64_t start = commitRotation_++;
+    // Every thread stalled on the last pass that left width unused,
+    // and only a completion or a freed write-buffer slot unstalls one.
+    if (!commitPending_)
+        return;
 
-    for (std::uint32_t i = 0; i < n && budget > 0; ++i) {
-        const ThreadId tid = static_cast<ThreadId>((start + i) % n);
+    std::uint32_t budget = config_.commitWidth;
+    ThreadId tid = static_cast<ThreadId>(start % n);
+    for (std::uint32_t i = 0; i < n && budget > 0;
+         ++i, tid = tid + 1 == n ? 0 : tid + 1) {
         ThreadState &t = threads_[tid];
         while (budget > 0 && t.robHead < t.robTail) {
             DynInst &slot = robSlot(tid, t.robHead);
@@ -214,6 +229,9 @@ SmtCore::commitStage(Cycle now)
             --budget;
         }
     }
+    if (budget < config_.commitWidth)
+        dispatchWakeAt_ = 0;  // freed ROB, register and LSQ space
+    commitPending_ = budget == 0;
 }
 
 // --------------------------------------------------------------------
@@ -232,8 +250,20 @@ SmtCore::markCompleted(ThreadId tid, InstSeq seq, Cycle now)
         return;
     }
     slot.state = DynInst::State::Completed;
-    issueScanNeeded_ = true;   // dependents may be ready now
-    depRecheckNeeded_ = true;  // existing ready bits may be stale
+    commitPending_ = true;
+
+    // Wake the consumers chained at their dispatch.
+    for (std::uint64_t link = slot.consumers; link != kNoLink;) {
+        const InstSeq cseq = link >> 1;
+        DynInst &c = robSlot(tid, cseq);
+        panic_if(c.seq != cseq, "wakeup chain names a stale ROB slot");
+        panic_if(c.state != DynInst::State::Waiting || c.pending == 0,
+                 "wakeup chain reached a consumer not waiting on it");
+        link = c.nextConsumer[link & 1];
+        if (--c.pending == 0)
+            makeReady(tid, c);
+    }
+    slot.consumers = kNoLink;
 
     if (slot.mispredicted && t.awaitingBranch &&
         t.awaitedBranchSeq == seq) {
@@ -260,16 +290,11 @@ SmtCore::completeStage(Cycle now)
 void
 SmtCore::issueStage(Cycle now)
 {
-    // Readiness is monotone: a waiting instruction's producers only
-    // ever move toward Completed (markCompleted is the sole Waiting/
-    // Issued -> Completed transition, and commit requires Completed
-    // first, so advancing robHead never newly enables a consumer).
-    // A full scan that found nothing dep-ready therefore stays
-    // fruitless until a completion lands or dispatch inserts a new
-    // entry — both set issueScanNeeded_.  Skipping those cycles is
-    // stat-identical: a fruitless scan issues nothing and touches no
-    // counters.
-    if (!issueScanNeeded_ || (intIq_.empty() && fpIq_.empty()))
+    // Only ready entries are visited, in global dispatch order: an
+    // entry with a pending producer can neither issue nor change any
+    // state, so skipping it keeps the decisions of an in-order walk
+    // over the whole queue.
+    if (intReady_.empty() && fpReady_.empty())
         return;
 
     std::uint32_t alu = config_.intAluUnits;
@@ -278,138 +303,95 @@ SmtCore::issueStage(Cycle now)
     std::uint32_t int_budget = config_.intIssueWidth;
     std::uint32_t issued_int = 0;
 
-    // True when some dep-ready entry was left unissued (width, unit,
-    // or port pressure, or a blocked cache probe): resources reset
-    // next cycle, so the scan must re-run even with no new event.
-    bool leftover_ready = false;
-
-    // Ready bits are exact except after a completion: dispatch
-    // computes them on insert, and only markCompleted can flip a
-    // producer under an existing entry.  On recheck-free cycles a
-    // non-ready entry is skipped without touching its producers.
-    const bool recheck = depRecheckNeeded_;
-    // A budget early-out leaves tail entries un-rechecked (their bits
-    // may still be stale), so the flag only clears on a full pass
-    // over both queues.
-    bool full_scan = true;
-
-    auto issue_from = [&](std::vector<IqRef> &iq, bool is_fp,
+    auto issue_from = [&](std::vector<ReadyRef> &ready, bool is_fp,
                           std::uint32_t &budget,
                           std::uint32_t &fu_a, std::uint32_t &fu_b) {
         size_t keep = 0;
-        for (size_t i = 0; i < iq.size(); ++i) {
+        size_t i = 0;
+        for (; i < ready.size(); ++i) {
             // Once the width or both functional units are exhausted
-            // nothing further can issue, so the tail survives as-is:
-            // compact it in one pass instead of re-testing per entry.
-            if (budget == 0 || (fu_a == 0 && fu_b == 0)) {
-                leftover_ready = true;  // unknown tail: rescan
-                full_scan = false;
-                if (keep == i) {
-                    keep = iq.size();
-                } else {
-                    for (; i < iq.size(); ++i)
-                        iq[keep++] = iq[i];
-                }
+            // nothing further can issue; the tail survives as-is.
+            if (budget == 0 || (fu_a == 0 && fu_b == 0))
                 break;
+            const ReadyRef ref = ready[i];
+            DynInst &slot = robSlot(ref.tid, ref.seq);
+            panic_if(slot.seq != ref.seq, "IQ ring mismatch");
+            panic_if(slot.state != DynInst::State::Waiting,
+                     "non-waiting inst in IQ");
+            const OpClass cls = slot.op.cls;
+            std::uint32_t *fu = nullptr;
+            bool needs_port = false;
+            if (is_fp) {
+                fu = (cls == OpClass::FpAlu) ? &fu_a : &fu_b;
+            } else if (cls == OpClass::IntMult) {
+                fu = &fu_b;
+            } else {
+                fu = &fu_a;
+                needs_port = cls == OpClass::Load;
             }
-            IqRef ref = iq[i];
-            bool issued = false;
-            if (budget > 0) {
-                DynInst &slot = *ref.slot;
-                panic_if(slot.seq != ref.seq, "IQ ring mismatch");
-                panic_if(slot.state != DynInst::State::Waiting,
-                         "non-waiting inst in IQ");
-                bool deps_ok = ref.ready;
-                if (!deps_ok && recheck) {
-                    deps_ok = producerDone(ref.p1, ref.p1seq) &&
-                              producerDone(ref.p2, ref.p2seq);
-                    ref.ready = deps_ok;
+            if (*fu == 0 || (needs_port && ports == 0)) {
+                ready[keep++] = ref;  // ready, no unit/port
+                continue;
+            }
+            if (cls == OpClass::Load) {
+                if (slot.blockedGen == hierarchy_.resourceGeneration()) {
+                    // Nothing the probe checks changed since it
+                    // blocked: replay its side effects only.
+                    hierarchy_.replayBlocked(AccessKind::Load, ref.tid,
+                                             slot.op.effAddr);
+                    ready[keep++] = ref;
+                    continue;
                 }
-                if (deps_ok) {
-                    const OpClass cls = slot.op.cls;
-                    std::uint32_t *fu = nullptr;
-                    bool needs_port = false;
-                    if (is_fp) {
-                        fu = (cls == OpClass::FpAlu) ? &fu_a : &fu_b;
-                    } else if (cls == OpClass::IntMult) {
-                        fu = &fu_b;
-                    } else {
-                        fu = &fu_a;
-                        needs_port = cls == OpClass::Load;
-                    }
-                    if (*fu > 0 && (!needs_port || ports > 0)) {
-                        if (cls == OpClass::Load) {
-                            AccessResult r = hierarchy_.access(
-                                AccessKind::Load, ref.tid,
-                                slot.op.effAddr, now);
-                            if (r.status ==
-                                AccessResult::Status::Blocked) {
-                                // Structural hazard: replay later.
-                                leftover_ready = true;
-                                iq[keep++] = ref;
-                                continue;
-                            }
-                            --ports;
-                            if (r.status ==
-                                AccessResult::Status::Hit) {
-                                completions_.push(Completion{
-                                    now + execLatency(cls) + r.latency,
-                                    ref.tid, ref.seq});
-                            } else {
-                                missWaiters_[r.missId] =
-                                    MissWaiter{ref.tid, ref.seq,
-                                               false};
-                            }
-                            ++perf_[ref.tid].loads;
-                        } else {
-                            completions_.push(Completion{
-                                now + execLatency(cls), ref.tid,
-                                ref.seq});
-                            if (cls == OpClass::Store)
-                                ++perf_[ref.tid].stores;
-                        }
-                        --*fu;
-                        --budget;
-                        slot.state = DynInst::State::Issued;
-                        slot.dispatchedAt = now;
-                        if (is_fp) {
-                            --fpIqOcc_[ref.tid];
-                        } else {
-                            --intIqOcc_[ref.tid];
-                            ++issued_int;
-                        }
-                        issued = true;
-                    } else {
-                        leftover_ready = true;  // ready, no unit/port
-                    }
+                AccessResult r = hierarchy_.access(
+                    AccessKind::Load, ref.tid, slot.op.effAddr, now);
+                if (r.status == AccessResult::Status::Blocked) {
+                    // Structural hazard: replay later.
+                    slot.blockedGen = r.blockedGen;
+                    ready[keep++] = ref;
+                    continue;
                 }
+                --ports;
+                if (r.status == AccessResult::Status::Hit) {
+                    completions_.push(Completion{
+                        now + execLatency(cls) + r.latency, ref.tid,
+                        ref.seq});
+                } else {
+                    missWaiters_[r.missId] =
+                        MissWaiter{ref.tid, ref.seq, false};
+                }
+                ++perf_[ref.tid].loads;
+            } else {
+                completions_.push(Completion{now + execLatency(cls),
+                                             ref.tid, ref.seq});
+                if (cls == OpClass::Store)
+                    ++perf_[ref.tid].stores;
             }
-            if (!issued) {
-                // ready is the only field the scan mutates; skip the
-                // full struct store when nothing moved.
-                if (keep != i)
-                    iq[keep] = ref;
-                else
-                    iq[i].ready = ref.ready;
-                ++keep;
+            --*fu;
+            --budget;
+            slot.state = DynInst::State::Issued;
+            if (is_fp) {
+                --fpIqOcc_[ref.tid];
+                --fpIqUsed_;
+            } else {
+                --intIqOcc_[ref.tid];
+                --intIqUsed_;
+                ++issued_int;
             }
+            dispatchWakeAt_ = 0;  // freed an issue-queue entry
         }
-        iq.resize(keep);
+        if (keep != i)
+            ready.erase(ready.begin() + keep, ready.begin() + i);
     };
 
-    issue_from(intIq_, false, int_budget, alu, mult);
+    issue_from(intReady_, false, int_budget, alu, mult);
 
     std::uint32_t fp_budget = config_.fpIssueWidth;
     std::uint32_t fp_alu = config_.fpAluUnits;
     std::uint32_t fp_mult = config_.fpMultUnits;
-    issue_from(fpIq_, true, fp_budget, fp_alu, fp_mult);
+    issue_from(fpReady_, true, fp_budget, fp_alu, fp_mult);
 
     if (issued_int > 0)
         ++intIssueActiveCycles_;
-
-    issueScanNeeded_ = leftover_ready;
-    if (recheck && full_scan)
-        depRecheckNeeded_ = false;
 }
 
 // --------------------------------------------------------------------
@@ -419,46 +401,42 @@ SmtCore::issueStage(Cycle now)
 void
 SmtCore::dispatchStage(Cycle now)
 {
-    std::uint32_t budget = config_.dispatchWidth;
     const std::uint32_t n = config_.numThreads;
     const std::uint64_t start = dispatchRotation_++;
-
-    // Nothing decoded and ready anywhere: skip the scratch setup and
-    // the round-robin scan (the rotation above already advanced).
-    bool any_ready = false;
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const ThreadState &t = threads_[i];
-        if (!t.fetchQueue.empty() &&
-            t.fetchQueue.front().readyAt <= now) {
-            any_ready = true;
-            break;
-        }
-    }
-    if (!any_ready)
+    // Every thread stalled on the last pass that left width unused;
+    // nothing that could unstall one has happened since.
+    if (now < dispatchWakeAt_)
         return;
 
+    std::uint32_t budget = config_.dispatchWidth;
+    Cycle wake = kCycleNever;  // earliest still-decoding front
     bool progress = true;
     std::vector<std::uint8_t> &stalled = dispatchStalled_;
     stalled.assign(n, 0);
     while (budget > 0 && progress) {
         progress = false;
-        for (std::uint32_t i = 0; i < n && budget > 0; ++i) {
-            const ThreadId tid = static_cast<ThreadId>((start + i) % n);
+        ThreadId tid = static_cast<ThreadId>(start % n);
+        for (std::uint32_t i = 0; i < n && budget > 0;
+             ++i, tid = tid + 1 == n ? 0 : tid + 1) {
             if (stalled[tid])
                 continue;
             ThreadState &t = threads_[tid];
-            if (t.fetchQueue.empty() ||
-                t.fetchQueue.front().readyAt > now) {
+            if (t.fetchQueue.empty()) {
                 stalled[tid] = 1;
                 continue;
             }
             const FetchedInst &f = t.fetchQueue.front();
+            if (f.readyAt > now) {
+                wake = std::min(wake, f.readyAt);
+                stalled[tid] = 1;
+                continue;
+            }
             const bool is_fp = isFpClass(f.op.cls);
 
             // Structural checks: ROB, IQ, registers, LSQ.
             if (t.robTail - t.robHead >= config_.robPerThread ||
-                (is_fp ? fpIq_.size() >= config_.fpIqSize
-                       : intIq_.size() >= config_.intIqSize) ||
+                (is_fp ? fpIqUsed_ >= config_.fpIqSize
+                       : intIqUsed_ >= config_.intIqSize) ||
                 (producesValue(f.op.cls) &&
                  (is_fp ? freeFpRegs_ == 0 : freeIntRegs_ == 0)) ||
                 (f.op.cls == OpClass::Load && lqUsed_ >= config_.lqSize) ||
@@ -472,10 +450,20 @@ SmtCore::dispatchStage(Cycle now)
             DynInst &slot = robSlot(tid, f.seq);
             slot.op = f.op;
             slot.seq = f.seq;
+            slot.age = nextAge_++;
+            slot.consumers = kNoLink;
+            slot.blockedGen = 0;
             slot.state = DynInst::State::Waiting;
+            slot.pending = 0;
             slot.mispredicted = f.mispredicted;
             slot.isFp = is_fp;
-            slot.dispatchedAt = now;
+            linkProducer(tid, slot, 0, f.op.dep1);
+            linkProducer(tid, slot, 1, f.op.dep2);
+            if (slot.pending == 0) {
+                // Youngest entry: the back of its ready list.
+                (is_fp ? fpReady_ : intReady_)
+                    .push_back(ReadyRef{slot.age, slot.seq, tid});
+            }
 
             if (producesValue(f.op.cls)) {
                 if (is_fp)
@@ -488,26 +476,15 @@ SmtCore::dispatchStage(Cycle now)
             if (f.op.cls == OpClass::Store)
                 ++sqUsed_;
 
-            IqRef ref;
-            ref.tid = tid;
-            ref.seq = f.seq;
-            ref.slot = &slot;
-            ref.p1 = resolveProducer(tid, f.seq, f.op.dep1, ref.p1seq);
-            ref.p2 = resolveProducer(tid, f.seq, f.op.dep2, ref.p2seq);
-            // Exact at insert: the bit only goes stale when a later
-            // completion lands, which flags depRecheckNeeded_.
-            ref.ready = producerDone(ref.p1, ref.p1seq) &&
-                        producerDone(ref.p2, ref.p2seq);
             if (is_fp) {
-                fpIq_.push_back(ref);
                 ++fpIqOcc_[tid];
+                ++fpIqUsed_;
             } else {
-                intIq_.push_back(ref);
                 ++intIqOcc_[tid];
+                ++intIqUsed_;
                 intIqHighWater_[tid] =
                     std::max(intIqHighWater_[tid], intIqOcc_[tid]);
             }
-            issueScanNeeded_ = true;  // new entry for the next scan
             ++robOcc_[tid];
             robHighWater_[tid] =
                 std::max(robHighWater_[tid], robOcc_[tid]);
@@ -517,6 +494,9 @@ SmtCore::dispatchStage(Cycle now)
             progress = true;
         }
     }
+    // Width left over means every thread stalled: sleep until the
+    // earliest decoding front matures or a resource frees.
+    dispatchWakeAt_ = budget == 0 ? 0 : wake;
 }
 
 // --------------------------------------------------------------------
@@ -571,6 +551,8 @@ SmtCore::fetchFromThread(ThreadId tid, std::uint32_t budget, Cycle now)
                 ++perf_[tid].mispredicts;
         }
 
+        if (t.fetchQueue.empty())
+            dispatchWakeAt_ = std::min(dispatchWakeAt_, f.readyAt);
         t.fetchQueue.push_back(f);
         ++perf_[tid].fetchedInsts;
         ++count;
@@ -664,12 +646,20 @@ SmtCore::drainWriteBuffer(Cycle now)
     if (writeBuffer_.empty())
         return;
     const PendingStore &s = writeBuffer_.front();
+    if (wbBlockedGen_ == hierarchy_.resourceGeneration()) {
+        hierarchy_.replayBlocked(AccessKind::Store, s.tid, s.vaddr);
+        return;  // still blocked: retry next cycle
+    }
     const AccessResult r =
         hierarchy_.access(AccessKind::Store, s.tid, s.vaddr, now);
-    if (r.status == AccessResult::Status::Blocked)
+    if (r.status == AccessResult::Status::Blocked) {
+        wbBlockedGen_ = r.blockedGen;
         return;  // retry next cycle
+    }
     // Hit: written.  Pending: the fill installs the line dirty.
     writeBuffer_.pop_front();
+    wbBlockedGen_ = 0;
+    commitPending_ = true;  // a store may have stalled on a full buffer
 }
 
 // --------------------------------------------------------------------
@@ -692,7 +682,7 @@ void
 SmtCore::cycle(Cycle now)
 {
     ++cyclesRun_;
-    commitStage(now);
+    commitStage();
     completeStage(now);
     issueStage(now);
     dispatchStage(now);
@@ -703,13 +693,18 @@ SmtCore::cycle(Cycle now)
 Cycle
 SmtCore::nextEventAt(Cycle now) const
 {
-    // Draining the write buffer touches the hierarchy every cycle
-    // (even a Blocked probe updates TLB/MSHR bookkeeping), so no
-    // cycle with a pending store may be skipped.
-    if (!writeBuffer_.empty())
+    // Draining the write buffer touches the hierarchy every cycle, and
+    // so does every ready entry: it issues, or (a load) probes or
+    // replays a blocked cache access, which updates TLB state and the
+    // blocked count.  No such cycle may be skipped.
+    if (!writeBuffer_.empty() || !intReady_.empty() || !fpReady_.empty())
         return now + 1;
 
-    Cycle next = kCycleNever;
+    // Dispatch: asleep until dispatchWakeAt_ (0 once width ran out),
+    // and only a stepped cycle can wake it earlier.
+    if (dispatchWakeAt_ <= now + 1)
+        return now + 1;
+    Cycle next = dispatchWakeAt_;
     if (!completions_.empty())
         next = std::min(next, completions_.top().when);
 
@@ -721,29 +716,6 @@ SmtCore::nextEventAt(Cycle now) const
             robSlot(tid, t.robHead).state == DynInst::State::Completed)
             return now + 1;
 
-        // Dispatch: mirror dispatchStage's structural checks on the
-        // front-of-queue instruction.  With no space, dispatch stays
-        // stalled until some other event frees a resource.
-        if (!t.fetchQueue.empty()) {
-            const FetchedInst &f = t.fetchQueue.front();
-            const bool is_fp = isFpClass(f.op.cls);
-            const bool space =
-                !(t.robTail - t.robHead >= config_.robPerThread ||
-                  (is_fp ? fpIq_.size() >= config_.fpIqSize
-                         : intIq_.size() >= config_.intIqSize) ||
-                  (producesValue(f.op.cls) &&
-                   (is_fp ? freeFpRegs_ == 0 : freeIntRegs_ == 0)) ||
-                  (f.op.cls == OpClass::Load &&
-                   lqUsed_ >= config_.lqSize) ||
-                  (f.op.cls == OpClass::Store &&
-                   sqUsed_ >= config_.sqSize));
-            if (space) {
-                if (f.readyAt <= now + 1)
-                    return now + 1;
-                next = std::min(next, f.readyAt);
-            }
-        }
-
         // Fetch: mirror fetchStage's fetchable predicate.  Only the
         // redirect penalty is a pure timer; every other gate clears
         // through an event covered elsewhere.
@@ -754,19 +726,6 @@ SmtCore::nextEventAt(Cycle now) const
                 return now + 1;
             next = std::min(next, t.fetchResumeAt);
         }
-    }
-
-    // Issue: any queue entry with both producers ready would issue
-    // (or, for a load, replay a blocked cache probe) next cycle.
-    for (const IqRef &ref : intIq_) {
-        if (ref.ready || (producerDone(ref.p1, ref.p1seq) &&
-                          producerDone(ref.p2, ref.p2seq)))
-            return now + 1;
-    }
-    for (const IqRef &ref : fpIq_) {
-        if (ref.ready || (producerDone(ref.p1, ref.p1seq) &&
-                          producerDone(ref.p2, ref.p2seq)))
-            return now + 1;
     }
     return next;
 }

@@ -87,13 +87,13 @@ class SmtCore
      * input (cache-fill events, DRAM completions) arrives first —
      * those are covered by the system-level event sources.  Returns
      * now + 1 whenever any stage has actionable work next cycle
-     * (committable ROB head, issuable IQ entry — including a blocked
-     * load replay, dispatchable or fetchable thread, pending write
-     * buffer); otherwise the min over the future wake-ups the core
-     * itself knows (FU completions, decode readyAt, redirect
-     * fetchResumeAt); kCycleNever if it is fully quiescent.  Cycles
-     * in between are provably no-ops except the rotation counters,
-     * which skipCycles() replays exactly.
+     * (committable ROB head, non-empty ready list — including a
+     * blocked load's replay, dispatch awake, fetchable thread,
+     * pending write buffer); otherwise the min over the future
+     * wake-ups the core itself knows (FU completions, dispatch's wake
+     * cycle, redirect fetchResumeAt); kCycleNever if it is fully
+     * quiescent.  Cycles in between are provably no-ops except the
+     * rotation counters, which skipCycles() replays exactly.
      */
     Cycle nextEventAt(Cycle now) const;
 
@@ -175,10 +175,24 @@ class SmtCore
         bool mispredicted = false;
     };
 
+    /** Null link in a producer's consumer chain. */
+    static constexpr std::uint64_t kNoLink = ~std::uint64_t{0};
+
     /** In-flight instruction state (ROB slot). */
     struct DynInst {
         MicroOp op;
         InstSeq seq = 0;
+        /** Global dispatch order across threads: the issue priority. */
+        std::uint64_t age = 0;
+        /** Head of the chain of consumers waiting on this result.  A
+         *  link is (consumer seq << 1) | source operand; dependences
+         *  are intra-thread, so it names the consumer's ROB slot. */
+        std::uint64_t consumers = kNoLink;
+        /** Per source operand: the next link in its producer's chain. */
+        std::uint64_t nextConsumer[2] = {kNoLink, kNoLink};
+        /** Load only: the hierarchy resource generation its last cache
+         *  probe blocked at, 0 when it is not gated. */
+        std::uint64_t blockedGen = 0;
         enum class State : std::uint8_t {
             Empty,
             Waiting,   ///< in the issue queue
@@ -186,9 +200,10 @@ class SmtCore
             Completed,
         };
         State state = State::Empty;
+        /** Producers not yet completed; 0 = on a ready list. */
+        std::uint8_t pending = 0;
         bool mispredicted = false;
         bool isFp = false;
-        Cycle dispatchedAt = 0;
     };
 
     /** Per-thread architectural state. */
@@ -214,7 +229,7 @@ class SmtCore
     };
 
     // --- pipeline stages ---------------------------------------------
-    void commitStage(Cycle now);
+    void commitStage();
     void completeStage(Cycle now);
     void issueStage(Cycle now);
     void dispatchStage(Cycle now);
@@ -227,6 +242,16 @@ class SmtCore
 
     DynInst &robSlot(ThreadId tid, InstSeq seq);
     const DynInst &robSlot(ThreadId tid, InstSeq seq) const;
+
+    /** Chain source @p operand of the just-dispatched @p c onto the
+     *  producer @p dist back, when that producer can still gate
+     *  issue (in flight, value-producing, not yet completed). */
+    void linkProducer(ThreadId tid, DynInst &c, unsigned operand,
+                      std::uint8_t dist);
+
+    /** Put @p c, whose last producer just completed, on its ready
+     *  list at its age position. */
+    void makeReady(ThreadId tid, const DynInst &c);
 
     void markCompleted(ThreadId tid, InstSeq seq, Cycle now);
 
@@ -242,44 +267,28 @@ class SmtCore
     /** Sum of perf_[*].committedInsts, updated at commit. */
     std::uint64_t totalCommitted_ = 0;
 
-    /** Issue queues: (tid, seq) refs in age order, with the ROB slot
-     *  and any still-in-flight producers resolved once at dispatch.
-     *  ROB rings never reallocate, so the pointers stay valid for the
-     *  entry's whole IQ residency.  A null producer is one that was
-     *  already safe at dispatch (no dependence, pre-stream, committed,
-     *  or non-value-producing); a non-null one is checked with
-     *  producerDone().  `ready` is sticky: readiness is monotone, so
-     *  once both producers are seen done the checks never rerun. */
-    struct IqRef {
-        ThreadId tid;
+    /**
+     * The issue queues hold no list of their own: an entry is a ROB
+     * slot in state Waiting.  One with pending producers sits on
+     * their consumer chains (linked at dispatch); markCompleted walks
+     * a producer's chain, and a consumer whose count reaches 0 joins
+     * its class's ready list.  The ready lists are kept in global
+     * dispatch age order — the order the issue stage visits entries
+     * in — and hold at most an IQ's worth, so they never reallocate.
+     * A ready entry that cannot issue (width, unit, port, blocked
+     * probe) stays on its list.
+     */
+    struct ReadyRef {
+        std::uint64_t age;
         InstSeq seq;
-        DynInst *slot;
-        const DynInst *p1;
-        const DynInst *p2;
-        InstSeq p1seq;
-        InstSeq p2seq;
-        bool ready;
+        ThreadId tid;
     };
-
-    /** True once the producer occupying @p p at dispatch has its
-     *  value: completed in place, committed (Empty, same seq), or
-     *  committed and its ring slot reused (seq moved on). */
-    static bool
-    producerDone(const DynInst *p, InstSeq pseq)
-    {
-        return p == nullptr || p->seq != pseq ||
-               p->state == DynInst::State::Completed ||
-               p->state == DynInst::State::Empty;
-    }
-
-    /** Resolve the producer @p dist back from @p seq to its ROB slot,
-     *  or null when it can never gate issue; @p pseq_out gets its
-     *  seq for the reuse check. */
-    const DynInst *resolveProducer(ThreadId tid, InstSeq seq,
-                                   std::uint8_t dist,
-                                   InstSeq &pseq_out) const;
-    std::vector<IqRef> intIq_;
-    std::vector<IqRef> fpIq_;
+    std::vector<ReadyRef> intReady_;
+    std::vector<ReadyRef> fpReady_;
+    std::uint64_t nextAge_ = 0;
+    /** Issue-queue capacity in use (sums of the per-thread counts). */
+    std::uint32_t intIqUsed_ = 0;
+    std::uint32_t fpIqUsed_ = 0;
     std::vector<std::uint32_t> intIqOcc_;
     std::vector<std::uint32_t> fpIqOcc_;
     std::vector<std::uint32_t> robOcc_;
@@ -320,15 +329,21 @@ class SmtCore
     };
     BoundedFifo<PendingStore> writeBuffer_;
 
-    /** False while a rescan of the issue queues cannot possibly find
-     *  work: the last full scan left no dep-ready entry behind, and
-     *  no completion or dispatch has happened since (readiness is
-     *  monotone, so nothing else can enable a waiting entry). */
-    bool issueScanNeeded_ = true;
+    /** Resource generation the write-buffer head last blocked at, 0
+     *  when it is not gated (see Hierarchy::resourceGeneration). */
+    std::uint64_t wbBlockedGen_ = 0;
 
-    /** True while some IqRef.ready bit may be stale-false: set by
-     *  markCompleted, cleared by the next full dep-recheck pass. */
-    bool depRecheckNeeded_ = true;
+    /** False while no ROB head can commit: set by a completion or a
+     *  freed write-buffer slot, cleared by a pass that left commit
+     *  width unused (every thread was stalled). */
+    bool commitPending_ = true;
+
+    /** First cycle dispatch can move: after a pass that left width
+     *  unused, the earliest still-decoding fetch-queue front (never,
+     *  with every queue empty, as at reset).  Reset to 0 when commit
+     *  or issue frees a resource or a pass runs out of width, and
+     *  lowered when fetch fills an empty queue. */
+    Cycle dispatchWakeAt_ = kCycleNever;
 
     std::uint64_t fetchRotation_ = 0;
     std::uint64_t commitRotation_ = 0;

@@ -658,8 +658,9 @@ SmtSystem::skipToNextEvent(Cycle clamp)
     if (next <= now_ + 1)
         return 0;
     // Every cycle in (now_, next) is a proven no-op; replay its only
-    // side effect (the rotation counters) and land one cycle short so
-    // the event cycle itself is stepped for real.
+    // side effects (the rotation counters and the core's gated blocked
+    // probes) and land one cycle short so the event cycle itself is
+    // stepped for real.
     const std::uint64_t skipped = next - now_ - 1;
     core_->skipCycles(skipped);
     now_ = next - 1;

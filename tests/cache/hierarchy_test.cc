@@ -364,5 +364,113 @@ TEST_F(HierarchyTest, LoadsAreCriticalStoresAreNot)
     EXPECT_FALSE(crit[1]);
 }
 
+TEST_F(HierarchyTest, GenerationMovesOnAllocationAndFillOnly)
+{
+    const std::uint64_t g0 = hierarchy_.resourceGeneration();
+    const AccessResult miss =
+        hierarchy_.access(AccessKind::Load, 0, 0x100, 0);
+    ASSERT_EQ(miss.status, AccessResult::Status::Pending);
+    const std::uint64_t g1 = hierarchy_.resourceGeneration();
+    EXPECT_GT(g1, g0);  // MSHR allocation
+
+    // Fill the remaining L1D MSHRs, then probe one line too many.
+    for (int i = 1; i < 16; ++i)
+        hierarchy_.access(AccessKind::Load, 0,
+                          0x100 + static_cast<Addr>(i) * 64, 0);
+    const std::uint64_t g_full = hierarchy_.resourceGeneration();
+    const AccessResult blocked =
+        hierarchy_.access(AccessKind::Load, 0, 0x100 + 17 * 64, 0);
+    ASSERT_EQ(blocked.status, AccessResult::Status::Blocked);
+    EXPECT_EQ(blocked.blockedGen, g_full);
+    EXPECT_EQ(hierarchy_.resourceGeneration(), g_full);  // no move
+
+    waitFor(miss.missId);
+    const std::uint64_t g_filled = hierarchy_.resourceGeneration();
+    EXPECT_GT(g_filled, g_full);  // fills
+
+    const AccessResult hit =
+        hierarchy_.access(AccessKind::Load, 0, 0x100, now_);
+    ASSERT_EQ(hit.status, AccessResult::Status::Hit);
+    EXPECT_EQ(hierarchy_.resourceGeneration(), g_filled);
+}
+
+TEST(HierarchyBlocking, DramQueueBlockReportsGenerationZero)
+{
+    // MSHRs far larger than the DRAM read queues, so the first block
+    // is on queue space — which frees without the hierarchy seeing
+    // it, so the access must not be gated on the generation.
+    HierarchyConfig config;
+    config.l1d.mshrs = config.l2.mshrs = config.l3.mshrs = 4096;
+    EventQueue events;
+    DramSystem dram(DramConfig::ddrSdram(2), SchedulerKind::HitFirst);
+    Hierarchy h(config, dram, events, 1);
+    AccessResult r;
+    for (Addr i = 0; i < 2048; ++i) {
+        r = h.access(AccessKind::Load, 0, i * 64, 0);
+        if (r.status == AccessResult::Status::Blocked)
+            break;
+    }
+    ASSERT_EQ(r.status, AccessResult::Status::Blocked);
+    EXPECT_EQ(r.blockedGen, 0u);
+    EXPECT_EQ(h.blockedAccesses(), 1u);
+}
+
+TEST(HierarchyBlocking, ReplayMatchesARealBlockedAccess)
+{
+    // Two identical hierarchies with one L1D MSHR and a 4-entry DTLB.
+    // Each probes the same blocked loads over more pages than the
+    // DTLB holds; A re-walks every probe, B replays every repeat.
+    // TLB LRU state, TLB stats and the blocked count must agree.
+    HierarchyConfig config;
+    config.l1d.mshrs = 1;
+    config.tlbEntries = 4;
+    struct Machine {
+        explicit Machine(const HierarchyConfig &c)
+            : dram(DramConfig::ddrSdram(2), SchedulerKind::HitFirst),
+              h(c, dram, events, 1)
+        {
+        }
+        EventQueue events;
+        DramSystem dram;
+        Hierarchy h;
+    };
+    Machine a(config), b(config);
+    const Addr page = config.pageBytes;
+    ASSERT_EQ(a.h.access(AccessKind::Load, 0, 0, 0).status,
+              AccessResult::Status::Pending);
+    ASSERT_EQ(b.h.access(AccessKind::Load, 0, 0, 0).status,
+              AccessResult::Status::Pending);
+    const std::uint64_t gen = b.h.resourceGeneration();
+
+    for (int round = 0; round < 5; ++round) {
+        for (Addr p = 1; p <= 6; ++p) {
+            const Addr vaddr = p * page + static_cast<Addr>(round) * 64;
+            const AccessResult ra =
+                a.h.access(AccessKind::Load, 0, vaddr, 0);
+            ASSERT_EQ(ra.status, AccessResult::Status::Blocked);
+            if (round == 0) {
+                const AccessResult rb =
+                    b.h.access(AccessKind::Load, 0, vaddr, 0);
+                ASSERT_EQ(rb.status, AccessResult::Status::Blocked);
+                ASSERT_EQ(rb.blockedGen, gen);
+            } else {
+                ASSERT_EQ(b.h.resourceGeneration(), gen);
+                b.h.replayBlocked(AccessKind::Load, 0, vaddr);
+            }
+        }
+    }
+    EXPECT_EQ(a.h.blockedAccesses(), b.h.blockedAccesses());
+    EXPECT_EQ(a.h.dtlb().stats().hits(), b.h.dtlb().stats().hits());
+    EXPECT_EQ(a.h.dtlb().stats().misses(), b.h.dtlb().stats().misses());
+    EXPECT_GT(a.h.dtlb().stats().misses(), 6u);  // LRU really churned
+    EXPECT_EQ(a.h.itlb().stats().total(), b.h.itlb().stats().total());
+    // Same LRU order: every page's next lookup hits or misses alike.
+    for (Addr p = 6; p >= 1; --p) {
+        EXPECT_EQ(a.h.access(AccessKind::Load, 0, p * page, 0).tlbPenalty,
+                  b.h.access(AccessKind::Load, 0, p * page, 0).tlbPenalty)
+            << "page " << p;
+    }
+}
+
 } // namespace
 } // namespace smtdram

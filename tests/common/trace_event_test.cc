@@ -20,18 +20,19 @@
 #include "dram/dram_config.hh"
 #include "dram/address_mapping.hh"
 #include "dram/memory_controller.hh"
+#include "temp_path.hh"
 
 namespace smtdram
 {
 namespace
 {
 
-/** Unique temp path per test, removed on destruction. */
+/** Unique temp path per test process, removed on destruction. */
 class TempFile
 {
   public:
     explicit TempFile(const std::string &tag)
-        : path_("trace_event_test_" + tag + ".json")
+        : path_(testArtifactPath(tag + ".json"))
     {
         std::remove(path_.c_str());
     }

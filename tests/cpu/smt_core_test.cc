@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "common/random.hh"
 #include "cpu/smt_core.hh"
@@ -388,6 +389,133 @@ TEST(SmtCoreNextEvent, SkipCyclesReplaysIdleTickingExactly)
               b.core.perf(0).committedInsts);
     EXPECT_EQ(a.core.perf(1).committedInsts,
               b.core.perf(1).committedInsts);
+}
+
+TEST(SmtCoreWakeup, SameProducerOnBothOperandsWakesOnce)
+{
+    // A 7-cycle multiply chain whose every op names its predecessor
+    // on both operands must time exactly like the one-operand chain:
+    // the consumer wakes on the producer's completion, not before,
+    // and issues once (a second wakeup would put an issued op back
+    // on the ready list and trip the IQ panics).
+    MicroOp one;
+    one.cls = OpClass::IntMult;
+    one.dep1 = 1;
+    MicroOp both = one;
+    both.dep2 = 1;
+    CoreHarness a(oneThread());
+    CoreHarness b(oneThread());
+    FixedStream sa(one), sb(both);
+    a.core.bindStream(0, &sa);
+    b.core.bindStream(0, &sb);
+    a.run(5000);
+    b.run(5000);
+    EXPECT_GT(b.core.perf(0).committedInsts, 600u);
+    EXPECT_EQ(a.core.perf(0).committedInsts, b.core.perf(0).committedInsts);
+    EXPECT_EQ(a.core.robOccupancy(0), b.core.robOccupancy(0));
+}
+
+/** Scripted stream: the given ops, then independent ALU ops. */
+class ScriptStream : public InstStream
+{
+  public:
+    explicit ScriptStream(std::vector<MicroOp> ops) : ops_(std::move(ops))
+    {
+    }
+
+    MicroOp
+    next() override
+    {
+        MicroOp op = i_ < ops_.size() ? ops_[i_++] : alu();
+        op.pc = pc_;
+        pc_ = pc_ + 4 >= FixedStream::kBase + 2048 ? FixedStream::kBase
+                                                   : pc_ + 4;
+        return op;
+    }
+
+  private:
+    std::vector<MicroOp> ops_;
+    size_t i_ = 0;
+    Addr pc_ = FixedStream::kBase;
+};
+
+MicroOp
+load(Addr vaddr, std::uint8_t dep = 0)
+{
+    MicroOp op;
+    op.cls = OpClass::Load;
+    op.effAddr = vaddr;
+    op.dep1 = dep;
+    return op;
+}
+
+TEST(SmtCoreWakeup, ReadyListsStayAgeOrderedAcrossThreads)
+{
+    // One cache port, so ready loads queue for it in age order.
+    // Thread 0 runs a chain of four 7-cycle multiplies feeding one
+    // load A, then parks.  Thread 1, whose warm-up is longer, then
+    // floods the queue with independent DRAM-bound loads that are all
+    // younger than A.  When the last multiply completes, A must take
+    // the port that same cycle, ahead of the thread-1 backlog that
+    // became ready before it.
+    CoreConfig config;
+    config.numThreads = 2;
+    config.cachePorts = 1;
+    HierarchyConfig hier;
+    hier.l1d.mshrs = hier.l2.mshrs = hier.l3.mshrs = 256;
+    CoreHarness h(config, hier);
+
+    // The warm-up walks the whole code range once (from the L2), so
+    // every fetch after it hits the I-cache.
+    for (ThreadId t = 0; t < 2; ++t) {
+        for (Addr off = 0; off < 2048; off += 64)
+            h.hierarchy.prewarmLine(t, FixedStream::kBase + off, false);
+    }
+    constexpr size_t kWarm = 2048 / 4;
+    std::vector<MicroOp> p0(kWarm, alu());
+    MicroOp mult;
+    mult.cls = OpClass::IntMult;
+    p0.push_back(mult);
+    mult.dep1 = 1;
+    for (int i = 0; i < 3; ++i)
+        p0.push_back(mult);
+    p0.push_back(load(0x2000'0000, 1));
+    MicroOp branch;
+    branch.cls = OpClass::Branch;
+    branch.taken = true;  // ends the fetch group
+    p0.push_back(branch);
+    std::vector<MicroOp> p1(kWarm + 96, alu());
+    for (Addr i = 0; i < 48; ++i)
+        p1.push_back(load(0x1000'0000 + i * 64));
+    ScriptStream t0(p0), t1(p1);
+    h.core.bindStream(0, &t0);
+    h.core.bindStream(1, &t1);
+
+    Cycle last_mult_issue = 0;
+    Cycle load_issue = 0;
+    std::uint32_t backlog = 0;  // thread-1 IQ entries as A woke
+    bool parked = false;
+    for (Cycle c = 1; c <= 3000 && load_issue == 0; ++c) {
+        const std::uint32_t t1_waiting = h.core.intIqOccupancy(1);
+        h.run(1);
+        if (!parked && h.core.perf(0).fetchedInsts >= p0.size()) {
+            h.core.bindStream(0, nullptr);
+            parked = true;
+        }
+        // Only A is left of thread 0 once the last multiply issued.
+        if (parked && last_mult_issue == 0 &&
+            h.core.perf(0).fetchedInsts == p0.size() &&
+            h.core.robOccupancy(0) > 0 && h.core.intIqOccupancy(0) == 1)
+            last_mult_issue = c;
+        if (h.core.perf(0).loads == 1) {
+            load_issue = c;
+            backlog = t1_waiting;
+        }
+    }
+    ASSERT_NE(last_mult_issue, 0u);
+    ASSERT_NE(load_issue, 0u);
+    EXPECT_EQ(load_issue, last_mult_issue + execLatency(OpClass::IntMult));
+    EXPECT_GE(backlog, 8u);  // not vacuous: younger loads were waiting
 }
 
 TEST(SmtCoreDeathTest, TooFewRegistersRejected)

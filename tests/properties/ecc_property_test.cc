@@ -12,6 +12,7 @@
 
 #include <iostream>
 #include <string>
+#include <type_traits>
 
 #include "common/random.hh"
 #include "common/watchdog.hh"
@@ -22,10 +23,16 @@ namespace smtdram
 namespace
 {
 
+/** gtest has no printer for this type, so it writes the raw bytes into
+ *  each test's name: the padding is spelled out and zeroed, or it would
+ *  carry stack garbage and the name would change from build to build. */
 struct EccCase {
+    EccCase(SchedulerKind s, std::uint64_t sd) : scheduler(s), seed(sd) {}
     SchedulerKind scheduler;
+    std::uint8_t padding[7] = {};
     std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<EccCase>);
 
 std::string
 caseName(const testing::TestParamInfo<EccCase> &info)

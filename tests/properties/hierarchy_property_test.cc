@@ -10,6 +10,8 @@
 
 #include <map>
 #include <set>
+#include <type_traits>
+#include <vector>
 
 #include "cache/hierarchy.hh"
 
@@ -21,12 +23,20 @@ namespace smtdram
 namespace
 {
 
+/** gtest has no printer for this type, so it writes the raw bytes into
+ *  each test's name: the padding is spelled out and zeroed, or it would
+ *  carry stack garbage and the name would change from build to build. */
 struct HierarchyCase {
+    HierarchyCase(bool inf_l2, bool inf_l3, bool pf, std::uint32_t t)
+        : infiniteL2(inf_l2), infiniteL3(inf_l3), prefetch(pf), threads(t)
+    {}
     bool infiniteL2;
     bool infiniteL3;
     bool prefetch;
+    std::uint8_t padding = 0;
     std::uint32_t threads;
 };
+static_assert(std::has_unique_object_representations_v<HierarchyCase>);
 
 std::string
 caseName(const testing::TestParamInfo<HierarchyCase> &info)
@@ -72,6 +82,18 @@ TEST_P(HierarchyProperty, StormCompletesAndCountersDrain)
         pending.erase(id);
     });
 
+    // Every access that blocked on an MSHR or miss-table limit, with
+    // the generation it blocked at.  The core's gated replay rests on
+    // that block repeating, unprobed, until the generation moves.
+    struct GatedBlock {
+        AccessKind kind;
+        ThreadId tid;
+        Addr vaddr;
+        std::uint64_t gen;
+    };
+    std::vector<GatedBlock> gated;
+    std::uint64_t regated = 0;
+
     Rng rng(555);
     Cycle now = 0;
     int issued = 0;
@@ -83,6 +105,20 @@ TEST_P(HierarchyProperty, StormCompletesAndCountersDrain)
         events.runUntil(now);
         dram.tick(now);
         h.tick(now);
+
+        // A gated block must block again at its generation; a moved
+        // generation retires it (the core would probe for real then).
+        std::erase_if(gated, [&h](const GatedBlock &b) {
+            return b.gen != h.resourceGeneration();
+        });
+        for (const GatedBlock &b : gated) {
+            const AccessResult again = h.access(b.kind, b.tid, b.vaddr, now);
+            ASSERT_EQ(again.status, AccessResult::Status::Blocked)
+                << "a block at generation " << b.gen
+                << " cleared with the generation unchanged";
+            ASSERT_EQ(again.blockedGen, b.gen);
+            ++regated;
+        }
 
         for (int k = 0; k < 3 && issued < kAccesses; ++k) {
             if (!rng.chance(0.5))
@@ -105,6 +141,8 @@ TEST_P(HierarchyProperty, StormCompletesAndCountersDrain)
             }
             if (r.status != AccessResult::Status::Blocked)
                 ++issued;
+            else if (r.blockedGen != 0)
+                gated.push_back({kind, tid, vaddr, r.blockedGen});
         }
     }
 
@@ -129,6 +167,9 @@ TEST_P(HierarchyProperty, StormCompletesAndCountersDrain)
     EXPECT_FALSE(dram.busy());
 
     // Mode-specific invariants.
+    if (!param.infiniteL2) {
+        EXPECT_GT(regated, 0u) << "no gated block was re-probed";
+    }
     if (param.infiniteL3) {
         EXPECT_EQ(h.dramReadsIssued(), 0u);
     }

@@ -10,6 +10,7 @@
 
 #include <set>
 #include <tuple>
+#include <type_traits>
 
 #include "common/random.hh"
 #include "dram/address_mapping.hh"
@@ -19,12 +20,20 @@ namespace smtdram
 namespace
 {
 
+/** gtest has no printer for this type, so it writes the raw bytes into
+ *  each test's name: the padding is spelled out and zeroed, or it would
+ *  carry stack garbage and the name would change from build to build. */
 struct MappingCase {
+    MappingCase(std::uint32_t ch, std::uint32_t g, bool rd, MappingScheme sc)
+        : channels(ch), gang(g), rambus(rd), scheme(sc)
+    {}
     std::uint32_t channels;
     std::uint32_t gang;
     bool rambus;
     MappingScheme scheme;
+    std::uint8_t padding[2] = {};
 };
+static_assert(std::has_unique_object_representations_v<MappingCase>);
 
 std::string
 caseName(const testing::TestParamInfo<MappingCase> &info)

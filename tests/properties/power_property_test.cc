@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/random.hh"
@@ -24,10 +25,16 @@ namespace smtdram
 namespace
 {
 
+/** gtest has no printer for this type, so it writes the raw bytes into
+ *  each test's name: the padding is spelled out and zeroed, or it would
+ *  carry stack garbage and the name would change from build to build. */
 struct PowerCase {
+    PowerCase(SchedulerKind s, std::uint64_t sd) : scheduler(s), seed(sd) {}
     SchedulerKind scheduler;
+    std::uint8_t padding[7] = {};
     std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<PowerCase>);
 
 std::string
 caseName(const testing::TestParamInfo<PowerCase> &info)

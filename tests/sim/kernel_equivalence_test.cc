@@ -45,6 +45,14 @@ struct Snapshot {
     RunResult r;
     std::string statsJson;
     std::string dump;
+    // Hierarchy counters neither the stats JSON nor the dump shows;
+    // blocked-probe replays (and the skip kernel's replay of them)
+    // move exactly these.
+    std::uint64_t blocked = 0;
+    std::uint64_t dtlbHits = 0;
+    std::uint64_t dtlbMisses = 0;
+    std::uint64_t itlbHits = 0;
+    std::uint64_t itlbMisses = 0;
 };
 
 Snapshot
@@ -65,6 +73,12 @@ runKernel(SystemConfig config, const std::vector<AppProfile> &apps,
     std::ostringstream dump;
     system.dumpState(dump);
     s.dump = dump.str();
+    const Hierarchy &h = system.hierarchy();
+    s.blocked = h.blockedAccesses();
+    s.dtlbHits = h.dtlb().stats().hits();
+    s.dtlbMisses = h.dtlb().stats().misses();
+    s.itlbHits = h.itlb().stats().hits();
+    s.itlbMisses = h.itlb().stats().misses();
     return s;
 }
 
@@ -114,6 +128,12 @@ expectEquivalent(const Snapshot &cyc, const Snapshot &evt)
     // Whole observability surface, byte-for-byte.
     EXPECT_EQ(cyc.statsJson, evt.statsJson);
     EXPECT_EQ(cyc.dump, evt.dump);
+
+    EXPECT_EQ(cyc.blocked, evt.blocked);
+    EXPECT_EQ(cyc.dtlbHits, evt.dtlbHits);
+    EXPECT_EQ(cyc.dtlbMisses, evt.dtlbMisses);
+    EXPECT_EQ(cyc.itlbHits, evt.itlbHits);
+    EXPECT_EQ(cyc.itlbMisses, evt.itlbMisses);
 }
 
 /** The full optimization matrix the paper sweeps, plus every
@@ -227,6 +247,27 @@ TEST(KernelEquivalence, ClosePageMode)
     expectEquivalent(runKernel(config, apps, 42, KernelMode::PerCycle),
                      runKernel(config, apps, 42,
                                KernelMode::EventDriven));
+}
+
+TEST(KernelEquivalence, MshrStarvedMemoryMix)
+{
+    // Two MSHRs per level: loads and write-buffer stores block on
+    // most cycles, so the core gates their re-probes on the
+    // hierarchy's resource generation.  Both kernels must replay the
+    // same probes in the same order, and the skip kernel must not
+    // jump over a cycle that replays one.
+    SystemConfig config = SystemConfig::paperDefault(4);
+    config.hierarchy.l1d.mshrs = 2;
+    config.hierarchy.l2.mshrs = 2;
+    config.hierarchy.l3.mshrs = 2;
+    const std::vector<AppProfile> apps = mixProfiles("4-MEM");
+    const Snapshot cyc =
+        runKernel(config, apps, 42, KernelMode::PerCycle);
+    const Snapshot evt =
+        runKernel(config, apps, 42, KernelMode::EventDriven);
+    // Not vacuous: blocked probes outnumber cycles.
+    EXPECT_GT(cyc.blocked, cyc.r.measuredCycles);
+    expectEquivalent(cyc, evt);
 }
 
 TEST(KernelEquivalence, RdramPart)

@@ -23,6 +23,7 @@
 
 #include "sim/experiment.hh"
 #include "sim/smt_system.hh"
+#include "temp_path.hh"
 
 namespace smtdram
 {
@@ -47,11 +48,11 @@ slurp(const std::string &path)
     return ss.str();
 }
 
-/** Temp artifact paths removed when the test ends. */
+/** This test's artifact paths, removed when it ends. */
 struct TempPaths {
-    std::string trace = "observability_test.trace.json";
-    std::string json = "observability_test.stats.json";
-    std::string csv = "observability_test.stats.csv";
+    std::string trace = testArtifactPath("trace.json");
+    std::string json = testArtifactPath("stats.json");
+    std::string csv = testArtifactPath("stats.csv");
 
     TempPaths() { cleanup(); }
     ~TempPaths() { cleanup(); }

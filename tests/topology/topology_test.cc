@@ -21,6 +21,7 @@
 #include "dram/scheduler.hh"
 #include "sim/experiment.hh"
 #include "sim/smt_system.hh"
+#include "temp_path.hh"
 #include "topology/interconnect.hh"
 #include "topology/numa_system.hh"
 #include "topology/placement.hh"
@@ -365,10 +366,8 @@ TEST(NumaIdentity, TrivialTopologyStatsJsonIsByteIdentical)
     const auto apps = profilesFor(mix);
     SystemConfig config = SystemConfig::paperDefault(
         static_cast<std::uint32_t>(apps.size()));
-    const std::string legacy_path =
-        testing::TempDir() + "/numa_identity_legacy.json";
-    const std::string numa_path =
-        testing::TempDir() + "/numa_identity_numa.json";
+    const std::string legacy_path = testArtifactPath("legacy.json");
+    const std::string numa_path = testArtifactPath("numa.json");
 
     config.observe.statsJsonPath = legacy_path;
     SmtSystem legacy(config, apps, kSeed);
@@ -398,7 +397,7 @@ TEST(NumaSystemTest, NontrivialTopologyExportsNumaStats)
     config.topology.smtWays = 2;
     config.topology.placement = PlacementPolicy::RoundRobin;
     config.topology.home = HomePolicy::Loader;
-    const std::string path = testing::TempDir() + "/numa_stats.json";
+    const std::string path = testArtifactPath("stats.json");
     config.observe.statsJsonPath = path;
 
     NumaSystem numa(config, mixApps(), kSeed);
