@@ -120,19 +120,21 @@ DramSystem::enqueueRead(Addr addr, ThreadId thread,
                         const ThreadSnapshot &snap, Cycle now,
                         bool critical)
 {
-    return enqueueRead(addr, thread, snap, now, critical, 0);
+    return enqueueRead(addr, thread, snap, now, critical, 0, 0);
 }
 
 std::uint64_t
 DramSystem::enqueueRead(Addr addr, ThreadId thread,
                         const ThreadSnapshot &snap, Cycle now,
-                        bool critical, Cycle remote_until)
+                        bool critical, Cycle remote_until,
+                        std::uint32_t origin)
 {
     DramRequest req;
     req.id = nextId_++;
     req.op = MemOp::Read;
     req.addr = addr;
     req.thread = thread;
+    req.origin = origin;
     req.arrival = now;
     req.snap = snap;
     req.coord = mapping_.map(addr);
@@ -336,50 +338,8 @@ ControllerStats
 DramSystem::aggregateStats() const
 {
     ControllerStats agg;
-    for (const auto &mc : controllers_) {
-        const ControllerStats &s = mc.stats();
-        agg.reads += s.reads;
-        agg.writes += s.writes;
-        agg.rowHits += s.rowHits;
-        agg.rowEmpty += s.rowEmpty;
-        agg.rowConflicts += s.rowConflicts;
-        agg.busBusyCycles += s.busBusyCycles;
-        agg.refreshes += s.refreshes;
-        agg.refreshBlockedCycles += s.refreshBlockedCycles;
-        agg.readRetries += s.readRetries;
-        agg.retriesExhausted += s.retriesExhausted;
-        agg.scrubReads += s.scrubReads;
-        agg.correctedErrors += s.correctedErrors;
-        agg.uncorrectableErrors += s.uncorrectableErrors;
-        agg.eccCheckCycles += s.eccCheckCycles;
-        agg.readLatencyHist.merge(s.readLatencyHist);
-        agg.queueDepthHist.merge(s.queueDepthHist);
-        agg.rowHitRunHist.merge(s.rowHitRunHist);
-        agg.blameTotals.merge(s.blameTotals);
-        for (std::size_t c = 0; c < kNumBlameComponents; ++c)
-            agg.blameHist[c].merge(s.blameHist[c]);
-        if (agg.perThreadBlame.size() < s.perThreadBlame.size())
-            agg.perThreadBlame.resize(s.perThreadBlame.size());
-        for (std::size_t t = 0; t < s.perThreadBlame.size(); ++t)
-            agg.perThreadBlame[t].merge(s.perThreadBlame[t]);
-        agg.interference.merge(s.interference);
-        // Merge the latency distributions sample-count-weighted.
-        // Distribution has no merge; rebuild from moments.
-        // (count/sum/min/max are sufficient for what we report.)
-    }
-    // Aggregate latency distributions manually.
-    Distribution lat, queueing;
-    for (const auto &mc : controllers_) {
-        const ControllerStats &s = mc.stats();
-        if (s.readLatency.count() > 0) {
-            // Weighted merge: approximate by injecting mean `count`
-            // times would lose min/max, so track them explicitly.
-            lat = mergeDistributions(lat, s.readLatency);
-            queueing = mergeDistributions(queueing, s.readQueueing);
-        }
-    }
-    agg.readLatency = lat;
-    agg.readQueueing = queueing;
+    for (const auto &mc : controllers_)
+        agg.merge(mc.stats());
     return agg;
 }
 
@@ -412,21 +372,8 @@ HammerStats
 DramSystem::aggregateHammerStats() const
 {
     HammerStats agg;
-    for (const auto &mc : controllers_) {
-        const HammerStats &h = mc.hammerStats();
-        agg.activations += h.activations;
-        agg.thresholdCrossings += h.thresholdCrossings;
-        agg.victimFlips += h.victimFlips;
-        agg.victimCorrected += h.victimCorrected;
-        agg.victimUncorrectable += h.victimUncorrectable;
-        agg.silentCorruptions += h.silentCorruptions;
-        agg.flipsScrubbed += h.flipsScrubbed;
-        agg.windowResets += h.windowResets;
-        agg.mitigationsRequested += h.mitigationsRequested;
-        agg.mitigationsIssued += h.mitigationsIssued;
-        agg.mitigationCycles += h.mitigationCycles;
-        agg.trackerEvictions += h.trackerEvictions;
-    }
+    for (const auto &mc : controllers_)
+        agg.merge(mc.hammerStats());
     return agg;
 }
 
@@ -451,29 +398,8 @@ PowerStats
 DramSystem::aggregatePowerStats() const
 {
     PowerStats agg;
-    for (const auto &mc : controllers_) {
-        const PowerStats &p = mc.powerStats();
-        agg.backgroundEnergy += p.backgroundEnergy;
-        agg.activateEnergy += p.activateEnergy;
-        agg.readEnergy += p.readEnergy;
-        agg.writeEnergy += p.writeEnergy;
-        agg.refreshEnergy += p.refreshEnergy;
-        agg.scrubEnergy += p.scrubEnergy;
-        agg.mitigationEnergy += p.mitigationEnergy;
-        agg.totalEnergy += p.totalEnergy;
-        agg.powerdownEntries += p.powerdownEntries;
-        agg.powerdownExits += p.powerdownExits;
-        agg.selfRefreshEntries += p.selfRefreshEntries;
-        agg.selfRefreshExits += p.selfRefreshExits;
-        agg.exitPenaltyCycles += p.exitPenaltyCycles;
-        agg.refreshesSuppressed += p.refreshesSuppressed;
-        agg.entryPrecharges += p.entryPrecharges;
-        agg.activeCycles += p.activeCycles;
-        agg.powerdownFastCycles += p.powerdownFastCycles;
-        agg.powerdownSlowCycles += p.powerdownSlowCycles;
-        agg.selfRefreshCycles += p.selfRefreshCycles;
-        agg.lowPowerSpanHist.merge(p.lowPowerSpanHist);
-    }
+    for (const auto &mc : controllers_)
+        agg.merge(mc.powerStats());
     return agg;
 }
 

@@ -48,6 +48,9 @@ struct DramRequest {
     Addr addr = kAddrInvalid;
     /** Owning hardware thread; kThreadNone for writebacks. */
     ThreadId thread = kThreadNone;
+    /** Core whose hierarchy issued the read; the socket router
+     *  delivers the reply back to it.  0 on a single-core machine. */
+    std::uint32_t origin = 0;
     Cycle arrival = 0;
     ThreadSnapshot snap;
     DramCoord coord;

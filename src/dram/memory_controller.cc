@@ -9,6 +9,40 @@
 namespace smtdram
 {
 
+void
+ControllerStats::merge(const ControllerStats &s)
+{
+    reads += s.reads;
+    writes += s.writes;
+    rowHits += s.rowHits;
+    rowEmpty += s.rowEmpty;
+    rowConflicts += s.rowConflicts;
+    busBusyCycles += s.busBusyCycles;
+    refreshes += s.refreshes;
+    refreshBlockedCycles += s.refreshBlockedCycles;
+    readRetries += s.readRetries;
+    retriesExhausted += s.retriesExhausted;
+    scrubReads += s.scrubReads;
+    correctedErrors += s.correctedErrors;
+    uncorrectableErrors += s.uncorrectableErrors;
+    eccCheckCycles += s.eccCheckCycles;
+    readLatencyHist.merge(s.readLatencyHist);
+    queueDepthHist.merge(s.queueDepthHist);
+    rowHitRunHist.merge(s.rowHitRunHist);
+    blameTotals.merge(s.blameTotals);
+    for (std::size_t c = 0; c < kNumBlameComponents; ++c)
+        blameHist[c].merge(s.blameHist[c]);
+    if (perThreadBlame.size() < s.perThreadBlame.size())
+        perThreadBlame.resize(s.perThreadBlame.size());
+    for (std::size_t t = 0; t < s.perThreadBlame.size(); ++t)
+        perThreadBlame[t].merge(s.perThreadBlame[t]);
+    interference.merge(s.interference);
+    if (s.readLatency.count() > 0) {
+        readLatency = mergeDistributions(readLatency, s.readLatency);
+        readQueueing = mergeDistributions(readQueueing, s.readQueueing);
+    }
+}
+
 namespace
 {
 

@@ -112,6 +112,9 @@ struct ControllerStats {
     /** Who stalled whom, in cycles (demand reads only). */
     InterferenceMatrix interference;
 
+    /** Accumulate @p other (another channel's or socket's stats). */
+    void merge(const ControllerStats &other);
+
     /** Paper's row-buffer miss rate: misses / all accesses. */
     double
     rowMissRate() const

@@ -74,6 +74,32 @@ struct PowerStats {
     /** Length of each completed low-power episode, cycles. */
     LogHistogram lowPowerSpanHist;
 
+    /** Accumulate @p other (another channel's or socket's stats). */
+    void
+    merge(const PowerStats &other)
+    {
+        backgroundEnergy += other.backgroundEnergy;
+        activateEnergy += other.activateEnergy;
+        readEnergy += other.readEnergy;
+        writeEnergy += other.writeEnergy;
+        refreshEnergy += other.refreshEnergy;
+        scrubEnergy += other.scrubEnergy;
+        mitigationEnergy += other.mitigationEnergy;
+        totalEnergy += other.totalEnergy;
+        powerdownEntries += other.powerdownEntries;
+        powerdownExits += other.powerdownExits;
+        selfRefreshEntries += other.selfRefreshEntries;
+        selfRefreshExits += other.selfRefreshExits;
+        exitPenaltyCycles += other.exitPenaltyCycles;
+        refreshesSuppressed += other.refreshesSuppressed;
+        entryPrecharges += other.entryPrecharges;
+        activeCycles += other.activeCycles;
+        powerdownFastCycles += other.powerdownFastCycles;
+        powerdownSlowCycles += other.powerdownSlowCycles;
+        selfRefreshCycles += other.selfRefreshCycles;
+        lowPowerSpanHist.merge(other.lowPowerSpanHist);
+    }
+
     /** Component sum (cross-check against totalEnergy). */
     double
     componentEnergy() const

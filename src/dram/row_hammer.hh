@@ -75,6 +75,24 @@ struct HammerStats {
     std::uint64_t mitigationCycles = 0;
     /** Misra-Gries spillover increments (tracker at capacity). */
     std::uint64_t trackerEvictions = 0;
+
+    /** Accumulate @p other (another channel's or socket's stats). */
+    void
+    merge(const HammerStats &other)
+    {
+        activations += other.activations;
+        thresholdCrossings += other.thresholdCrossings;
+        victimFlips += other.victimFlips;
+        victimCorrected += other.victimCorrected;
+        victimUncorrectable += other.victimUncorrectable;
+        silentCorruptions += other.silentCorruptions;
+        flipsScrubbed += other.flipsScrubbed;
+        windowResets += other.windowResets;
+        mitigationsRequested += other.mitigationsRequested;
+        mitigationsIssued += other.mitigationsIssued;
+        mitigationCycles += other.mitigationCycles;
+        trackerEvictions += other.trackerEvictions;
+    }
 };
 
 /** A preventive refresh the tracker wants the controller to issue. */

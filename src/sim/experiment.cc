@@ -2,54 +2,18 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/logging.hh"
-#include "topology/numa_system.hh"
 #include "workload/hammer_workload.hh"
 
 namespace smtdram
 {
-
-namespace
-{
-
-/**
- * SMTDRAM_TOPOLOGY=1 routes every topology-less config through a
- * trivial 1x1 NumaSystem.  Read once per process, same rationale as
- * the SMTDRAM_KERNEL override: whole harnesses flip for a CI leg
- * without plumbing a flag through every construction site, and the
- * trivial topology is proven byte-identical so results never change.
- */
-bool
-topologyForced()
-{
-    static const bool forced = [] {
-        const char *env = std::getenv("SMTDRAM_TOPOLOGY");
-        return env && !std::strcmp(env, "1");
-    }();
-    return forced;
-}
-
-} // namespace
 
 RunResult
 runSystem(const SystemConfig &config,
           const std::vector<AppProfile> &apps, std::uint64_t seed,
           std::uint64_t measure_insts, std::uint64_t warmup_insts)
 {
-    if (config.topology.active()) {
-        NumaSystem system(config, apps, seed);
-        return system.run(measure_insts, warmup_insts);
-    }
-    if (topologyForced()) {
-        SystemConfig trivial = config;
-        trivial.topology = TopologyConfig{};
-        trivial.topology.enabled = true;
-        NumaSystem system(trivial, apps, seed);
-        return system.run(measure_insts, warmup_insts);
-    }
     SmtSystem system(config, apps, seed);
     return system.run(measure_insts, warmup_insts);
 }
@@ -165,8 +129,8 @@ configSignature(const SystemConfig &config)
     const TopologyConfig &t = config.topology;
     if (t.nontrivial()) {
         // Only a *nontrivial* topology gets a suffix: a disabled or
-        // 1x1 topology is byte-identical to the legacy machine, so it
-        // must share the legacy signature (and its cached baselines).
+        // enabled 1x1 topology builds the same machine, so it must
+        // share one signature (and its cached baselines).
         char tbuf[96];
         std::snprintf(tbuf, sizeof(tbuf),
                       "-numa%ux%uw%u-%s-%s-hop%lluq%llu", t.sockets,

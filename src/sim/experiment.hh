@@ -62,13 +62,9 @@ struct ExperimentParams {
 };
 
 /**
- * Run one simulation of @p apps on @p config, dispatching to the
- * multi-socket NumaSystem when the config carries an active topology
- * and to the legacy SmtSystem otherwise.  The SMTDRAM_TOPOLOGY
- * environment variable ("1", read once per process) forces a trivial
- * 1x1 topology onto topology-less configs — the CI identity leg that
- * proves NumaSystem reproduces SmtSystem byte-for-byte on every
- * golden figure.  Pure: no caching, safe to call from any thread.
+ * Run one simulation of @p apps on an SmtSystem built from
+ * @p config (the 1x1 machine unless the config carries an active
+ * topology).  Pure: no caching, safe to call from any thread.
  */
 RunResult runSystem(const SystemConfig &config,
                     const std::vector<AppProfile> &apps,

@@ -11,6 +11,7 @@
 #include "common/logging.hh"
 #include "common/watchdog.hh"
 #include "sim/experiment.hh"
+#include "topology/placement.hh"
 
 namespace smtdram
 {
@@ -41,6 +42,10 @@ kernelMode(KernelMode configured)
     return configured;
 }
 
+/** Remote reads a thread must accrue per epoch before the OS
+ *  scheduler considers moving it (noise floor / hysteresis). */
+constexpr std::uint64_t kMigrateThreshold = 16;
+
 } // namespace
 
 SmtSystem::SmtSystem(const SystemConfig &config,
@@ -49,28 +54,73 @@ SmtSystem::SmtSystem(const SystemConfig &config,
     : config_(config)
 {
     config_.kernel = kernelMode(config_.kernel);
-    fatal_if(apps.size() != config_.core.numThreads,
+    // No active topology: the paper's machine, one socket, one core.
+    if (!config_.topology.active())
+        config_.topology = TopologyConfig{};
+    config_.topology.enabled = true;
+    const std::uint32_t n = config_.core.numThreads;
+    fatal_if(apps.size() != n,
              "%zu application profiles for %u hardware threads",
-             apps.size(), config_.core.numThreads);
+             apps.size(), n);
+    const TopologyConfig &topo = config_.topology;
+    topo.validate(n);
+    const std::uint32_t cores = topo.totalCores();
 
-    dram_ = std::make_unique<DramSystem>(config_.dram,
-                                         config_.scheduler);
-    hierarchy_ = std::make_unique<Hierarchy>(
-        config_.hierarchy, *dram_, events_, config_.core.numThreads);
-    core_ = std::make_unique<SmtCore>(config_.core, *hierarchy_);
+    // Shared translation machinery: one page-table set for the whole
+    // machine, frames handed out by the home-aware allocator.  On one
+    // socket the allocator is a plain sequential frame counter.
+    pageTables_ = std::make_unique<PageTables>(
+        config_.hierarchy.pageBytes, n);
+    alloc_ = std::make_unique<NumaFrameAllocator>(
+        topo, pageTables_->pageShift());
+
+    threadCore_ = computePlacement(topo, apps);
+    pageTables_->setFrameSource([this](ThreadId tid) {
+        return alloc_->allocate(threadCore_[tid] /
+                                config_.topology.coresPerSocket);
+    });
+
+    drams_.reserve(topo.sockets);
+    std::vector<DramSystem *> dram_ptrs;
+    for (std::uint32_t s = 0; s < topo.sockets; ++s) {
+        drams_.push_back(std::make_unique<DramSystem>(
+            config_.dram, config_.scheduler,
+            s * config_.dram.logicalChannels()));
+        dram_ptrs.push_back(drams_.back().get());
+    }
+    router_ = std::make_unique<SocketRouter>(topo, dram_ptrs, *alloc_,
+                                             n);
+
+    ports_.reserve(cores);
+    hierarchies_.reserve(cores);
+    cores_.reserve(cores);
+    for (std::uint32_t c = 0; c < cores; ++c) {
+        ports_.push_back(std::make_unique<SocketPort>(*router_, c));
+        hierarchies_.push_back(std::make_unique<Hierarchy>(
+            config_.hierarchy, *ports_.back(), events_, n));
+        hierarchies_.back()->setSharedPageTables(pageTables_.get());
+        cores_.push_back(std::make_unique<SmtCore>(
+            config_.core, *hierarchies_.back()));
+    }
 
     streams_.reserve(apps.size());
     for (size_t i = 0; i < apps.size(); ++i) {
         streams_.push_back(std::make_unique<SyntheticStream>(
             apps[i], seed + i * 0x1000'0001ULL));
-        core_->bindStream(static_cast<ThreadId>(i),
-                          streams_.back().get());
+        cores_[threadCore_[i]]->bindStream(static_cast<ThreadId>(i),
+                                           streams_.back().get());
     }
+
+    remoteBase_.assign(n, 0);
+    toSocketBase_.assign(n,
+                         std::vector<std::uint64_t>(topo.sockets, 0));
 
     if (config_.observe.traceEnabled()) {
         tracer_ = std::make_unique<Tracer>(config_.observe.tracePath);
-        dram_->setTracer(tracer_.get());
-        core_->setTracer(tracer_.get());
+        for (auto &d : drams_)
+            d->setTracer(tracer_.get());
+        for (auto &c : cores_)
+            c->setTracer(tracer_.get());
     }
     if (config_.observe.statsEnabled()) {
         registry_ = std::make_unique<StatsRegistry>();
@@ -91,9 +141,126 @@ SmtSystem::~SmtSystem()
 {
     clearPanicHook(panicHook_);
     if (tracer_) {
-        dram_->setTracer(nullptr);
-        core_->setTracer(nullptr);
+        for (auto &d : drams_)
+            d->setTracer(nullptr);
+        for (auto &c : cores_)
+            c->setTracer(nullptr);
     }
+}
+
+ControllerStats
+SmtSystem::aggDramStats() const
+{
+    // Socket 0's aggregate is the starting point, so a one-socket
+    // machine aggregates exactly once, like a lone DramSystem.
+    ControllerStats agg = drams_[0]->aggregateStats();
+    for (std::size_t s = 1; s < drams_.size(); ++s)
+        agg.merge(drams_[s]->aggregateStats());
+    // Interconnect queue waits join the who-stalled-whom picture; on
+    // one socket the link matrix is empty and this is a no-op.
+    agg.interference.merge(router_->linkInterference());
+    return agg;
+}
+
+PowerStats
+SmtSystem::aggPowerStats() const
+{
+    PowerStats agg;
+    for (const auto &d : drams_)
+        agg.merge(d->aggregatePowerStats());
+    return agg;
+}
+
+HammerStats
+SmtSystem::aggHammerStats() const
+{
+    HammerStats agg;
+    for (const auto &d : drams_)
+        agg.merge(d->aggregateHammerStats());
+    return agg;
+}
+
+std::uint32_t
+SmtSystem::totalChannels() const
+{
+    return config_.topology.sockets * drams_[0]->channels();
+}
+
+const DramSystem &
+SmtSystem::dramOfChannel(std::uint32_t global,
+                         std::uint32_t &local) const
+{
+    const std::uint32_t per = drams_[0]->channels();
+    local = global % per;
+    return *drams_[global / per];
+}
+
+std::uint64_t
+SmtSystem::committedOf(ThreadId tid) const
+{
+    std::uint64_t total = 0;
+    for (const auto &c : cores_)
+        total += c->perf(tid).committedInsts;
+    return total;
+}
+
+std::uint64_t
+SmtSystem::grandCommitted() const
+{
+    std::uint64_t total = 0;
+    for (const auto &c : cores_)
+        total += c->totalCommittedInsts();
+    return total;
+}
+
+bool
+SmtSystem::dramBusy() const
+{
+    for (const auto &d : drams_) {
+        if (d->busy())
+            return true;
+    }
+    return false;
+}
+
+std::size_t
+SmtSystem::dramOutstanding() const
+{
+    std::size_t total = 0;
+    for (const auto &d : drams_)
+        total += d->outstandingRequests();
+    return total;
+}
+
+std::uint32_t
+SmtSystem::distinctThreadsOutstanding() const
+{
+    const std::uint32_t n = config_.core.numThreads;
+    std::uint32_t distinct = 0;
+    for (std::uint32_t t = 0; t < n; ++t) {
+        std::uint32_t outstanding = 0;
+        for (const auto &d : drams_) {
+            const auto &per = d->outstandingPerThread();
+            if (t < per.size())
+                outstanding += per[t];
+        }
+        if (outstanding > 0)
+            ++distinct;
+    }
+    return distinct;
+}
+
+std::vector<std::uint64_t>
+SmtSystem::perThreadReads() const
+{
+    std::vector<std::uint64_t> total(config_.core.numThreads, 0);
+    for (const auto &d : drams_) {
+        const auto &per = d->perThreadReads();
+        for (std::size_t t = 0;
+             t < per.size() && t < total.size(); ++t)
+            total[t] += per[t];
+    }
+    return total;
 }
 
 void
@@ -102,244 +269,242 @@ SmtSystem::registerStats()
     StatsRegistry &r = *registry_;
     r.setMeta("config", configSignature(config_));
     r.setMeta("threads", std::to_string(config_.core.numThreads));
-    r.setMeta("channels", std::to_string(dram_->channels()));
+    r.setMeta("channels", std::to_string(totalChannels()));
 
-    // DRAM aggregate counters.  Each provider re-aggregates on call;
-    // epochs are sparse so the cost is irrelevant.
+    // DRAM aggregate counters.  Each provider re-aggregates across
+    // channels and sockets on call; epochs are sparse so the cost is
+    // irrelevant.
     r.registerScalar("dram.reads", [this] {
-        return static_cast<double>(dram_->aggregateStats().reads);
+        return static_cast<double>(aggDramStats().reads);
     });
     r.registerScalar("dram.writes", [this] {
-        return static_cast<double>(dram_->aggregateStats().writes);
+        return static_cast<double>(aggDramStats().writes);
     });
     r.registerScalar("dram.row_hits", [this] {
-        return static_cast<double>(dram_->aggregateStats().rowHits);
+        return static_cast<double>(aggDramStats().rowHits);
     });
     r.registerScalar("dram.row_conflicts", [this] {
-        return static_cast<double>(
-            dram_->aggregateStats().rowConflicts);
+        return static_cast<double>(aggDramStats().rowConflicts);
     });
     r.registerScalar("dram.row_miss_rate", [this] {
-        return dram_->aggregateStats().rowMissRate();
+        return aggDramStats().rowMissRate();
     });
     r.registerScalar("dram.refreshes", [this] {
-        return static_cast<double>(dram_->aggregateStats().refreshes);
+        return static_cast<double>(aggDramStats().refreshes);
     });
     r.registerScalar("dram.outstanding", [this] {
-        return static_cast<double>(dram_->outstandingRequests());
+        return static_cast<double>(dramOutstanding());
     });
-    for (std::uint32_t c = 0; c < dram_->channels(); ++c) {
-        r.registerScalar(
-            "dram.ch" + std::to_string(c) + ".queued_reads",
-            [this, c] {
-                return static_cast<double>(
-                    dram_->channelQueuedReads(c));
-            });
-        r.registerScalar(
-            "dram.ch" + std::to_string(c) + ".reads", [this, c] {
-                return static_cast<double>(
-                    dram_->channelStats(c).reads);
-            });
+    for (std::uint32_t c = 0; c < totalChannels(); ++c) {
+        std::uint32_t lc;
+        const DramSystem *d = &dramOfChannel(c, lc);
+        const std::string ch = "dram.ch" + std::to_string(c) + ".";
+        r.registerScalar(ch + "queued_reads", [d, lc] {
+            return static_cast<double>(d->channelQueuedReads(lc));
+        });
+        r.registerScalar(ch + "reads", [d, lc] {
+            return static_cast<double>(d->channelStats(lc).reads);
+        });
     }
 
     // Energy/power breakdown.  The callers that sample the registry
     // (sampleEpoch, exportObservability) syncPower() first, so the
     // lazy background accounting is always current here.
     r.registerScalar("dram.power.total_energy_nj", [this] {
-        return dram_->aggregatePowerStats().totalEnergy;
+        return aggPowerStats().totalEnergy;
     });
     r.registerScalar("dram.power.background_energy_nj", [this] {
-        return dram_->aggregatePowerStats().backgroundEnergy;
+        return aggPowerStats().backgroundEnergy;
     });
     r.registerScalar("dram.power.activate_energy_nj", [this] {
-        return dram_->aggregatePowerStats().activateEnergy;
+        return aggPowerStats().activateEnergy;
     });
     r.registerScalar("dram.power.read_energy_nj", [this] {
-        return dram_->aggregatePowerStats().readEnergy;
+        return aggPowerStats().readEnergy;
     });
     r.registerScalar("dram.power.write_energy_nj", [this] {
-        return dram_->aggregatePowerStats().writeEnergy;
+        return aggPowerStats().writeEnergy;
     });
     r.registerScalar("dram.power.refresh_energy_nj", [this] {
-        return dram_->aggregatePowerStats().refreshEnergy;
+        return aggPowerStats().refreshEnergy;
     });
     r.registerScalar("dram.power.scrub_energy_nj", [this] {
-        return dram_->aggregatePowerStats().scrubEnergy;
+        return aggPowerStats().scrubEnergy;
     });
     r.registerScalar("dram.power.avg_power_mw", [this] {
-        return dram_->aggregatePowerStats().averagePowerMw(
+        return aggPowerStats().averagePowerMw(
             config_.dram.timing.cpuMhz, now_ - statsResetAt_);
     });
     r.registerScalar("dram.power.exit_penalty_cycles", [this] {
-        return static_cast<double>(
-            dram_->aggregatePowerStats().exitPenaltyCycles);
+        return static_cast<double>(aggPowerStats().exitPenaltyCycles);
     });
     r.registerScalar("dram.power.refreshes_suppressed", [this] {
         return static_cast<double>(
-            dram_->aggregatePowerStats().refreshesSuppressed);
+            aggPowerStats().refreshesSuppressed);
     });
     r.registerScalar("dram.power.powerdown_entries", [this] {
-        return static_cast<double>(
-            dram_->aggregatePowerStats().powerdownEntries);
+        return static_cast<double>(aggPowerStats().powerdownEntries);
     });
     r.registerScalar("dram.power.self_refresh_entries", [this] {
         return static_cast<double>(
-            dram_->aggregatePowerStats().selfRefreshEntries);
+            aggPowerStats().selfRefreshEntries);
     });
     r.registerScalar("dram.power.active_cycles", [this] {
-        return static_cast<double>(
-            dram_->aggregatePowerStats().activeCycles);
+        return static_cast<double>(aggPowerStats().activeCycles);
     });
     r.registerScalar("dram.power.powerdown_fast_cycles", [this] {
         return static_cast<double>(
-            dram_->aggregatePowerStats().powerdownFastCycles);
+            aggPowerStats().powerdownFastCycles);
     });
     r.registerScalar("dram.power.powerdown_slow_cycles", [this] {
         return static_cast<double>(
-            dram_->aggregatePowerStats().powerdownSlowCycles);
+            aggPowerStats().powerdownSlowCycles);
     });
     r.registerScalar("dram.power.self_refresh_cycles", [this] {
-        return static_cast<double>(
-            dram_->aggregatePowerStats().selfRefreshCycles);
+        return static_cast<double>(aggPowerStats().selfRefreshCycles);
     });
     r.registerHistogram("dram.power.low_power_span", [this] {
-        return dram_->aggregatePowerStats().lowPowerSpanHist;
+        return aggPowerStats().lowPowerSpanHist;
     });
-    for (std::uint32_t c = 0; c < dram_->channels(); ++c) {
-        r.registerScalar(
-            "dram.ch" + std::to_string(c) + ".energy_nj", [this, c] {
-                return dram_->channelPowerStats(c).totalEnergy;
-            });
-        for (std::uint32_t k = 0; k < dram_->powerRanks(); ++k) {
-            r.registerScalar("dram.ch" + std::to_string(c) + ".rank" +
-                                 std::to_string(k) + ".energy_nj",
-                             [this, c, k] {
-                                 return dram_->rankEnergy(c, k);
-                             });
+    for (std::uint32_t c = 0; c < totalChannels(); ++c) {
+        std::uint32_t lc;
+        const DramSystem *d = &dramOfChannel(c, lc);
+        const std::string ch = "dram.ch" + std::to_string(c) + ".";
+        r.registerScalar(ch + "energy_nj", [d, lc] {
+            return d->channelPowerStats(lc).totalEnergy;
+        });
+        for (std::uint32_t k = 0; k < d->powerRanks(); ++k) {
+            r.registerScalar(
+                ch + "rank" + std::to_string(k) + ".energy_nj",
+                [d, lc, k] { return d->rankEnergy(lc, k); });
         }
     }
     r.registerScalar("dram.power.mitigation_energy_nj", [this] {
-        return dram_->aggregatePowerStats().mitigationEnergy;
+        return aggPowerStats().mitigationEnergy;
     });
 
     // Per-channel injected-fault counters.  Registered even when
     // injection is off (all zeros): sweeps comparing faulty vs clean
     // configs then diff identical column sets.
-    for (std::uint32_t c = 0; c < dram_->channels(); ++c) {
-        const std::string p = "dram.ch" + std::to_string(c) +
-                              ".faults.";
-        r.registerScalar(p + "bus_stalls", [this, c] {
-            return static_cast<double>(
-                dram_->channelFaultStats(c).busStalls);
+    for (std::uint32_t c = 0; c < totalChannels(); ++c) {
+        std::uint32_t lc;
+        const DramSystem *d = &dramOfChannel(c, lc);
+        const std::string p =
+            "dram.ch" + std::to_string(c) + ".faults.";
+        r.registerScalar(p + "bus_stalls", [d, lc] {
+            return static_cast<double>(d->channelFaultStats(lc).busStalls);
         });
-        r.registerScalar(p + "bus_stall_cycles", [this, c] {
+        r.registerScalar(p + "bus_stall_cycles", [d, lc] {
             return static_cast<double>(
-                dram_->channelFaultStats(c).busStallCycles);
+                d->channelFaultStats(lc).busStallCycles);
         });
-        r.registerScalar(p + "read_errors", [this, c] {
+        r.registerScalar(p + "read_errors", [d, lc] {
             return static_cast<double>(
-                dram_->channelFaultStats(c).readErrors);
+                d->channelFaultStats(lc).readErrors);
         });
-        r.registerScalar(p + "enqueue_delays", [this, c] {
+        r.registerScalar(p + "enqueue_delays", [d, lc] {
             return static_cast<double>(
-                dram_->channelFaultStats(c).enqueueDelays);
+                d->channelFaultStats(lc).enqueueDelays);
         });
-        r.registerScalar(p + "enqueue_delay_cycles", [this, c] {
+        r.registerScalar(p + "enqueue_delay_cycles", [d, lc] {
             return static_cast<double>(
-                dram_->channelFaultStats(c).enqueueDelayCycles);
+                d->channelFaultStats(lc).enqueueDelayCycles);
         });
-        r.registerScalar(p + "ecc_single_bit", [this, c] {
+        r.registerScalar(p + "ecc_single_bit", [d, lc] {
             return static_cast<double>(
-                dram_->channelFaultStats(c).eccSingleBit);
+                d->channelFaultStats(lc).eccSingleBit);
         });
-        r.registerScalar(p + "ecc_multi_bit", [this, c] {
+        r.registerScalar(p + "ecc_multi_bit", [d, lc] {
             return static_cast<double>(
-                dram_->channelFaultStats(c).eccMultiBit);
+                d->channelFaultStats(lc).eccMultiBit);
         });
     }
 
     // Rowhammer disturbance/mitigation counters (zeros when the
     // model is off, same diff-ability rationale as above).
     r.registerScalar("dram.hammer.activations", [this] {
-        return static_cast<double>(
-            dram_->aggregateHammerStats().activations);
+        return static_cast<double>(aggHammerStats().activations);
     });
     r.registerScalar("dram.hammer.threshold_crossings", [this] {
         return static_cast<double>(
-            dram_->aggregateHammerStats().thresholdCrossings);
+            aggHammerStats().thresholdCrossings);
     });
     r.registerScalar("dram.hammer.victim_flips", [this] {
-        return static_cast<double>(
-            dram_->aggregateHammerStats().victimFlips);
+        return static_cast<double>(aggHammerStats().victimFlips);
     });
     r.registerScalar("dram.hammer.victim_corrected", [this] {
-        return static_cast<double>(
-            dram_->aggregateHammerStats().victimCorrected);
+        return static_cast<double>(aggHammerStats().victimCorrected);
     });
     r.registerScalar("dram.hammer.victim_uncorrectable", [this] {
         return static_cast<double>(
-            dram_->aggregateHammerStats().victimUncorrectable);
+            aggHammerStats().victimUncorrectable);
     });
     r.registerScalar("dram.hammer.silent_corruptions", [this] {
         return static_cast<double>(
-            dram_->aggregateHammerStats().silentCorruptions);
+            aggHammerStats().silentCorruptions);
     });
     r.registerScalar("dram.hammer.flips_scrubbed", [this] {
-        return static_cast<double>(
-            dram_->aggregateHammerStats().flipsScrubbed);
+        return static_cast<double>(aggHammerStats().flipsScrubbed);
     });
     r.registerScalar("dram.hammer.window_resets", [this] {
-        return static_cast<double>(
-            dram_->aggregateHammerStats().windowResets);
+        return static_cast<double>(aggHammerStats().windowResets);
     });
     r.registerScalar("dram.hammer.mitigations_requested", [this] {
         return static_cast<double>(
-            dram_->aggregateHammerStats().mitigationsRequested);
+            aggHammerStats().mitigationsRequested);
     });
     r.registerScalar("dram.hammer.mitigations_issued", [this] {
         return static_cast<double>(
-            dram_->aggregateHammerStats().mitigationsIssued);
+            aggHammerStats().mitigationsIssued);
     });
     r.registerScalar("dram.hammer.mitigation_cycles", [this] {
-        return static_cast<double>(
-            dram_->aggregateHammerStats().mitigationCycles);
+        return static_cast<double>(aggHammerStats().mitigationCycles);
     });
     r.registerScalar("dram.hammer.tracker_evictions", [this] {
-        return static_cast<double>(
-            dram_->aggregateHammerStats().trackerEvictions);
+        return static_cast<double>(aggHammerStats().trackerEvictions);
     });
-    for (std::uint32_t c = 0; c < dram_->channels(); ++c) {
-        const std::string p = "dram.ch" + std::to_string(c) +
-                              ".hammer.";
-        r.registerScalar(p + "victim_flips", [this, c] {
+    for (std::uint32_t c = 0; c < totalChannels(); ++c) {
+        std::uint32_t lc;
+        const DramSystem *d = &dramOfChannel(c, lc);
+        const std::string ch = "dram.ch" + std::to_string(c) + ".";
+        r.registerScalar(ch + "hammer.victim_flips", [d, lc] {
             return static_cast<double>(
-                dram_->channelHammerStats(c).victimFlips);
+                d->channelHammerStats(lc).victimFlips);
         });
-        r.registerScalar(p + "mitigations_issued", [this, c] {
+        r.registerScalar(ch + "hammer.mitigations_issued", [d, lc] {
             return static_cast<double>(
-                dram_->channelHammerStats(c).mitigationsIssued);
+                d->channelHammerStats(lc).mitigationsIssued);
         });
     }
 
-    // Per-thread CPU counters.
+    // Per-thread CPU counters, summed over cores (a thread's commits
+    // follow it across migrations).
     for (std::uint32_t t = 0; t < config_.core.numThreads; ++t) {
         const std::string p = "cpu.t" + std::to_string(t) + ".";
         const auto tid = static_cast<ThreadId>(t);
         r.registerScalar(p + "committed", [this, tid] {
-            return static_cast<double>(
-                core_->perf(tid).committedInsts);
+            return static_cast<double>(committedOf(tid));
         });
         r.registerScalar(p + "rob_occupancy", [this, tid] {
-            return static_cast<double>(core_->robOccupancy(tid));
+            std::uint32_t occ = 0;
+            for (const auto &c : cores_)
+                occ += c->robOccupancy(tid);
+            return static_cast<double>(occ);
         });
         r.registerScalar(p + "rob_high_water", [this, tid] {
-            return static_cast<double>(core_->robHighWater(tid));
+            std::uint32_t hw = 0;
+            for (const auto &c : cores_)
+                hw = std::max(hw, c->robHighWater(tid));
+            return static_cast<double>(hw);
         });
         r.registerScalar(p + "iq_high_water", [this, tid] {
-            return static_cast<double>(core_->intIqHighWater(tid));
+            std::uint32_t hw = 0;
+            for (const auto &c : cores_)
+                hw = std::max(hw, c->intIqHighWater(tid));
+            return static_cast<double>(hw);
         });
         r.registerScalar(p + "dram_reads", [this, tid] {
-            const auto &reads = dram_->perThreadReads();
+            const auto reads = perThreadReads();
             return tid < reads.size()
                        ? static_cast<double>(reads[tid])
                        : 0.0;
@@ -354,10 +519,10 @@ SmtSystem::registerStats()
             blameComponentName(static_cast<BlameComponent>(c));
         r.registerScalar("dram.blame." + name + "_cycles", [this, c] {
             return static_cast<double>(
-                dram_->aggregateStats().blameTotals.cycles[c]);
+                aggDramStats().blameTotals.cycles[c]);
         });
         r.registerHistogram("dram.blame." + name, [this, c] {
-            return dram_->aggregateStats().blameHist[c];
+            return aggDramStats().blameHist[c];
         });
     }
     for (std::uint32_t t = 0; t < config_.core.numThreads; ++t) {
@@ -366,8 +531,7 @@ SmtSystem::registerStats()
             const std::string name =
                 blameComponentName(static_cast<BlameComponent>(c));
             r.registerScalar(p + name + "_cycles", [this, t, c] {
-                const auto &per =
-                    dram_->aggregateStats().perThreadBlame;
+                const auto per = aggDramStats().perThreadBlame;
                 return t < per.size()
                            ? static_cast<double>(per[t].cycles[c])
                            : 0.0;
@@ -380,21 +544,20 @@ SmtSystem::registerStats()
         const auto blocked = static_cast<ThreadId>(i);
         r.registerScalar(p + "system", [this, blocked] {
             return static_cast<double>(
-                dram_->aggregateStats().interference.at(blocked,
-                                                        kThreadNone));
+                aggDramStats().interference.at(blocked, kThreadNone));
         });
         for (std::uint32_t j = 0; j < config_.core.numThreads; ++j) {
             const auto blocker = static_cast<ThreadId>(j);
             r.registerScalar(
                 p + "t" + std::to_string(j), [this, blocked, blocker] {
                     return static_cast<double>(
-                        dram_->aggregateStats().interference.at(
-                            blocked, blocker));
+                        aggDramStats().interference.at(blocked,
+                                                       blocker));
                 });
         }
         r.registerScalar(p + "total", [this, blocked] {
             return static_cast<double>(
-                dram_->aggregateStats().interference.rowSum(blocked));
+                aggDramStats().interference.rowSum(blocked));
         });
     }
 
@@ -408,47 +571,46 @@ SmtSystem::registerStats()
     // Per-channel power-state residency and mitigation activity.
     // Registered as scalars so sampleEpoch() turns them into epoch
     // time series alongside the aggregate residency counters above.
-    for (std::uint32_t c = 0; c < dram_->channels(); ++c) {
-        const std::string p = "dram.ch" + std::to_string(c) +
-                              ".power.";
-        r.registerScalar(p + "active_cycles", [this, c] {
+    for (std::uint32_t c = 0; c < totalChannels(); ++c) {
+        std::uint32_t lc;
+        const DramSystem *d = &dramOfChannel(c, lc);
+        const std::string ch = "dram.ch" + std::to_string(c) + ".";
+        const std::string p = ch + "power.";
+        r.registerScalar(p + "active_cycles", [d, lc] {
             return static_cast<double>(
-                dram_->channelPowerStats(c).activeCycles);
+                d->channelPowerStats(lc).activeCycles);
         });
-        r.registerScalar(p + "powerdown_fast_cycles", [this, c] {
+        r.registerScalar(p + "powerdown_fast_cycles", [d, lc] {
             return static_cast<double>(
-                dram_->channelPowerStats(c).powerdownFastCycles);
+                d->channelPowerStats(lc).powerdownFastCycles);
         });
-        r.registerScalar(p + "powerdown_slow_cycles", [this, c] {
+        r.registerScalar(p + "powerdown_slow_cycles", [d, lc] {
             return static_cast<double>(
-                dram_->channelPowerStats(c).powerdownSlowCycles);
+                d->channelPowerStats(lc).powerdownSlowCycles);
         });
-        r.registerScalar(p + "self_refresh_cycles", [this, c] {
+        r.registerScalar(p + "self_refresh_cycles", [d, lc] {
             return static_cast<double>(
-                dram_->channelPowerStats(c).selfRefreshCycles);
+                d->channelPowerStats(lc).selfRefreshCycles);
         });
-        r.registerScalar("dram.ch" + std::to_string(c) +
-                             ".hammer.mitigation_cycles",
-                         [this, c] {
-                             return static_cast<double>(
-                                 dram_->channelHammerStats(c)
-                                     .mitigationCycles);
-                         });
+        r.registerScalar(ch + "hammer.mitigation_cycles", [d, lc] {
+            return static_cast<double>(
+                d->channelHammerStats(lc).mitigationCycles);
+        });
     }
 
     // Distribution views.
     r.registerHistogram("dram.read_latency", [this] {
-        return dram_->aggregateStats().readLatencyHist;
+        return aggDramStats().readLatencyHist;
     });
     r.registerHistogram("dram.read_queue_depth", [this] {
-        return dram_->aggregateStats().queueDepthHist;
+        return aggDramStats().queueDepthHist;
     });
     r.registerHistogram("dram.row_hit_run", [this] {
-        return dram_->aggregateStats().rowHitRunHist;
+        return aggDramStats().rowHitRunHist;
     });
     r.registerHistogram("dram.bandwidth_share_pct", [this] {
         LogHistogram h;
-        const auto &reads = dram_->perThreadReads();
+        const auto reads = perThreadReads();
         std::uint64_t total = 0;
         for (auto v : reads)
             total += v;
@@ -460,6 +622,78 @@ SmtSystem::registerStats()
         }
         return h;
     });
+
+    // --- stats schema v3: the numa.* block.  Registered (and the
+    // meta keys set) only on a nontrivial topology, so a one-core
+    // machine exports the v2 key set under the v3 stamp. ------------
+    if (!config_.topology.nontrivial())
+        return;
+    r.setMeta("sockets", std::to_string(config_.topology.sockets));
+    r.setMeta("cores",
+              std::to_string(config_.topology.totalCores()));
+    r.registerScalar("numa.local_reads", [this] {
+        return static_cast<double>(router_->stats().localReads);
+    });
+    r.registerScalar("numa.remote_reads", [this] {
+        return static_cast<double>(router_->stats().remoteReads);
+    });
+    r.registerScalar("numa.remote_read_frac", [this] {
+        return router_->stats().remoteReadFrac();
+    });
+    r.registerScalar("numa.local_writes", [this] {
+        return static_cast<double>(router_->stats().localWrites);
+    });
+    r.registerScalar("numa.remote_writes", [this] {
+        return static_cast<double>(router_->stats().remoteWrites);
+    });
+    r.registerScalar("numa.outbound_cycles", [this] {
+        return static_cast<double>(router_->stats().outboundCycles);
+    });
+    r.registerScalar("numa.return_cycles", [this] {
+        return static_cast<double>(router_->stats().returnCycles);
+    });
+    r.registerScalar("numa.link_queue_cycles", [this] {
+        return static_cast<double>(router_->stats().linkQueueCycles);
+    });
+    r.registerScalar("numa.link_transfers", [this] {
+        return static_cast<double>(router_->stats().linkTransfers);
+    });
+    r.registerScalar("numa.migrations", [this] {
+        return static_cast<double>(router_->stats().migrations);
+    });
+    r.registerScalar("numa.migration_stall_cycles", [this] {
+        return static_cast<double>(
+            router_->stats().migrationStallCycles);
+    });
+    for (std::uint32_t s = 0; s < config_.topology.sockets; ++s) {
+        const std::string p = "numa.s" + std::to_string(s) + ".";
+        r.registerScalar(p + "reads", [this, s] {
+            return static_cast<double>(
+                drams_[s]->aggregateStats().reads);
+        });
+        r.registerScalar(p + "writes", [this, s] {
+            return static_cast<double>(
+                drams_[s]->aggregateStats().writes);
+        });
+        r.registerScalar(p + "row_hits", [this, s] {
+            return static_cast<double>(
+                drams_[s]->aggregateStats().rowHits);
+        });
+    }
+    for (std::uint32_t t = 0; t < config_.core.numThreads; ++t) {
+        const std::string p = "numa.t" + std::to_string(t) + ".";
+        r.registerScalar(p + "remote_reads", [this, t] {
+            const auto &per = router_->stats().perThreadRemoteReads;
+            return t < per.size() ? static_cast<double>(per[t]) : 0.0;
+        });
+        r.registerScalar(p + "return_cycles", [this, t] {
+            const auto &per = router_->stats().perThreadReturnCycles;
+            return t < per.size() ? static_cast<double>(per[t]) : 0.0;
+        });
+        r.registerScalar(p + "core", [this, t] {
+            return static_cast<double>(threadCore_[t]);
+        });
+    }
 }
 
 void
@@ -467,20 +701,27 @@ SmtSystem::sampleEpoch()
 {
     // Energy accounting is lazy; bring it current so the epoch's
     // power scalars describe [resetAt, now] and not a stale horizon.
-    dram_->syncPower(now_);
+    for (auto &d : drams_)
+        d->syncPower(now_);
     if (registry_)
         registry_->sampleEpoch(now_);
     if (tracer_) {
         // Counter tracks: live queue depth per channel, ROB occupancy
-        // per thread — render as stacked area charts in Perfetto.
-        for (std::uint32_t c = 0; c < dram_->channels(); ++c) {
+        // summed over threads — render as stacked area charts in
+        // Perfetto.
+        for (std::uint32_t c = 0; c < totalChannels(); ++c) {
+            std::uint32_t lc;
+            const DramSystem &d = dramOfChannel(c, lc);
             tracer_->counter(
                 tracePidChannel(c), "queued_reads", now_,
-                static_cast<double>(dram_->channelQueuedReads(c)));
+                static_cast<double>(d.channelQueuedReads(lc)));
         }
         double rob_total = 0.0;
-        for (std::uint32_t t = 0; t < config_.core.numThreads; ++t)
-            rob_total += core_->robOccupancy(static_cast<ThreadId>(t));
+        for (std::uint32_t t = 0; t < config_.core.numThreads; ++t) {
+            for (const auto &c : cores_)
+                rob_total +=
+                    c->robOccupancy(static_cast<ThreadId>(t));
+        }
         tracer_->counter(kTracePidCpu, "rob_occupancy", now_,
                          rob_total);
         // Blame, residency, and mitigation dynamics per channel.
@@ -493,16 +734,18 @@ SmtSystem::sampleEpoch()
             "blame_fault_retry",   "blame_ecc_overhead",
             "blame_power_exit",    "blame_hammer_mitigation",
             "blame_remote_access", "blame_intrinsic"};
-        for (std::uint32_t c = 0; c < dram_->channels(); ++c) {
+        for (std::uint32_t c = 0; c < totalChannels(); ++c) {
+            std::uint32_t lc;
+            const DramSystem &d = dramOfChannel(c, lc);
             const int pid = tracePidChannel(c);
-            const ControllerStats &s = dram_->channelStats(c);
+            const ControllerStats &s = d.channelStats(lc);
             for (std::size_t k = 0; k < kNumBlameComponents; ++k) {
                 tracer_->counter(
                     pid, kBlameCounter[k], now_,
                     static_cast<double>(s.blameTotals.cycles[k]));
             }
             if (config_.dram.power.enabled) {
-                const PowerStats &p = dram_->channelPowerStats(c);
+                const PowerStats &p = d.channelPowerStats(lc);
                 tracer_->counter(
                     pid, "power_active_cycles", now_,
                     static_cast<double>(p.activeCycles));
@@ -516,7 +759,7 @@ SmtSystem::sampleEpoch()
                 tracer_->counter(
                     pid, "hammer_mitigation_cycles", now_,
                     static_cast<double>(
-                        dram_->channelHammerStats(c).mitigationCycles));
+                        d.channelHammerStats(lc).mitigationCycles));
             }
         }
     }
@@ -525,7 +768,8 @@ SmtSystem::sampleEpoch()
 void
 SmtSystem::exportObservability()
 {
-    dram_->syncPower(now_);
+    for (auto &d : drams_)
+        d->syncPower(now_);
     if (registry_) {
         if (!config_.observe.statsJsonPath.empty()) {
             std::ofstream os(config_.observe.statsJsonPath);
@@ -555,7 +799,9 @@ SmtSystem::prewarmCaches(const std::vector<AppProfile> &apps)
     // hot sets into the L1D and the leading slice of each cold set
     // into L2/L3.  Threads interleave page-sized chunks so the
     // shared caches end up fairly mixed, as they would after real
-    // co-scheduled fast-forwarding.
+    // co-scheduled fast-forwarding.  Each thread warms through the
+    // hierarchy of the core it was placed on, which is also what
+    // makes first-touch frames land on the right home socket.
     const std::uint64_t line = config_.hierarchy.l1d.lineBytes;
     const std::uint64_t chunk = config_.hierarchy.pageBytes;
     const std::uint64_t cold_cap = config_.hierarchy.l3.sizeBytes;
@@ -584,12 +830,10 @@ SmtSystem::prewarmCaches(const std::vector<AppProfile> &apps)
     for (size_t i = 0; i < apps.size(); ++i) {
         const auto tid = static_cast<ThreadId>(i);
         const AppProfile &a = apps[i];
-        hierarchy_->preallocate(tid, SyntheticStream::kCodeBase,
-                                a.codeBytes);
-        hierarchy_->preallocate(tid, SyntheticStream::kHotBase,
-                                a.hotBytes);
-        hierarchy_->preallocate(tid, SyntheticStream::kColdBase,
-                                a.coldBytes);
+        Hierarchy &h = *hierarchies_[threadCore_[i]];
+        h.preallocate(tid, SyntheticStream::kCodeBase, a.codeBytes);
+        h.preallocate(tid, SyntheticStream::kHotBase, a.hotBytes);
+        h.preallocate(tid, SyntheticStream::kColdBase, a.coldBytes);
     }
 
     std::uint64_t max_bytes = 0;
@@ -602,18 +846,19 @@ SmtSystem::prewarmCaches(const std::vector<AppProfile> &apps)
         for (size_t i = 0; i < apps.size(); ++i) {
             const auto tid = static_cast<ThreadId>(i);
             const AppProfile &a = apps[i];
+            Hierarchy &h = *hierarchies_[threadCore_[i]];
             for (std::uint64_t off = base;
                  off < std::min(base + chunk, a.hotBytes);
                  off += line) {
-                hierarchy_->prewarmLine(
-                    tid, SyntheticStream::kHotBase + off, true);
+                h.prewarmLine(tid, SyntheticStream::kHotBase + off,
+                              true);
             }
             const std::uint64_t cold_limit = cold_prewarm_bytes(a);
             for (std::uint64_t off = base;
                  off < std::min(base + chunk, cold_limit);
                  off += line) {
-                hierarchy_->prewarmLine(
-                    tid, SyntheticStream::kColdBase + off, false);
+                h.prewarmLine(tid, SyntheticStream::kColdBase + off,
+                              false);
             }
         }
     }
@@ -624,25 +869,40 @@ SmtSystem::stepCycle()
 {
     ++now_;
     events_.runUntil(now_);
-    dram_->tick(now_);
-    hierarchy_->tick(now_);
-    core_->cycle(now_);
+    for (auto &d : drams_)
+        d->tick(now_);
+    for (auto &h : hierarchies_)
+        h->tick(now_);
+    for (auto &c : cores_)
+        c->cycle(now_);
 }
 
 std::uint64_t
 SmtSystem::skipToNextEvent(Cycle clamp)
 {
-    // Core first, with early-outs: in an active compute phase the
+    // Cores first, with early-outs: in an active compute phase a
     // core answers now_ + 1 almost immediately and the (costlier)
     // DRAM scan never runs, so event-driven mode adds near-zero
     // overhead exactly where it cannot win anything.
-    Cycle next = core_->nextEventAt(now_);
-    if (next > now_ + 1 && hierarchy_->pendingWritebacks() > 0)
-        next = now_ + 1;  // writeback drain retries every cycle
-    if (next > now_ + 1)
-        next = std::min(next, events_.nextEventAt());
-    if (next > now_ + 1)
-        next = std::min(next, dram_->nextEventAt(now_));
+    Cycle next = kCycleNever;
+    for (const auto &c : cores_) {
+        next = std::min(next, c->nextEventAt(now_));
+        if (next <= now_ + 1)
+            return 0;
+    }
+    for (const auto &h : hierarchies_) {
+        if (h->pendingWritebacks() > 0)
+            return 0;  // writeback drain retries every cycle
+    }
+    // A draining migration checks quiescence every cycle; both
+    // kernels must observe the handover on the same cycle.
+    if (!pendingMigrations_.empty())
+        return 0;
+    next = std::min(next, events_.nextEventAt());
+    if (next <= now_ + 1)
+        return 0;
+    for (const auto &d : drams_)
+        next = std::min(next, d->nextEventAt(now_));
     if (next <= now_ + 1)
         return 0;
     if (next == kCycleNever && clamp == kCycleNever) {
@@ -658,19 +918,136 @@ SmtSystem::skipToNextEvent(Cycle clamp)
     if (next <= now_ + 1)
         return 0;
     // Every cycle in (now_, next) is a proven no-op; replay its only
-    // side effects (the rotation counters and the core's gated blocked
-    // probes) and land one cycle short so the event cycle itself is
-    // stepped for real.
+    // side effects (the cores' cycle and rotation counters) and land
+    // one cycle short so the event cycle itself is stepped for real.
     const std::uint64_t skipped = next - now_ - 1;
-    core_->skipCycles(skipped);
+    for (auto &c : cores_)
+        c->skipCycles(skipped);
     now_ = next - 1;
     return skipped;
+}
+
+void
+SmtSystem::considerMigration()
+{
+    // Refresh the per-epoch baselines whatever we decide, so the
+    // next epoch judges only its own traffic.
+    const std::uint32_t n = config_.core.numThreads;
+    const auto &remote = router_->stats().perThreadRemoteReads;
+    std::vector<std::uint64_t> delta(n, 0);
+    for (std::uint32_t t = 0; t < n; ++t)
+        delta[t] = remote[t] - remoteBase_[t];
+    const auto refresh = [&] {
+        for (std::uint32_t t = 0; t < n; ++t) {
+            remoteBase_[t] = remote[t];
+            toSocketBase_[t] = router_->readsToSocket(t);
+        }
+    };
+
+    if (!pendingMigrations_.empty()) {
+        refresh();
+        return;
+    }
+
+    // Candidate: the thread paying the most remote reads this epoch.
+    ThreadId cand = kThreadNone;
+    for (std::uint32_t t = 0; t < n; ++t) {
+        if (delta[t] >= kMigrateThreshold &&
+            (cand == kThreadNone || delta[t] > delta[cand]))
+            cand = static_cast<ThreadId>(t);
+    }
+    if (cand == kThreadNone) {
+        refresh();
+        return;
+    }
+
+    // Where does its data live?  The socket it read most from.
+    const auto &to_socket = router_->readsToSocket(cand);
+    std::uint32_t dominant = 0;
+    std::uint64_t best = 0;
+    for (std::uint32_t s = 0; s < config_.topology.sockets; ++s) {
+        const std::uint64_t d = to_socket[s] - toSocketBase_[cand][s];
+        if (d > best) {
+            best = d;
+            dominant = s;
+        }
+    }
+    const std::uint32_t from = threadCore_[cand];
+    if (router_->socketOf(from) == dominant) {
+        refresh();
+        return;
+    }
+
+    const std::uint32_t ways =
+        config_.topology.effectiveWays(n);
+    std::vector<std::uint32_t> load(config_.topology.totalCores(), 0);
+    for (std::uint32_t t = 0; t < n; ++t)
+        ++load[threadCore_[t]];
+
+    const std::uint32_t lo = dominant * config_.topology.coresPerSocket;
+    const std::uint32_t hi = lo + config_.topology.coresPerSocket;
+    std::uint32_t target = kThreadNone;
+    for (std::uint32_t c = lo; c < hi; ++c) {
+        if (load[c] < ways) {
+            target = c;
+            break;
+        }
+    }
+
+    if (target != std::uint32_t{kThreadNone}) {
+        cores_[from]->bindStream(cand, nullptr);
+        pendingMigrations_.push_back({cand, from, target, now_});
+        refresh();
+        return;
+    }
+
+    // Socket full: swap with its least remote-hungry thread, with
+    // 2x hysteresis so a marginal difference never ping-pongs.
+    ThreadId victim = kThreadNone;
+    for (std::uint32_t t = 0; t < n; ++t) {
+        if (router_->socketOf(threadCore_[t]) != dominant)
+            continue;
+        if (victim == kThreadNone || delta[t] < delta[victim])
+            victim = static_cast<ThreadId>(t);
+    }
+    if (victim != kThreadNone &&
+        delta[cand] >= 2 * delta[victim] + kMigrateThreshold) {
+        const std::uint32_t vcore = threadCore_[victim];
+        cores_[from]->bindStream(cand, nullptr);
+        cores_[vcore]->bindStream(victim, nullptr);
+        pendingMigrations_.push_back({cand, from, vcore, now_});
+        pendingMigrations_.push_back({victim, vcore, from, now_});
+    }
+    refresh();
+}
+
+void
+SmtSystem::serviceMigrations()
+{
+    for (std::size_t i = 0; i < pendingMigrations_.size();) {
+        const PendingMigration &m = pendingMigrations_[i];
+        if (cores_[m.from]->quiescent(m.tid)) {
+            cores_[m.to]->migrateIn(
+                m.tid, streams_[m.tid].get(),
+                now_ + config_.topology.migrationCost);
+            threadCore_[m.tid] = m.to;
+            router_->noteMigration(now_ - m.since +
+                                   config_.topology.migrationCost);
+            pendingMigrations_.erase(pendingMigrations_.begin() +
+                                     static_cast<std::ptrdiff_t>(i));
+        } else {
+            ++i;
+        }
+    }
 }
 
 RunResult
 SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
 {
     const std::uint32_t n = config_.core.numThreads;
+    const bool migrating =
+        config_.topology.placement == PlacementPolicy::Migrate &&
+        config_.topology.migrationEpoch > 0;
 
     auto all_committed = [this, n](std::uint64_t target,
                                    std::uint64_t grand_base,
@@ -679,11 +1056,11 @@ SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
         // Cheap necessary condition first: the grand total must reach
         // n*target before every thread possibly has, so most cycles
         // skip the per-thread scan entirely.
-        if (core_->totalCommittedInsts() - grand_base <
+        if (grandCommitted() - grand_base <
             static_cast<std::uint64_t>(n) * target)
             return false;
         for (ThreadId t = 0; t < n; ++t) {
-            if (core_->perf(t).committedInsts - base[t] < target)
+            if (committedOf(t) - base[t] < target)
                 return false;
         }
         return true;
@@ -702,6 +1079,10 @@ SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
     // arises, and skipping that tick would shift span timestamps.
     const bool event_driven =
         config_.kernel == KernelMode::EventDriven && !tracer_;
+    if (config_.kernel == KernelMode::EventDriven && tracer_) {
+        warn_once("tracing is on: the event-driven kernel steps "
+                  "every cycle instead of skipping idle ones");
+    }
     // The watchdog's expiry cycle must be real-stepped so it fires on
     // exactly the same cycle as under the per-cycle kernel.
     const auto watchdog_clamp = [&watchdog] {
@@ -709,15 +1090,34 @@ SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
                    ? watchdog.lastProgressAt() + watchdog.bound() + 1
                    : kCycleNever;
     };
+    // Migration epochs are clamps too: the decision cycle must be
+    // real-stepped so both kernels decide on identical state.
+    const auto migrate_clamp = [this, migrating](Cycle clamp) {
+        return migrating
+                   ? std::min(clamp, lastMigrateAt_ +
+                                         config_.topology
+                                             .migrationEpoch)
+                   : clamp;
+    };
+    const auto os_tick = [this, migrating] {
+        if (migrating &&
+            now_ - lastMigrateAt_ >= config_.topology.migrationEpoch) {
+            lastMigrateAt_ = now_;
+            considerMigration();
+        }
+        if (!pendingMigrations_.empty())
+            serviceMigrations();
+    };
 
     // ---- Warm-up phase (caches, predictor, DRAM state) ----
     std::vector<std::uint64_t> zero(n, 0);
-    std::uint64_t last_total = core_->totalCommittedInsts();
+    std::uint64_t last_total = grandCommitted();
     while (!all_committed(warmup_insts, 0, zero)) {
         if (event_driven)
-            skipToNextEvent(watchdog_clamp());
+            skipToNextEvent(migrate_clamp(watchdog_clamp()));
         stepCycle();
-        const std::uint64_t total = core_->totalCommittedInsts();
+        os_tick();
+        const std::uint64_t total = grandCommitted();
         if (total != last_total) {
             last_total = total;
             watchdog.kick(now_);
@@ -726,9 +1126,17 @@ SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
     }
 
     // ---- Reset statistics at the measurement boundary ----
-    hierarchy_->resetStats();
-    dram_->resetStats(now_);
-    core_->resetHighWater();
+    for (auto &h : hierarchies_)
+        h->resetStats();
+    for (auto &d : drams_)
+        d->resetStats(now_);
+    for (auto &c : cores_)
+        c->resetHighWater();
+    router_->resetStats();
+    remoteBase_.assign(n, 0);
+    for (auto &per : toSocketBase_)
+        per.assign(per.size(), 0);
+    lastMigrateAt_ = now_;
     lastEpochAt_ = now_;
     statsResetAt_ = now_;
 
@@ -736,13 +1144,17 @@ SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
     std::uint64_t base_mispredicts = 0;
     std::uint64_t base_branches = 0;
     for (ThreadId t = 0; t < n; ++t) {
-        base[t] = core_->perf(t).committedInsts;
-        base_branches += core_->perf(t).branches;
-        base_mispredicts += core_->perf(t).mispredicts;
+        base[t] = committedOf(t);
+        for (const auto &c : cores_) {
+            base_branches += c->perf(t).branches;
+            base_mispredicts += c->perf(t).mispredicts;
+        }
     }
-    const std::uint64_t grand_base = core_->totalCommittedInsts();
+    const std::uint64_t grand_base = grandCommitted();
     const Cycle start = now_;
-    const std::uint64_t int_issue_base = core_->intIssueActiveCycles();
+    std::uint64_t int_issue_base = 0;
+    for (const auto &c : cores_)
+        int_issue_base += c->intIssueActiveCycles();
 
     RunResult res;
     res.ipc.assign(n, 0.0);
@@ -755,27 +1167,27 @@ SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
             // Epoch boundaries are clamps too: the boundary cycle is
             // real-stepped, so sampleEpoch() fires on exactly the
             // cycles the per-cycle kernel samples.
-            Cycle clamp = watchdog_clamp();
+            Cycle clamp = migrate_clamp(watchdog_clamp());
             if (config_.observe.epoch > 0) {
                 clamp = std::min(clamp,
                                  lastEpochAt_ + config_.observe.epoch);
             }
             const std::uint64_t skipped = skipToNextEvent(clamp);
-            if (skipped > 0 && dram_->busy()) {
+            if (skipped > 0 && dramBusy()) {
                 // Interval-weighted Figure 4/5 sampling: the DRAM
                 // state is frozen across the skipped window, so the
                 // per-cycle kernel would have recorded these exact
                 // values once per skipped cycle.
-                const size_t outstanding =
-                    dram_->outstandingRequests();
+                const size_t outstanding = dramOutstanding();
                 res.outstandingHist.sample(outstanding, skipped);
                 if (outstanding >= 2) {
                     res.threadsHist.sample(
-                        dram_->distinctThreadsOutstanding(), skipped);
+                        distinctThreadsOutstanding(), skipped);
                 }
             }
         }
         stepCycle();
+        os_tick();
 
         // Observability epoch boundary (off unless epoch > 0).
         if (config_.observe.epoch > 0 &&
@@ -785,25 +1197,23 @@ SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
         }
 
         // Figures 4 and 5: sample while the DRAM system is busy.
-        if (dram_->busy()) {
-            const size_t outstanding = dram_->outstandingRequests();
+        if (dramBusy()) {
+            const size_t outstanding = dramOutstanding();
             res.outstandingHist.sample(outstanding);
             if (outstanding >= 2)
-                res.threadsHist.sample(
-                    dram_->distinctThreadsOutstanding());
+                res.threadsHist.sample(distinctThreadsOutstanding());
         }
 
         // Per-thread finish times only move on a cycle where some
         // thread committed, i.e. when the grand total moved — exact,
         // since the counters are monotonic.  Most cycles take only
         // this one comparison.
-        const std::uint64_t total = core_->totalCommittedInsts();
+        const std::uint64_t total = grandCommitted();
         if (total != last_total) {
             last_total = total;
             for (ThreadId t = 0; t < n; ++t) {
                 if (finish[t] == 0 &&
-                    core_->perf(t).committedInsts - base[t] >=
-                        measure_insts)
+                    committedOf(t) - base[t] >= measure_insts)
                     finish[t] = now_;
             }
             watchdog.kick(now_);
@@ -817,16 +1227,19 @@ SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
     for (ThreadId t = 0; t < n; ++t) {
         if (finish[t] == 0)
             finish[t] = now_;
-        res.committed[t] = core_->perf(t).committedInsts - base[t];
+        res.committed[t] = committedOf(t) - base[t];
         committed_total += res.committed[t];
         res.ipc[t] = static_cast<double>(measure_insts) /
                      static_cast<double>(finish[t] - start);
     }
 
-    res.dram = dram_->aggregateStats();
-    dram_->syncPower(now_);
-    res.power = dram_->aggregatePowerStats();
-    res.hammer = dram_->aggregateHammerStats();
+    res.dram = aggDramStats();
+    for (auto &d : drams_)
+        d->syncPower(now_);
+    res.power = aggPowerStats();
+    res.hammer = aggHammerStats();
+    if (config_.topology.nontrivial())
+        res.numa = router_->stats();
     const std::uint64_t row_total =
         res.dram.rowHits + res.dram.rowEmpty + res.dram.rowConflicts;
     res.rowMissRate = row_total ? res.dram.rowMissRate() : 0.0;
@@ -835,24 +1248,28 @@ SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
             ? 100.0 * static_cast<double>(res.dram.reads) /
                   static_cast<double>(committed_total)
             : 0.0;
+    std::uint64_t int_issue = 0;
+    for (const auto &c : cores_)
+        int_issue += c->intIssueActiveCycles();
     res.intIssueActiveFrac =
         res.measuredCycles
-            ? static_cast<double>(core_->intIssueActiveCycles() -
-                                  int_issue_base) /
+            ? static_cast<double>(int_issue - int_issue_base) /
                   static_cast<double>(res.measuredCycles)
             : 0.0;
 
     std::uint64_t branches = 0, mispredicts = 0;
     for (ThreadId t = 0; t < n; ++t) {
-        branches += core_->perf(t).branches;
-        mispredicts += core_->perf(t).mispredicts;
+        for (const auto &c : cores_) {
+            branches += c->perf(t).branches;
+            mispredicts += c->perf(t).mispredicts;
+        }
     }
     branches -= base_branches;
     mispredicts -= base_mispredicts;
     res.branchMispredictRate =
         branches ? static_cast<double>(mispredicts) / branches : 0.0;
 
-    res.perThreadReads = dram_->perThreadReads();
+    res.perThreadReads = perThreadReads();
     std::uint64_t reads_total = 0;
     for (auto v : res.perThreadReads)
         reads_total += v;
@@ -874,10 +1291,13 @@ SmtSystem::dumpState(std::ostream &os) const
 {
     os << "=== SmtSystem state dump (cycle " << now_ << ") ===\n";
     for (ThreadId t = 0; t < config_.core.numThreads; ++t) {
-        os << "  thread " << t << ": committed="
-           << core_->perf(t).committedInsts << "\n";
+        os << "  thread " << t << ": committed=" << committedOf(t)
+           << " core=" << threadCore_[t] << "\n";
     }
-    dram_->dumpState(os);
+    for (std::uint32_t s = 0; s < config_.topology.sockets; ++s) {
+        os << "  --- socket " << s << " ---\n";
+        drams_[s]->dumpState(os);
+    }
     os << "=== end SmtSystem state dump ===\n";
 }
 

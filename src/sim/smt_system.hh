@@ -1,7 +1,24 @@
 /**
  * @file
- * The complete simulated machine: SMT core + cache hierarchy + DRAM,
- * plus the run loop and the samplers behind Figures 4 and 5.
+ * The complete simulated machine — N sockets x M SMT cores, each
+ * core with its own cache hierarchy, each socket with its own DRAM
+ * system, a ring interconnect between sockets and an OS layer that
+ * places (and optionally migrates) threads — plus the run loop and
+ * the samplers behind Figures 4 and 5.  A config without an active
+ * topology builds the paper's machine: one socket, one core.
+ *
+ * Structure per core: SmtCore -> Hierarchy -> SocketPort, where the
+ * SocketPort routes through the SocketRouter to the home socket's
+ * DramSystem.  One PageTables is shared by every hierarchy (with the
+ * NUMA frame allocator as its frame source) so a migrated thread
+ * keeps its physical pages — which is precisely what makes migration
+ * interesting: the pages stay put, the thread moves.
+ *
+ * Every core is built with a context slot per OS thread (thread ids
+ * are global); the per-core SMT-way limit is an OS *policy* capacity
+ * enforced by placement/validate, not a structural one.  That keeps
+ * all bookkeeping (DRAM per-thread arrays, blame, interference)
+ * keyed by the one global thread id before and after migrations.
  */
 
 #ifndef SMTDRAM_SIM_SMT_SYSTEM_HH
@@ -24,6 +41,7 @@
 #include "dram/row_hammer.hh"
 #include "sim/system_config.hh"
 #include "topology/numa_stats.hh"
+#include "topology/socket_router.hh"
 #include "workload/spec2000.hh"
 #include "workload/synthetic_stream.hh"
 
@@ -61,8 +79,8 @@ struct RunResult {
      *  thread); p-queries answer "how skewed was service?". */
     LogHistogram bandwidthShareHist;
 
-    /** NUMA-layer counters; all zeros on the legacy single-socket
-     *  machine and on a trivial 1x1 topology. */
+    /** NUMA-layer counters; all zeros unless the topology is
+     *  nontrivial() (more than one core). */
     NumaStats numa;
 };
 
@@ -71,8 +89,9 @@ class SmtSystem
 {
   public:
     /**
-     * @param config machine parameters.
-     * @param apps one profile per hardware thread; size must equal
+     * @param config machine parameters; a topology that is not
+     *               active() builds the 1x1 machine.
+     * @param apps one profile per OS thread; size must equal
      *             config.core.numThreads.
      * @param seed workload randomness seed (thread i uses seed + i).
      */
@@ -92,15 +111,29 @@ class SmtSystem
     RunResult run(std::uint64_t measure_insts,
                   std::uint64_t warmup_insts);
 
-    const SmtCore &core() const { return *core_; }
-    const Hierarchy &hierarchy() const { return *hierarchy_; }
-    const DramSystem &dram() const { return *dram_; }
+    const SmtCore &core(std::uint32_t c = 0) const { return *cores_[c]; }
+    const Hierarchy &
+    hierarchy(std::uint32_t c = 0) const
+    {
+        return *hierarchies_[c];
+    }
+    const DramSystem &
+    dram(std::uint32_t socket = 0) const
+    {
+        return *drams_[socket];
+    }
+    const SocketRouter &router() const { return *router_; }
+    /** Core currently running OS thread @p tid. */
+    std::uint32_t threadCore(ThreadId tid) const
+    {
+        return threadCore_[tid];
+    }
     const SystemConfig &config() const { return config_; }
 
     /**
-     * Dump per-thread commit counts and the full DRAM-side state —
-     * the diagnostic payload printed when the forward-progress
-     * watchdog fires.
+     * Dump per-thread placement and commit counts and the full
+     * DRAM-side state of every socket — the diagnostic payload
+     * printed when the forward-progress watchdog fires.
      */
     void dumpState(std::ostream &os) const;
 
@@ -125,11 +158,12 @@ class SmtSystem
 
     /**
      * Event-driven kernel: jump the clock to just before the global
-     * min next-event cycle (core, event queue, hierarchy writebacks,
-     * DRAM), clamped to @p clamp so epoch boundaries and the watchdog
-     * expiry are always real-stepped.  Returns how many provably
-     * no-op cycles were skipped (0 when the next cycle has work);
-     * the caller then stepCycle()s the event cycle itself normally.
+     * min next-event cycle (cores, event queue, hierarchy writebacks,
+     * DRAM), clamped to @p clamp so epoch boundaries, migration
+     * epochs and the watchdog expiry are always real-stepped.
+     * Returns how many provably no-op cycles were skipped (0 when the
+     * next cycle has work); the caller then stepCycle()s the event
+     * cycle itself normally.
      */
     std::uint64_t skipToNextEvent(Cycle clamp);
 
@@ -142,13 +176,51 @@ class SmtSystem
     /** Structural cache warm-up (see .cc for the methodology). */
     void prewarmCaches(const std::vector<AppProfile> &apps);
 
+    // --- cross-socket aggregation (the single-socket stat surface) --
+    ControllerStats aggDramStats() const;
+    PowerStats aggPowerStats() const;
+    HammerStats aggHammerStats() const;
+    std::uint32_t totalChannels() const;
+    /** (socket, local channel) for a global channel index. */
+    const DramSystem &dramOfChannel(std::uint32_t global,
+                                    std::uint32_t &local) const;
+    std::uint64_t committedOf(ThreadId tid) const;
+    std::uint64_t grandCommitted() const;
+    bool dramBusy() const;
+    std::size_t dramOutstanding() const;
+    std::uint32_t distinctThreadsOutstanding() const;
+    std::vector<std::uint64_t> perThreadReads() const;
+
+    // --- OS scheduler: epoch migration engine ----------------------
+    void considerMigration();
+    void serviceMigrations();
+
+    /** One in-flight thread move (or half of a swap). */
+    struct PendingMigration {
+        ThreadId tid = kThreadNone;
+        std::uint32_t from = 0;
+        std::uint32_t to = 0;
+        Cycle since = 0;
+    };
+
     SystemConfig config_;
     EventQueue events_;
-    std::unique_ptr<DramSystem> dram_;
-    std::unique_ptr<Hierarchy> hierarchy_;
-    std::unique_ptr<SmtCore> core_;
+    std::unique_ptr<NumaFrameAllocator> alloc_;
+    std::unique_ptr<PageTables> pageTables_;
+    std::vector<std::unique_ptr<DramSystem>> drams_;
+    std::unique_ptr<SocketRouter> router_;
+    std::vector<std::unique_ptr<SocketPort>> ports_;
+    std::vector<std::unique_ptr<Hierarchy>> hierarchies_;
+    std::vector<std::unique_ptr<SmtCore>> cores_;
     std::vector<std::unique_ptr<SyntheticStream>> streams_;
+    std::vector<std::uint32_t> threadCore_;
     Cycle now_ = 0;
+
+    std::vector<PendingMigration> pendingMigrations_;
+    Cycle lastMigrateAt_ = 0;
+    /** Remote-read counters snapshotted at the last migration epoch. */
+    std::vector<std::uint64_t> remoteBase_;
+    std::vector<std::vector<std::uint64_t>> toSocketBase_;
 
     std::unique_ptr<Tracer> tracer_;
     std::unique_ptr<StatsRegistry> registry_;

@@ -83,11 +83,8 @@ struct SystemConfig {
     KernelMode kernel = KernelMode::PerCycle;
     /**
      * Multi-socket NUMA topology and OS placement.  Disabled by
-     * default (the classic single-socket machine); a trivial enabled
-     * 1x1 topology is byte-identical to the legacy path.  The
-     * SMTDRAM_TOPOLOGY environment variable ("1"), read once per
-     * process, forces the trivial topology on — the CI identity leg
-     * that proves the equivalence on every golden figure.
+     * default, which builds the paper's machine: one socket, one
+     * core (see SmtSystem).
      */
     TopologyConfig topology;
     /**

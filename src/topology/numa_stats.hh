@@ -3,8 +3,8 @@
  * Counters the NUMA layer adds on top of the per-socket DRAM stats:
  * local/remote traffic split, interconnect cycle totals, and the OS
  * scheduler's migration activity.  Exported as the stats schema v3
- * `numa.*` scalar block (only when the topology is nontrivial, so
- * 1x1 stats output stays byte-identical to the legacy machine).
+ * `numa.*` scalar block and in RunResult::numa, both only when the
+ * topology is nontrivial (all zeros on the 1x1 machine).
  */
 
 #ifndef SMTDRAM_TOPOLOGY_NUMA_STATS_HH
@@ -39,6 +39,8 @@ struct NumaStats {
     std::vector<std::uint64_t> perThreadRemoteReads;
     /** Reply-path cycles per OS thread (the remote tax each pays). */
     std::vector<std::uint64_t> perThreadReturnCycles;
+
+    bool operator==(const NumaStats &) const = default;
 
     double
     remoteReadFrac() const

@@ -11,7 +11,7 @@ SocketRouter::SocketRouter(const TopologyConfig &topo,
                            std::uint32_t num_threads)
     : topo_(topo), drams_(std::move(drams)), alloc_(alloc),
       net_(topo.sockets, topo.hopLatency, topo.linkOccupancy),
-      deliver_(topo.totalCores()), issuers_(topo.sockets),
+      deliver_(topo.totalCores()),
       readsToSocket_(num_threads,
                      std::vector<std::uint64_t>(topo.sockets, 0))
 {
@@ -58,11 +58,8 @@ SocketRouter::read(std::uint32_t core, Addr addr, ThreadId thread,
     if (thread != kThreadNone && thread < readsToSocket_.size())
         ++readsToSocket_[thread][home];
 
-    const std::uint64_t id =
-        drams_[home]->enqueueRead(local, thread, snap, now, critical,
-                                  remote_until);
-    issuers_[home].emplace(id, core);
-    return id;
+    return drams_[home]->enqueueRead(local, thread, snap, now, critical,
+                                     remote_until, core);
 }
 
 std::uint64_t
@@ -92,13 +89,12 @@ SocketRouter::write(std::uint32_t core, Addr addr, Cycle now)
 void
 SocketRouter::onComplete(std::uint32_t home, const DramRequest &req)
 {
-    auto &issuers = issuers_[home];
-    const auto it = issuers.find(req.id);
-    panic_if(it == issuers.end(),
-             "socket %u delivered read id %llu the router never "
-             "issued", home, (unsigned long long)req.id);
-    const std::uint32_t core = it->second;
-    issuers.erase(it);
+    // A phantom or duplicated reply for a real core still dies in
+    // its Hierarchy ("fill for unknown line").
+    const std::uint32_t core = req.origin;
+    panic_if(core >= deliver_.size(),
+             "socket %u delivered read id %llu for core %u of %zu",
+             home, (unsigned long long)req.id, core, deliver_.size());
 
     const std::uint32_t dst = socketOf(core);
     DramRequest out = req;

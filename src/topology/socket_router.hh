@@ -16,14 +16,15 @@
  *    the home socket differs from the issuing core's socket (the
  *    embargo is carried as DramRequest::remoteUntil and blamed on
  *    BlameComponent::RemoteAccess by the controller), and on
- *    completion routes the reply back — adding the return-hop delay
- *    to both the completion time and the request's blame vector, so
- *    per-request conservation (blame sum == completion - arrival)
- *    holds at the delivery boundary.
+ *    completion routes the reply back to the issuing core, which
+ *    rides on the request as DramRequest::origin — adding the
+ *    return-hop delay to both the completion time and the request's
+ *    blame vector, so per-request conservation (blame sum ==
+ *    completion - arrival) holds at the delivery boundary.
  *
- * On a 1x1 topology every access is local, the allocator degenerates
- * to the legacy sequential frame counter, and every method is a pure
- * pass-through: the basis of the byte-identity guarantee.
+ * On the default 1x1 machine every access is local, the allocator
+ * degenerates to a sequential frame counter, and every method is a
+ * pure pass-through.
  */
 
 #ifndef SMTDRAM_TOPOLOGY_SOCKET_ROUTER_HH
@@ -31,7 +32,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "dram/blame.hh"
@@ -51,8 +51,8 @@ class NumaFrameAllocator
     /** Home-socket tag position within the *frame* number; the tag
      *  sits at bit kHomeFrameShift + pageShift of the physical
      *  address.  Frames below the tag stay sequential per home, so a
-     *  single-socket machine allocates 0, 1, 2, ... exactly like the
-     *  legacy PageTables counter. */
+     *  single-socket machine allocates 0, 1, 2, ... exactly like
+     *  PageTables' own counter. */
     static constexpr std::uint32_t kHomeFrameShift = 36;
 
     NumaFrameAllocator(const TopologyConfig &topo,
@@ -168,10 +168,6 @@ class SocketRouter
     NumaFrameAllocator &alloc_;
     Interconnect net_;
     std::vector<Delivery> deliver_;
-    /** Per home socket: request id -> issuing core.  Ids are unique
-     *  only within one DramSystem, hence the per-socket maps. */
-    std::vector<std::unordered_map<std::uint64_t, std::uint32_t>>
-        issuers_;
     NumaStats stats_;
     InterferenceMatrix linkInterference_;
     std::vector<std::vector<std::uint64_t>> readsToSocket_;

@@ -4,10 +4,9 @@
  * the machine has, how OS threads are placed onto cores, where each
  * thread's pages live, and what the socket interconnect costs.
  *
- * The default-constructed config describes the classic single-socket
- * machine; a 1x1 topology is *proven* byte-identical to the legacy
- * SmtSystem path (see tests/topology), so enabling the subsystem at
- * trivial size is free.
+ * The default-constructed config describes the paper's machine: one
+ * socket, one core.  SmtSystem builds that 1x1 machine for any config
+ * whose topology is not active().
  */
 
 #ifndef SMTDRAM_TOPOLOGY_TOPOLOGY_CONFIG_HH
@@ -41,8 +40,8 @@ const char *homePolicyName(HomePolicy policy);
 
 /** Machine topology and OS placement parameters. */
 struct TopologyConfig {
-    /** Off by default: the single-socket legacy path does not even
-     *  construct the topology layer. */
+    /** Off by default: SmtSystem then ignores the fields below and
+     *  builds the 1x1 machine. */
     bool enabled = false;
 
     std::uint32_t sockets = 1;
@@ -50,7 +49,7 @@ struct TopologyConfig {
 
     /**
      * SMT contexts the OS will schedule per core; 0 means uncapped
-     * (every core structurally holds all threads, as the legacy
+     * (every core structurally holds all threads, as the 1x1
      * machine does).  This is a *policy* capacity — each core is
      * built with a context per OS thread so migration never needs
      * to renumber anything.
@@ -75,16 +74,16 @@ struct TopologyConfig {
     /** Pipeline-refill penalty charged on arrival at the new core. */
     Cycle migrationCost = 1000;
 
-    /** The topology layer is in use (even at trivial 1x1 size). */
+    /** The topology fields are in use (even at trivial 1x1 size). */
     bool active() const { return enabled; }
 
     std::uint32_t totalCores() const { return sockets * coresPerSocket; }
 
     /**
      * True when the topology changes machine behavior: more than one
-     * core exists.  Gates the configSignature() suffix and the
-     * numa.* stats block so a trivial 1x1 topology shares the legacy
-     * signature and byte-identical stats output.
+     * core exists.  Gates the configSignature() suffix, the numa.*
+     * stats block and RunResult::numa, so every 1x1 machine shares one
+     * signature and stats output whether or not `enabled` is set.
      */
     bool nontrivial() const { return enabled && totalCores() > 1; }
 

@@ -2,14 +2,14 @@
  * @file
  * Topology subsystem tests: ring-hop arithmetic, link queuing,
  * home-tagged frame allocation, placement policies, configuration
- * validation, per-request remote-blame conservation at the router
- * delivery boundary, the migration engine, and — the load-bearing
- * guarantee — byte-identity of a trivial 1x1 NumaSystem with the
- * legacy SmtSystem under every scheduler and both kernels.
+ * validation, per-request remote-blame conservation and per-core
+ * reply routing at the router delivery boundary, the migration
+ * engine, and the NUMA counters a one-core machine must not report.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -23,7 +23,6 @@
 #include "sim/smt_system.hh"
 #include "temp_path.hh"
 #include "topology/interconnect.hh"
-#include "topology/numa_system.hh"
 #include "topology/placement.hh"
 #include "topology/socket_router.hh"
 #include "topology/topology_config.hh"
@@ -287,6 +286,70 @@ TEST(SocketRouterTest, RemoteBlameConservesPerRequest)
     EXPECT_EQ(router.readsToSocket(1)[0], 1u);
 }
 
+TEST(SocketRouterTest, DeliversEachReplyToItsIssuingCore)
+{
+    // One socket, two cores, reads interleaved between the cores on
+    // the same channels: every reply must reach the core that issued
+    // it, and only that core.
+    TopologyConfig topo;
+    topo.enabled = true;
+    topo.coresPerSocket = 2;
+
+    const DramConfig dcfg = DramConfig::ddrSdram(2);
+    DramSystem dram(dcfg, SchedulerKind::HitFirst, 0);
+    NumaFrameAllocator alloc(topo, 12);
+    SocketRouter router(topo, {&dram}, alloc, 2);
+
+    std::vector<std::uint64_t> got[2];
+    for (std::uint32_t core = 0; core < 2; ++core) {
+        router.setDelivery(core, [&got, core](const DramRequest &r) {
+            got[core].push_back(r.id);
+        });
+    }
+
+    std::vector<std::uint64_t> issued[2];
+    for (std::uint32_t i = 0; i < 16; ++i) {
+        const std::uint32_t core = i % 2;
+        issued[core].push_back(router.read(
+            core, static_cast<Addr>(i) * 0x1040, core, ThreadSnapshot{},
+            10 + i, core == 0));
+    }
+    for (Cycle c = 11; c < 100'000 && got[0].size() + got[1].size() < 16;
+         ++c)
+        dram.tick(c);
+
+    for (std::uint32_t core = 0; core < 2; ++core) {
+        std::sort(got[core].begin(), got[core].end());
+        EXPECT_EQ(got[core], issued[core]) << "core " << core;
+    }
+    EXPECT_EQ(router.stats().localReads, 16u);
+    EXPECT_EQ(router.stats().remoteReads, 0u);
+}
+
+TEST(SocketRouterDeathTest, OutOfRangeOriginPanicsOnDelivery)
+{
+    TopologyConfig topo;
+    topo.enabled = true;
+    topo.coresPerSocket = 2;
+
+    const DramConfig dcfg = DramConfig::ddrSdram(2);
+    DramSystem dram(dcfg, SchedulerKind::HitFirst, 0);
+    NumaFrameAllocator alloc(topo, 12);
+    SocketRouter router(topo, {&dram}, alloc, 1);
+    router.setDelivery(0, [](const DramRequest &) {});
+    router.setDelivery(1, [](const DramRequest &) {});
+
+    // A read whose origin names no core (this machine has two) must
+    // die at delivery instead of vanishing or landing on a stranger.
+    dram.enqueueRead(0x40, 0, ThreadSnapshot{}, 10, true, 0, 2);
+    EXPECT_DEATH(
+        {
+            for (Cycle c = 11; c < 100'000; ++c)
+                dram.tick(c);
+        },
+        "for core 2 of 2");
+}
+
 /** Every scalar a RunResult carries, compared exactly. */
 void
 expectSameResult(const RunResult &a, const RunResult &b)
@@ -322,35 +385,6 @@ expectSameResult(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.threadsHist.total(), b.threadsHist.total());
 }
 
-TEST(NumaIdentity, TrivialTopologyMatchesLegacyEverySchedulerKernel)
-{
-    const WorkloadMix &mix = mixByName("2-MEM");
-    const auto apps = profilesFor(mix);
-    for (SchedulerKind scheduler : allSchedulerKindsExtended()) {
-        for (KernelMode kernel :
-             {KernelMode::PerCycle, KernelMode::EventDriven}) {
-            SystemConfig config = SystemConfig::paperDefault(
-                static_cast<std::uint32_t>(apps.size()));
-            config.scheduler = scheduler;
-            config.kernel = kernel;
-
-            SmtSystem legacy(config, apps, kSeed);
-            const RunResult a = legacy.run(kInsts, kWarmup);
-
-            // NumaSystem forces topology.enabled on; everything else
-            // stays at the trivial 1x1 defaults.
-            NumaSystem numa(config, apps, kSeed);
-            const RunResult b = numa.run(kInsts, kWarmup);
-
-            SCOPED_TRACE(std::string(schedulerName(scheduler)) +
-                         (kernel == KernelMode::EventDriven
-                              ? "/event"
-                              : "/cycle"));
-            expectSameResult(a, b);
-        }
-    }
-}
-
 std::string
 slurp(const std::string &path)
 {
@@ -360,32 +394,34 @@ slurp(const std::string &path)
     return buf.str();
 }
 
-TEST(NumaIdentity, TrivialTopologyStatsJsonIsByteIdentical)
+TEST(TrivialTopology, ReportsNoNumaCounters)
 {
+    // A one-core machine has no remote memory: RunResult::numa stays
+    // all zeros and the stats JSON carries the v3 stamp but no numa.*
+    // key, whether the 1x1 topology is implied or enabled explicitly.
     const WorkloadMix &mix = mixByName("2-MEM");
     const auto apps = profilesFor(mix);
-    SystemConfig config = SystemConfig::paperDefault(
-        static_cast<std::uint32_t>(apps.size()));
-    const std::string legacy_path = testArtifactPath("legacy.json");
-    const std::string numa_path = testArtifactPath("numa.json");
+    for (const bool enabled : {false, true}) {
+        SCOPED_TRACE(enabled ? "enabled 1x1" : "no topology");
+        SystemConfig config = SystemConfig::paperDefault(
+            static_cast<std::uint32_t>(apps.size()));
+        config.topology.enabled = enabled;
+        const std::string path = testArtifactPath("stats.json");
+        config.observe.statsJsonPath = path;
+        const RunResult r = runSystem(config, apps, kSeed, kInsts,
+                                      kWarmup);
 
-    config.observe.statsJsonPath = legacy_path;
-    SmtSystem legacy(config, apps, kSeed);
-    legacy.run(kInsts, kWarmup);
+        EXPECT_GT(r.dram.reads, 0u);
+        EXPECT_TRUE(r.numa == NumaStats{})
+            << "local reads " << r.numa.localReads << ", remote reads "
+            << r.numa.remoteReads;
 
-    config.observe.statsJsonPath = numa_path;
-    NumaSystem numa(config, apps, kSeed);
-    numa.run(kInsts, kWarmup);
-
-    const std::string a = slurp(legacy_path);
-    const std::string b = slurp(numa_path);
-    ASSERT_FALSE(a.empty());
-    EXPECT_EQ(a, b);
-    // v3 stamp, but no numa.* keys on a trivial topology.
-    EXPECT_NE(a.find("\"version\":3"), std::string::npos);
-    EXPECT_EQ(b.find("numa."), std::string::npos);
-    std::remove(legacy_path.c_str());
-    std::remove(numa_path.c_str());
+        const std::string doc = slurp(path);
+        ASSERT_FALSE(doc.empty());
+        EXPECT_NE(doc.find("\"version\":3"), std::string::npos);
+        EXPECT_EQ(doc.find("numa."), std::string::npos);
+        std::remove(path.c_str());
+    }
 }
 
 TEST(NumaSystemTest, NontrivialTopologyExportsNumaStats)
@@ -400,7 +436,7 @@ TEST(NumaSystemTest, NontrivialTopologyExportsNumaStats)
     const std::string path = testArtifactPath("stats.json");
     config.observe.statsJsonPath = path;
 
-    NumaSystem numa(config, mixApps(), kSeed);
+    SmtSystem numa(config, mixApps(), kSeed);
     const RunResult r = numa.run(kInsts, kWarmup);
 
     // Loader home + round-robin strands the socket-1 threads remote.
@@ -442,7 +478,7 @@ TEST(NumaSystemTest, MigrationMovesRemoteThreadHome)
         config.topology.home = HomePolicy::Loader;
         config.topology.migrationEpoch = 5'000;
         config.topology.migrationCost = 100;
-        NumaSystem numa(config, mixApps(), kSeed);
+        SmtSystem numa(config, mixApps(), kSeed);
         return numa.run(kInsts, 0);
     };
     const RunResult a = run_with(KernelMode::PerCycle);
@@ -469,7 +505,7 @@ TEST(NumaSystemTest, EventKernelMatchesPerCycleOnTwoSockets)
         config.topology.smtWays = 1;
         config.topology.placement = PlacementPolicy::RoundRobin;
         config.topology.home = HomePolicy::Interleave;
-        NumaSystem numa(config, mixApps(), kSeed);
+        SmtSystem numa(config, mixApps(), kSeed);
         return numa.run(kInsts, kWarmup);
     };
     const RunResult a = run_with(KernelMode::PerCycle);
