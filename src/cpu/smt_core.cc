@@ -577,6 +577,37 @@ SmtCore::fetchFromThread(ThreadId tid, std::uint32_t budget, Cycle now)
     return count;
 }
 
+bool
+SmtCore::fetchable(const ThreadState &t, Cycle now) const
+{
+    return t.stream != nullptr && !t.icacheBlocked && !t.awaitingBranch &&
+           now >= t.fetchResumeAt &&
+           t.fetchQueue.size() < config_.fetchQueueCap;
+}
+
+void
+SmtCore::traceFetchStall(ThreadId tid, bool can_fetch, Cycle now)
+{
+    // One async span per window in which this thread cannot be
+    // fetched from, labeled with what gates it.
+    const ThreadState &t = threads_[tid];
+    Cycle &since = fetchStallSince_[tid];
+    if (!can_fetch && since == kCycleNever) {
+        since = now;
+        const char *why = t.icacheBlocked ? "icache"
+                          : t.awaitingBranch ? "branch"
+                          : now < t.fetchResumeAt ? "redirect"
+                                                  : "fetch-queue-full";
+        tracer_->asyncBegin("cpu", "fetch-stall", tid, kTracePidCpu, now,
+                            std::string("{\"reason\":\"") + why +
+                                "\",\"thread\":" + std::to_string(tid) +
+                                "}");
+    } else if (can_fetch && since != kCycleNever) {
+        tracer_->asyncEnd("cpu", "fetch-stall", tid, kTracePidCpu, now);
+        since = kCycleNever;
+    }
+}
+
 void
 SmtCore::fetchStage(Cycle now)
 {
@@ -587,36 +618,13 @@ SmtCore::fetchStage(Cycle now)
         const ThreadState &t = threads_[tid];
         FetchThreadState &s = states[tid];
         s.tid = tid;
-        s.fetchable = t.stream != nullptr && !t.icacheBlocked &&
-                      !t.awaitingBranch && now >= t.fetchResumeAt &&
-                      t.fetchQueue.size() < config_.fetchQueueCap;
+        s.fetchable = fetchable(t, now);
         s.frontEndCount = static_cast<std::uint32_t>(
             t.fetchQueue.size() + intIqOcc_[tid] + fpIqOcc_[tid]);
         s.pendingDataMisses = hierarchy_.pendingDataMisses(tid);
         s.pendingL2Misses = hierarchy_.pendingL2Misses(tid);
-
-        if (tracer_) {
-            // One async span per window in which this thread cannot
-            // be fetched from, labeled with what gates it.
-            Cycle &since = fetchStallSince_[tid];
-            if (!s.fetchable && since == kCycleNever) {
-                since = now;
-                const char *why =
-                    t.icacheBlocked ? "icache"
-                    : t.awaitingBranch ? "branch"
-                    : now < t.fetchResumeAt ? "redirect"
-                                            : "fetch-queue-full";
-                tracer_->asyncBegin("cpu", "fetch-stall", tid,
-                                    kTracePidCpu, now,
-                                    std::string("{\"reason\":\"") +
-                                        why + "\",\"thread\":" +
-                                        std::to_string(tid) + "}");
-            } else if (s.fetchable && since != kCycleNever) {
-                tracer_->asyncEnd("cpu", "fetch-stall", tid,
-                                  kTracePidCpu, now);
-                since = kCycleNever;
-            }
-        }
+        if (tracer_)
+            traceFetchStall(tid, s.fetchable, now);
     }
 
     std::vector<ThreadId> &order = fetchOrder_;
@@ -682,6 +690,7 @@ void
 SmtCore::cycle(Cycle now)
 {
     ++cyclesRun_;
+    lastCycle_ = now;
     commitStage();
     completeStage(now);
     issueStage(now);
@@ -733,6 +742,16 @@ SmtCore::nextEventAt(Cycle now) const
 void
 SmtCore::skipCycles(std::uint64_t count)
 {
+    // Every skipped cycle sees the state the last stepped one left:
+    // only the first can open a fetch-stall span (a gate raised
+    // during the last stepped cycle), and none can close one, since a
+    // fetchable thread makes nextEventAt() answer the next cycle.
+    if (tracer_ && count > 0) {
+        const Cycle first = lastCycle_ + 1;
+        for (ThreadId tid = 0; tid < config_.numThreads; ++tid)
+            traceFetchStall(tid, fetchable(threads_[tid], first), first);
+    }
+    lastCycle_ += count;
     cyclesRun_ += count;
     commitRotation_ += count;
     dispatchRotation_ += count;

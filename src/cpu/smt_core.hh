@@ -98,10 +98,14 @@ class SmtCore
     Cycle nextEventAt(Cycle now) const;
 
     /**
-     * Account @p count skipped no-op cycles: advances cyclesRun_ and
-     * the fetch/dispatch/commit rotation counters exactly as @p count
-     * idle cycle() calls would have, so round-robin tie-breaking
-     * after the skip is bit-identical to the per-cycle kernel.
+     * Account @p count skipped no-op cycles following the last one
+     * stepped: advances cyclesRun_ and the fetch/dispatch/commit
+     * rotation counters exactly as @p count idle cycle() calls would
+     * have, so round-robin tie-breaking after the skip is
+     * bit-identical to the per-cycle kernel.  With a tracer attached
+     * it also opens the fetch-stall spans the first skipped cycle's
+     * fetchStage() would have opened; state is frozen across the
+     * skip, so no later skipped cycle opens or closes one.
      */
     void skipCycles(std::uint64_t count);
 
@@ -236,6 +240,12 @@ class SmtCore
     void fetchStage(Cycle now);
     void drainWriteBuffer(Cycle now);
 
+    /** fetchStage's gate: can thread @p t be fetched from at @p now? */
+    bool fetchable(const ThreadState &t, Cycle now) const;
+    /** Open or close thread @p tid's fetch-stall trace span as
+     *  @p can_fetch at @p now dictates (tracer attached only). */
+    void traceFetchStall(ThreadId tid, bool can_fetch, Cycle now);
+
     /** Fetch up to @p budget instructions from thread @p tid. */
     std::uint32_t fetchFromThread(ThreadId tid, std::uint32_t budget,
                                   Cycle now);
@@ -349,6 +359,8 @@ class SmtCore
     std::uint64_t commitRotation_ = 0;
     std::uint64_t dispatchRotation_ = 0;
     std::uint64_t cyclesRun_ = 0;
+    /** Last cycle stepped by cycle() or accounted by skipCycles(). */
+    Cycle lastCycle_ = 0;
     std::uint64_t intIssueActiveCycles_ = 0;
 
     std::vector<std::uint32_t> robHighWater_;

@@ -39,15 +39,15 @@ declareSweepFlags(Flags &flags, bool mixes)
                       "figure's own (default: the figure's own set)");
     }
     flags.declare("kernel", "",
-                  "simulation kernel: 'cycle' (tick every cycle) or "
-                  "'event' (skip to the next pending event); both are "
-                  "proven byte-identical, default is the per-cycle "
-                  "kernel");
+                  "simulation kernel: 'event' (skip to the next pending "
+                  "event, the default) or 'cycle' (tick every cycle, "
+                  "the reference it is checked against); both are "
+                  "proven byte-identical");
 
     // Observability: with no flag given a figure emits nothing extra.
-    // When a figure runs several cells the trace/stats files are
-    // overwritten by each run and describe the last one executed
-    // (alone-IPC baselines never write, see simulateAloneIpc).
+    // The trace/stats files describe one run, the sweep's last planned
+    // job (see runSweep), whatever --jobs is; alone-IPC baselines
+    // never write (see simulateAloneIpc).
     flags.declare("trace", "",
                   "write a Chrome trace-event / Perfetto JSON of the "
                   "run to this path");
@@ -209,6 +209,22 @@ findFigure(const std::string &name)
 }
 
 void
+declareHammerModelFlags(Flags &flags)
+{
+    flags.declare("hammer-seed", "7", "hammer-flip random seed");
+    flags.declare("hammer-flip-prob", "0.001",
+                  "per-activation flip chance once past the threshold");
+    flags.declare("hammer-blast", "1",
+                  "blast radius: victim rows affected on each side of an "
+                  "aggressor");
+    flags.declare("hammer-tracker-capacity", "16",
+                  "Misra-Gries aggressor-table entries per bank");
+}
+
+namespace
+{
+
+void
 declareFlagGroups(Flags &flags, unsigned groups)
 {
     if (groups & kPowerFlags) {
@@ -229,24 +245,16 @@ declareFlagGroups(Flags &flags, unsigned groups)
                       "enable the rowhammer disturbance model "
                       "(victim-row bit flips under neighbor-activation "
                       "pressure)");
-        flags.declare("hammer-seed", "7", "hammer-flip random seed");
         flags.declare("hammer-threshold", "4096",
                       "neighbor activations per refresh window before "
                       "a victim row starts sampling flips");
-        flags.declare("hammer-flip-prob", "0.001",
-                      "per-activation flip chance once past the "
-                      "threshold");
-        flags.declare("hammer-blast", "1",
-                      "blast radius: victim rows affected on each side "
-                      "of an aggressor");
         flags.declare("hammer-mitigate", "false",
                       "enable Graphene-style preventive refresh "
                       "(requires --hammer)");
-        flags.declare("hammer-tracker-capacity", "16",
-                      "Misra-Gries aggressor-table entries per bank");
         flags.declare("hammer-mitigate-threshold", "1024",
                       "tracked activation count that triggers "
                       "preventive refresh of a row's neighbors");
+        declareHammerModelFlags(flags);
     }
     if (groups & kRobustnessFlags) {
         flags.declare("faults", "false",
@@ -285,6 +293,8 @@ declareFlagGroups(Flags &flags, unsigned groups)
                       "scrub reads injected per scrub interval");
     }
 }
+
+} // namespace
 
 Flags
 figureFlags(const FigureSpec &spec, const std::vector<std::string> &args)
@@ -332,7 +342,6 @@ std::vector<SweepRow>
 planSweep(const FigureSpec &spec, const Flags &flags,
           const std::vector<std::string> &keep)
 {
-    const ObservabilityConfig observe = observabilityFromFlags(flags);
     const std::vector<Cell> cells =
         spec.cells ? spec.cells(flags) : std::vector<Cell>{};
     std::vector<SweepRow> rows;
@@ -347,11 +356,16 @@ planSweep(const FigureSpec &spec, const Flags &flags,
                 static_cast<std::uint32_t>(row.mix.apps.size()));
             cell.configure(config);
             applyFlagGroups(flags, spec.groups, config);
-            config.observe = observe;
             row.cells.push_back({cell.label, config, cell.perConfigBaselines});
         }
         rows.push_back(std::move(row));
     }
+    // Every cell would write the same --trace/--stats-* paths, and
+    // under --jobs > 1 concurrently.  Only the last one planned, the
+    // run a serial sweep finishes with, writes them.
+    if (!rows.empty() && !rows.back().cells.empty())
+        rows.back().cells.back().config.observe =
+            observabilityFromFlags(flags);
     return rows;
 }
 
@@ -368,9 +382,15 @@ runSweep(const FigureSpec &spec, const Flags &flags, unsigned jobs,
     Sweep sweep;
     sweep.rows = planSweep(spec, flags, keep);
     for (const SweepRow &row : sweep.rows) {
-        if (spec.cpiBreakdown)
+        if (spec.cpiBreakdown) {
+            // Without cells the last row's CPI job is the sweep's last
+            // job, so it takes the observability paths.
+            const bool last =
+                &row == &sweep.rows.back() && row.cells.empty();
             runner.submitCpiBreakdown(row.mix.name,
-                                      observabilityFromFlags(flags));
+                                      last ? observabilityFromFlags(flags)
+                                           : ObservabilityConfig{});
+        }
         for (const PlannedCell &cell : row.cells)
             runner.submitMix(cell.config, row.mix, cell.perConfigBaselines);
     }

@@ -123,7 +123,13 @@ const std::vector<FigureSpec> &figureSpecs();
 /** The spec called @p name, or null. */
 const FigureSpec *findFigure(const std::string &name);
 
-void declareFlagGroups(Flags &flags, unsigned groups);
+/**
+ * The rowhammer model's own flags (--hammer-seed, --hammer-flip-prob,
+ * --hammer-blast, --hammer-tracker-capacity), part of kHammerFlags;
+ * a figure that sweeps the threshold and mitigation itself declares
+ * only these.
+ */
+void declareHammerModelFlags(Flags &flags);
 
 /**
  * Declare every flag @p spec takes and parse @p args (no program
@@ -137,7 +143,9 @@ std::vector<WorkloadMix> figureRows(const FigureSpec &spec,
                                     const Flags &flags);
 
 /**
- * Every row with its cell configurations, flag groups applied.
+ * Every row with its cell configurations, flag groups applied.  Only
+ * the last cell of the last row carries the --trace/--stats-* paths,
+ * so the files come from one run whatever the worker count.
  * @p keep, when non-empty, drops the cells whose label it omits.
  */
 std::vector<SweepRow> planSweep(const FigureSpec &spec,
@@ -145,8 +153,9 @@ std::vector<SweepRow> planSweep(const FigureSpec &spec,
                                 const std::vector<std::string> &keep = {});
 
 /**
- * Plan and run @p spec's sweep on @p jobs workers.  Results are
- * byte-identical for every jobs value (see ParallelExperimentRunner).
+ * Plan and run @p spec's sweep on @p jobs workers.  Results, and the
+ * observability files its last job writes, are byte-identical for
+ * every jobs value (see ParallelExperimentRunner).
  */
 Sweep runSweep(const FigureSpec &spec, const Flags &flags,
                unsigned jobs,

@@ -767,13 +767,14 @@ renderEnergy(const Sweep &sweep)
 //     PageInterleave because the XOR permutation diffuses same-bank
 //     row adjacency (--xor shows that defense-by-accident), and
 //     refresh is forced on because the refresh interval defines the
-//     disturbance window.  The cells read the hammer flags themselves
-//     (the threshold is swept), so the group is not applied on top. --
+//     disturbance window.  The cells sweep the threshold and the
+//     mitigation themselves, so only the model's own hammer flags
+//     are declared and the rest of the group is rejected as unknown. --
 
 void
 declareHammerSweep(Flags &flags)
 {
-    declareFlagGroups(flags, kHammerFlags);
+    declareHammerModelFlags(flags);
     flags.declare("base-mix", "2-MEM",
                   "Table 2 mix the hostile thread joins");
     flags.declare("pattern", "hammer-double",

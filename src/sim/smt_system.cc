@@ -1074,15 +1074,10 @@ SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
     const auto dump = [this] { dumpState(std::cerr); };
 
     // Skip-to-next-event kernel: jump over provably idle stretches
-    // instead of ticking them.  A tracer forces per-cycle stepping —
-    // fetch-stall spans open on the tick *after* the gating state
-    // arises, and skipping that tick would shift span timestamps.
-    const bool event_driven =
-        config_.kernel == KernelMode::EventDriven && !tracer_;
-    if (config_.kernel == KernelMode::EventDriven && tracer_) {
-        warn_once("tracing is on: the event-driven kernel steps "
-                  "every cycle instead of skipping idle ones");
-    }
+    // instead of ticking them.  Tracing runs the same way: the cores
+    // replay the one trace effect a skipped cycle has (fetch-stall
+    // spans opening on its first cycle) in skipCycles().
+    const bool event_driven = config_.kernel == KernelMode::EventDriven;
     // The watchdog's expiry cycle must be real-stepped so it fires on
     // exactly the same cycle as under the per-cycle kernel.
     const auto watchdog_clamp = [&watchdog] {

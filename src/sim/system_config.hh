@@ -55,12 +55,13 @@ struct ObservabilityConfig {
 };
 
 /**
- * Main-loop flavor.  PerCycle ticks every simulated cycle; EventDriven
- * computes the global min next-event cycle across the core, the event
- * queue, and the DRAM system and jumps straight there.  The two are
- * proven byte-identical by the differential kernel equivalence suite,
- * so — like ObservabilityConfig — the knob is deliberately excluded
- * from configSignature() and golden figures gate both settings.
+ * Main-loop flavor.  EventDriven (the default) computes the global min
+ * next-event cycle across the core, the event queue, and the DRAM
+ * system and jumps straight there; PerCycle ticks every simulated
+ * cycle and is kept as the differential oracle.  The two are proven
+ * byte-identical by the kernel equivalence suite, so — like
+ * ObservabilityConfig — the knob is deliberately excluded from
+ * configSignature() and golden figures gate both settings.
  */
 enum class KernelMode : std::uint8_t {
     PerCycle,
@@ -75,12 +76,14 @@ struct SystemConfig {
     SchedulerKind scheduler = SchedulerKind::HitFirst;
     ObservabilityConfig observe;
     /**
-     * Which main loop drives the run.  The SMTDRAM_KERNEL environment
-     * variable ("cycle" / "event"), read once per process, overrides
-     * this so whole harnesses (goldens, benches) can be flipped for a
-     * CI leg without plumbing a flag through every call site.
+     * Which main loop drives the run: the skip-to-next-event kernel
+     * unless a test or CI leg asks for the per-cycle oracle.  The
+     * SMTDRAM_KERNEL environment variable ("cycle" / "event"), read
+     * once per process, overrides this so whole harnesses (goldens,
+     * benches) can be flipped for a CI leg without plumbing a flag
+     * through every call site.
      */
-    KernelMode kernel = KernelMode::PerCycle;
+    KernelMode kernel = KernelMode::EventDriven;
     /**
      * Multi-socket NUMA topology and OS placement.  Disabled by
      * default, which builds the paper's machine: one socket, one

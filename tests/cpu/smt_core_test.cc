@@ -3,12 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/random.hh"
+#include "common/trace_event.hh"
 #include "cpu/smt_core.hh"
 #include "dram/dram_system.hh"
+#include "temp_path.hh"
 
 namespace smtdram
 {
@@ -389,6 +395,53 @@ TEST(SmtCoreNextEvent, SkipCyclesReplaysIdleTickingExactly)
               b.core.perf(0).committedInsts);
     EXPECT_EQ(a.core.perf(1).committedInsts,
               b.core.perf(1).committedInsts);
+}
+
+TEST(SmtCoreNextEvent, SkipCyclesOpensFetchStallSpanOnFirstSkippedCycle)
+{
+    // Cycle 1 misses the cold I-cache (the code sits in the L2), so
+    // the thread's fetch gate rises during that cycle and the
+    // per-cycle kernel opens its fetch-stall span in cycle 2's fetch
+    // stage.  A core that skips from cycle 2 to the fill must open the
+    // span at cycle 2 too, and leave the same trace as one that
+    // stepped every cycle.
+    const std::string paths[2] = {testArtifactPath("stepped.json"),
+                                  testArtifactPath("skipped.json")};
+    for (int skip = 0; skip < 2; ++skip) {
+        Tracer tracer(paths[skip]);
+        CoreHarness h(oneThread());
+        for (Addr off = 0; off < 2048; off += 64)
+            h.hierarchy.prewarmLine(0, FixedStream::kBase + off, false);
+        h.core.setTracer(&tracer);
+        FixedStream stream(alu());
+        h.core.bindStream(0, &stream);
+        h.run(1);
+        const Cycle next =
+            std::min({h.core.nextEventAt(1), h.events.nextEventAt(),
+                      h.dram.nextEventAt(1)});
+        ASSERT_GT(next, 2u) << "cycle 2 must be skippable";
+        ASSERT_NE(next, kCycleNever);
+        if (skip) {
+            h.core.skipCycles(next - 2);
+            h.now = next - 1;
+        }
+        h.run(300 - h.now);
+    }
+
+    std::string traces[2];
+    for (int i = 0; i < 2; ++i) {
+        std::ifstream in(paths[i]);
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        traces[i] = ss.str();
+        std::remove(paths[i].c_str());
+    }
+    const std::string opened =
+        "{\"ph\":\"b\",\"pid\":1,\"tid\":0,\"ts\":2,"
+        "\"name\":\"fetch-stall\",\"cat\":\"cpu\",\"id\":\"0\","
+        "\"args\":{\"reason\":\"icache\",\"thread\":0}}";
+    EXPECT_NE(traces[1].find(opened), std::string::npos) << traces[1];
+    EXPECT_EQ(traces[0], traces[1]);
 }
 
 TEST(SmtCoreWakeup, SameProducerOnBothOperandsWakesOnce)

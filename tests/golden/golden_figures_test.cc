@@ -18,20 +18,23 @@
  * the proof that the ECC layer is invisible when off.
  *
  * The FigureSpecs tests check the table itself: every flag group a
- * figure honours reaches every cell it runs, --mixes resolves a
- * figure's own mixes, and figures whose rows come from other flags
- * reject --mixes instead of ignoring it.
+ * figure honours reaches every cell it runs, the observability files
+ * come from one run whatever --jobs is, --mixes resolves a figure's
+ * own mixes, and figures reject flags they would ignore.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/figure_spec.hh"
+#include "temp_path.hh"
 
 namespace smtdram
 {
@@ -110,7 +113,7 @@ class GoldenFigure : public ::testing::Test
 
 /** One flag of a group and how it shows in a cell's config. */
 struct GroupProbe {
-    /** FlagGroup bit; 0 for the flags every figure takes. */
+    /** FlagGroup bit. */
     unsigned group;
     const char *flag;
     bool (*reached)(const SystemConfig &);
@@ -123,10 +126,6 @@ const GroupProbe kProbes[] = {
      [](const SystemConfig &c) { return c.dram.hammer.active(); }},
     {kRobustnessFlags, "--refresh",
      [](const SystemConfig &c) { return c.dram.refreshEnabled(); }},
-    {0, "--stats-json=stats.json",
-     [](const SystemConfig &c) {
-         return c.observe.statsJsonPath == "stats.json";
-     }},
 };
 
 TEST(FigureSpecs, SharedFlagsReachEveryCell)
@@ -135,7 +134,7 @@ TEST(FigureSpecs, SharedFlagsReachEveryCell)
         if (!spec.cells)
             continue;
         for (const GroupProbe &probe : kProbes) {
-            if (probe.group != 0 && !(spec.groups & probe.group))
+            if (!(spec.groups & probe.group))
                 continue;
             const std::vector<SweepRow> rows =
                 planSweep(spec, figureFlags(spec, {probe.flag}));
@@ -148,6 +147,63 @@ TEST(FigureSpecs, SharedFlagsReachEveryCell)
                         << row.mix.name << "." << cell.label;
                 }
             }
+        }
+
+        // The observability paths reach exactly one cell: the last
+        // one planned, the run a serial sweep finishes with.
+        const std::vector<SweepRow> rows = planSweep(
+            spec, figureFlags(spec, {"--stats-json=stats.json"}));
+        ASSERT_FALSE(rows.empty()) << spec.name;
+        for (std::size_t r = 0; r < rows.size(); ++r) {
+            for (std::size_t c = 0; c < rows[r].cells.size(); ++c) {
+                const bool last = r + 1 == rows.size() &&
+                                  c + 1 == rows[r].cells.size();
+                EXPECT_EQ(rows[r].cells[c].config.observe.statsJsonPath,
+                          last ? "stats.json" : "")
+                    << spec.name << " " << rows[r].mix.name << "."
+                    << rows[r].cells[c].label;
+            }
+        }
+    }
+}
+
+TEST(FigureSpecs, ObservabilityFilesDoNotDependOnJobs)
+{
+    // Every cell would write the same paths, concurrently under
+    // --jobs > 1; one designated run writes them instead, so a
+    // parallel sweep leaves the serial sweep's files.  fig1 covers the
+    // CPI-breakdown path, fig10 the mix cells.
+    const std::vector<std::pair<const char *, const char *>> cases = {
+        {"fig1_cpi_breakdown", "--apps=mcf,gzip"},
+        {"fig10_thread_aware", "--mixes=2-MEM,2-MIX"},
+    };
+    const char *kinds[] = {"trace.json", "stats.json", "stats.csv"};
+    for (const auto &[name, rows] : cases) {
+        const FigureSpec &spec = *findFigure(name);
+        std::string files[2][3];
+        for (int serial = 0; serial < 2; ++serial) {
+            std::string paths[3];
+            for (int k = 0; k < 3; ++k) {
+                paths[k] = testArtifactPath(std::string(name) + "." +
+                                            kinds[k]);
+            }
+            const Flags flags = figureFlags(
+                spec, {"--insts=1000", "--warmup=500", rows,
+                       "--epoch=500", "--trace=" + paths[0],
+                       "--stats-json=" + paths[1],
+                       "--stats-csv=" + paths[2]});
+            runSweep(spec, flags, serial ? 1 : 4);
+            for (int k = 0; k < 3; ++k) {
+                std::ifstream in(paths[k]);
+                std::ostringstream ss;
+                ss << in.rdbuf();
+                files[serial][k] = ss.str();
+                std::remove(paths[k].c_str());
+            }
+        }
+        for (int k = 0; k < 3; ++k) {
+            EXPECT_FALSE(files[1][k].empty()) << name << " " << kinds[k];
+            EXPECT_EQ(files[0][k], files[1][k]) << name << " " << kinds[k];
         }
     }
 }
@@ -172,6 +228,19 @@ TEST(FigureSpecsDeathTest, RowsFromOtherFlagsRejectMixes)
         EXPECT_DEATH(figureFlags(spec, {"--mixes=2-MEM"}),
                      "unknown flag --mixes")
             << name;
+    }
+}
+
+TEST(FigureSpecsDeathTest, RowhammerSweepRejectsTheFlagsItSweeps)
+{
+    // fig12's cells set the threshold and the mitigation themselves;
+    // the hammer flags that would set them are not declared there.
+    const FigureSpec &spec = *findFigure("fig12_rowhammer");
+    for (const char *flag : {"hammer", "hammer-threshold", "hammer-mitigate",
+                             "hammer-mitigate-threshold"}) {
+        EXPECT_DEATH(figureFlags(spec, {std::string("--") + flag + "=1"}),
+                     std::string("unknown flag --") + flag)
+            << flag;
     }
 }
 

@@ -113,9 +113,9 @@ TEST(ConfigSignature, KernelModeIsInert)
     // equivalence suite, so the knob must not splinter alone-IPC
     // cache keys (same contract as the observability block).
     const SystemConfig base = SystemConfig::paperDefault(2);
-    SystemConfig event = base;
-    event.kernel = KernelMode::EventDriven;
-    EXPECT_EQ(configSignature(event), configSignature(base));
+    SystemConfig cycle = base;
+    cycle.kernel = KernelMode::PerCycle;
+    EXPECT_EQ(configSignature(cycle), configSignature(base));
 }
 
 TEST(ConfigSignature, HammerBlockOnlyWhenEnabled)

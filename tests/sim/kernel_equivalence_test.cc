@@ -9,7 +9,8 @@
  * byte-for-byte.  The matrix test covers every scheduler with
  * refresh, fault injection, ECC + patrol scrub, the low-power state
  * machine, rowhammer tracking + mitigation, and the conservation
- * checker all enabled at once.
+ * checker all enabled at once.  A traced run also diffs the trace
+ * document byte-for-byte.
  *
  * Run without SMTDRAM_KERNEL in the environment: the process-wide
  * override would collapse both rows onto one kernel and the
@@ -20,11 +21,14 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "sim/smt_system.hh"
+#include "temp_path.hh"
 
 namespace smtdram
 {
@@ -268,6 +272,38 @@ TEST(KernelEquivalence, MshrStarvedMemoryMix)
     // Not vacuous: blocked probes outnumber cycles.
     EXPECT_GT(cyc.blocked, cyc.r.measuredCycles);
     expectEquivalent(cyc, evt);
+}
+
+TEST(KernelEquivalence, TracedRunWritesIdenticalTrace)
+{
+    // Tracing does not hold the event kernel to per-cycle stepping:
+    // it skips as usual, and SmtCore::skipCycles() opens the
+    // fetch-stall spans a skipped cycle would have opened.  The
+    // trace document itself must come out byte-identical.
+    SystemConfig config = SystemConfig::paperDefault(2);
+    config.dram.withRefresh();
+    config.dram.withPowerManagement();
+    config.observe.epoch = 1'000;
+    const std::vector<AppProfile> apps = mixProfiles("2-MEM");
+    const KernelMode modes[2] = {KernelMode::PerCycle,
+                                 KernelMode::EventDriven};
+    Snapshot runs[2];
+    std::string traces[2];
+    for (int i = 0; i < 2; ++i) {
+        SystemConfig traced = config;
+        traced.observe.tracePath =
+            testArtifactPath(i == 0 ? "cycle.json" : "event.json");
+        runs[i] = runKernel(traced, apps, 42, modes[i]);
+        std::ifstream in(traced.observe.tracePath);
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        traces[i] = ss.str();
+        std::remove(traced.observe.tracePath.c_str());
+    }
+    EXPECT_NE(traces[0].find("\"name\":\"fetch-stall\""),
+              std::string::npos);
+    expectEquivalent(runs[0], runs[1]);
+    EXPECT_EQ(traces[0], traces[1]);
 }
 
 TEST(KernelEquivalence, RdramPart)

@@ -9,9 +9,7 @@
  *  - the exported artifacts: schema-versioned stats JSON, epoch CSV,
  *    and a trace whose request lifecycles conserve;
  *  - the experiment layer: alone-IPC baseline runs never clobber the
- *    mix run's output files;
- *  - the one mode change a knob does cause (a tracer forces per-cycle
- *    stepping under the event kernel) is reported, not silent.
+ *    mix run's output files.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "common/logging.hh"
 #include "sim/experiment.hh"
 #include "sim/smt_system.hh"
 #include "temp_path.hh"
@@ -307,52 +304,6 @@ TEST(Observability, BaselineRunsDoNotClobberMixArtifacts)
     ASSERT_FALSE(doc.empty());
     EXPECT_NE(doc.find("\"threads\":\"2\""), std::string::npos);
     EXPECT_NE(doc.find("\"cpu.t1.committed\":"), std::string::npos);
-}
-
-/** Collects warn() messages while installed. */
-class CaptureSink : public LogSink
-{
-  public:
-    void
-    warnMessage(const std::string &msg) override
-    {
-        warnings.push_back(msg);
-    }
-
-    void informMessage(const std::string &) override {}
-
-    std::vector<std::string> warnings;
-};
-
-TEST(Observability, TracerForcingPerCycleKernelWarns)
-{
-    // A tracer makes the event-driven kernel step every cycle (span
-    // timestamps depend on it); the run must say so.  The warning is
-    // once per process, and ctest runs each test in its own process.
-    TempPaths tmp;
-    SystemConfig config = SystemConfig::paperDefault(2);
-    config.kernel = KernelMode::EventDriven;
-    config.observe.tracePath = tmp.trace;
-
-    CaptureSink sink;
-    LogSink *prev_sink = setLogSink(&sink);
-    const LogVerbosity prev_verbosity =
-        setLogVerbosity(LogVerbosity::Normal);
-    {
-        SmtSystem system(config, mixProfiles("2-MEM"), 42);
-        system.run(500, 200);
-        system.run(500, 200);
-    }
-    setLogSink(prev_sink);
-    setLogVerbosity(prev_verbosity);
-
-    std::size_t kernel_warnings = 0;
-    for (const std::string &w : sink.warnings) {
-        if (w.find("event-driven kernel steps every cycle") !=
-            std::string::npos)
-            ++kernel_warnings;
-    }
-    EXPECT_EQ(kernel_warnings, 1u);
 }
 
 TEST(Observability, MixRunCarriesLatencyPercentiles)

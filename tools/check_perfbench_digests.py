@@ -1,20 +1,30 @@
 #!/usr/bin/env python3
-"""Check perfbench's sweep digests against the committed golden values.
+"""Check perfbench's sweep digests and skip ratios against committed values.
 
 Usage, from the root of the repository:
 
     python3 tools/check_perfbench_digests.py \
         [--baseline bench/baseline/perfbench_digests.json]
 
-Runs ``perfbench/run.py --workload W --seed S --seconds 1 --trace 0``
-once for every workload and seed in the baseline and reads the
-``digest <workload> <hex>`` line each run prints.  A digest covers
-every simulation of the sweep, so a match means the default machine
-still produces bit-identical results on all three sweeps.  The digest
-does not depend on the run length: one sweep is enough, so each run
-asks for 1 s of measuring.
+Runs ``perfbench/run.py --workload W --seed S --seconds 1 --trace 1``
+once for every workload and seed in the baseline and checks three
+things in its output:
 
-Exits 1 if any run fails, prints no digest, or prints a different one.
+- the ``digest <workload> <hex>`` line matches the committed digest.
+  A digest covers every simulation of the sweep, so a match means the
+  default machine still produces bit-identical results on all three
+  sweeps.  The digest does not depend on the run length: one sweep is
+  enough, so each run asks for 1 s of measuring;
+- the last-line JSON reports no failed simulation.  A traced run also
+  rebuilds the machine behind timing wrappers, and every traced
+  simulation must reproduce its untraced digest;
+- that JSON's ``sim.skip_ratio`` (cycles the event kernel skipped over
+  cycles simulated) is at least the committed floor.  The ratio is a
+  simulated count that repeats exactly, so a ``nextEventAt`` that
+  answers "next cycle" too often fails here even though every digest
+  still matches.
+
+Exits 1 if any run fails or any check misses.
 """
 
 import argparse
@@ -28,19 +38,26 @@ ROOT = Path(__file__).resolve().parent.parent
 DIGEST = re.compile(r"^digest (\S+) ([0-9a-f]+)$", re.MULTILINE)
 
 
-def run_digest(workload, seed):
-    """The digest one perfbench run prints, or None if it failed."""
+def run_traced(workload, seed):
+    """(digest, failed simulations, skip ratio) of one traced run, or
+    None if the run failed or printed no result."""
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"),
            "--workload", workload, "--seed", str(seed),
-           "--seconds", "1", "--trace", "0"]
+           "--seconds", "1", "--trace", "1"]
     proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE,
                           text=True)
-    if proc.returncode != 0:
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
         return None
-    for name, digest in DIGEST.findall(proc.stdout):
-        if name == workload:
-            return digest
-    return None
+    digest = next((d for name, d in DIGEST.findall(proc.stdout)
+                   if name == workload), None)
+    try:
+        result = json.loads(lines[-1])
+        skip = result["metrics"]["sim.skip_ratio"]["value"]
+        failed = result["failed"]
+    except (ValueError, KeyError):
+        return None
+    return digest, failed, skip
 
 
 def main():
@@ -51,20 +68,35 @@ def main():
     args = ap.parse_args()
 
     with open(args.baseline) as f:
-        golden = json.load(f)["digests"]
+        baseline = json.load(f)
+    floors = baseline["skip_ratio_floors"]
     failures = 0
-    for workload, seeds in golden.items():
+    for workload, seeds in baseline["digests"].items():
         for seed, want in seeds.items():
-            got = run_digest(workload, int(seed))
-            ok = got == want
-            failures += not ok
+            floor = floors[workload][seed]
+            got = run_traced(workload, int(seed))
+            if got is None:
+                problems = ["no result"]
+                digest, skip = None, float("nan")
+            else:
+                digest, failed, skip = got
+                problems = []
+                if digest != want:
+                    problems.append("digest MISMATCH")
+                if failed:
+                    problems.append(f"{failed} simulation(s) FAILED")
+                if not skip >= floor:
+                    problems.append("skip ratio BELOW FLOOR")
+            failures += bool(problems)
             print(f"{workload:10s} seed {seed:>5s}: want {want} "
-                  f"got {got or 'nothing'} {'ok' if ok else 'MISMATCH'}")
+                  f"got {digest or 'nothing'}, skip ratio {skip:.6f} "
+                  f"(floor {floor}) "
+                  f"{', '.join(problems) if problems else 'ok'}")
     if failures:
-        print(f"{failures} perfbench digest(s) differ from {args.baseline}",
+        print(f"{failures} perfbench run(s) miss {args.baseline}",
               file=sys.stderr)
         return 1
-    print("all perfbench digests match")
+    print("all perfbench digests match and skip ratios hold their floors")
     return 0
 
 
