@@ -44,10 +44,26 @@ class CacheArray
     bool access(Addr addr, bool make_dirty);
 
     /**
+     * The hit half of access(): on a hit, update LRU, mark the line
+     * dirty when @p make_dirty, record the hit and return true; on a
+     * miss change nothing (no miss is recorded) and return false.
+     * One set scan, where probe() then access() takes two.
+     */
+    bool accessIfHit(Addr addr, bool make_dirty);
+
+    /**
      * Install the line, evicting the set's LRU victim if needed.
      * The line must not already be present.
      */
     Victim insert(Addr addr, bool dirty);
+
+    /**
+     * Make the line present: insert() it when absent; when present,
+     * only mark it dirty if @p dirty (no LRU update) and return no
+     * victim.  One set scan finds the line or the victim insert()
+     * would pick, so a present line can never be inserted twice.
+     */
+    Victim fill(Addr addr, bool dirty);
 
     /** Mark an existing line dirty; returns false if absent. */
     bool setDirty(Addr addr);
@@ -63,11 +79,20 @@ class CacheArray
     std::uint64_t numSets() const { return sets_; }
 
   private:
+    /** 16 bytes: the tag and both state bits share one word. */
     struct Line {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
+        /** (tag << 2) | kDirty | kValid; 0 = invalid. */
+        std::uint64_t tagState = 0;
         std::uint64_t lastUse = 0;
+    };
+    static constexpr std::uint64_t kValid = 1;
+    static constexpr std::uint64_t kDirty = 2;
+
+    /** One pass over a set: the matching line, else the victim. */
+    struct SetScan {
+        Line *hit = nullptr;
+        /** First invalid way, else the least recently used one. */
+        Line *victim = nullptr;
     };
 
     std::uint64_t setIndex(Addr addr) const;
@@ -75,11 +100,16 @@ class CacheArray
     Addr lineAddrOf(std::uint64_t set, Addr tag) const;
     Line *findLine(Addr addr);
     const Line *findLine(Addr addr) const;
+    SetScan scanSet(Addr addr);
+    /** Write @p addr into the scanned victim way. */
+    Victim install(const SetScan &scan, Addr addr, bool dirty);
 
     CacheLevelConfig config_;
     std::string name_;
     std::uint64_t sets_;
     unsigned lineShift_;
+    /** lineShift_ + log2(sets_): the tag is the address above it. */
+    unsigned tagShift_;
     std::vector<Line> lines_;  // sets_ * assoc, row-major by set
     std::uint64_t useClock_ = 0;
     RatioStat demand_;

@@ -29,19 +29,45 @@ Hierarchy::Hierarchy(const HierarchyConfig &config, MemoryPort &dram,
       l1d_(config.l1d, "L1D"),
       l2_(config.l2, "L2"),
       l3_(config.l3, "L3"),
+      missSlots_(config.l1i.mshrs + config.l1d.mshrs +
+                 config.prefetchMshrs),
       pendingL1d_(num_threads, 0),
       pendingBeyondL2_(num_threads, 0),
       pendingDram_(num_threads, 0)
 {
     config_.validate();
+    // Popped from the back: slot 0 is handed out first.
+    for (auto s = static_cast<std::uint32_t>(missSlots_.size()); s-- > 0;)
+        freeMissSlots_.push_back(s);
+    missIndex_.reserve(missSlots_.size());
     dram_.setReadCallback([this](const DramRequest &req) {
-        const Cycle when = std::max(
-            req.completion + config_.dramReturnOverhead, events_.now());
-        const Addr line = req.addr;
-        events_.schedule(when, [this, line, when] {
-            handleFill(line, when);
-        });
+        scheduleFill(std::max(req.completion + config_.dramReturnOverhead,
+                              events_.now()),
+                     req.addr);
     });
+}
+
+void
+Hierarchy::scheduleFill(Cycle when, Addr line_addr)
+{
+    // The event runs with events_.now() == when.
+    events_.schedule(when, [this, line_addr] {
+        handleFill(line_addr, events_.now());
+    });
+}
+
+Hierarchy::OutstandingMiss &
+Hierarchy::allocateMiss(Addr line_addr)
+{
+    panic_if(freeMissSlots_.empty(),
+             "miss table full: every slot holds an MSHR, so an access "
+             "that passed its MSHR checks must find one free");
+    const std::uint32_t slot = freeMissSlots_.back();
+    freeMissSlots_.pop_back();
+    missIndex_.insert(line_addr, slot);
+    OutstandingMiss &m = missSlots_[slot];
+    m.targets.clear();
+    return m;
 }
 
 MissSource
@@ -69,17 +95,15 @@ Hierarchy::access(AccessKind kind, ThreadId tid, Addr vaddr, Cycle now)
     AccessResult res;
     res.tlbPenalty = tlb_penalty;
 
-    if (l1.probe(line)) {
-        l1.access(line, kind == AccessKind::Store);
+    if (l1.accessIfHit(line, kind == AccessKind::Store)) {
         res.status = AccessResult::Status::Hit;
         res.latency = l1.config().latency + tlb_penalty;
         return res;
     }
 
     // --- L1 miss: coalesce into an in-flight line if possible ------
-    auto it = misses_.find(line);
-    if (it != misses_.end()) {
-        OutstandingMiss &m = it->second;
+    if (const std::uint32_t *slot = missIndex_.find(line)) {
+        OutstandingMiss &m = missSlots_[*slot];
         const bool needs_l1_slot =
             is_fetch ? !m.fillL1i : !m.fillL1d;
         if (needs_l1_slot && l1_mshr_used >= l1.config().mshrs)
@@ -134,18 +158,15 @@ Hierarchy::access(AccessKind kind, ThreadId tid, Addr vaddr, Cycle now)
     if (source != MissSource::L2)
         l3_.access(line, false);
 
-    if (auto it_pf = prefetchedLines_.find(line);
-        it_pf != prefetchedLines_.end()) {
+    if (prefetchedLines_.erase(line))
         ++prefetchesUseful_;
-        prefetchedLines_.erase(it_pf);
-    }
 
-    OutstandingMiss m;
-    m.lineAddr = line;
+    OutstandingMiss &m = allocateMiss(line);
     m.source = source;
     m.fillL1i = is_fetch;
     m.fillL1d = !is_fetch;
     m.dirtyOnFill = kind == AccessKind::Store;
+    m.prefetch = false;
 
     Target t;
     t.missId = nextMissId_++;
@@ -168,26 +189,18 @@ Hierarchy::access(AccessKind kind, ThreadId tid, Addr vaddr, Cycle now)
     if (t.countsDram)
         ++pendingDram_[tid];
 
-    misses_.emplace(line, std::move(m));
     ++generation_;
 
     switch (source) {
-      case MissSource::L2: {
-        const Cycle when =
-            now + l1.config().latency + l2_.config().latency;
-        events_.schedule(when, [this, line, when] {
-            handleFill(line, when);
-        });
+      case MissSource::L2:
+        scheduleFill(now + l1.config().latency + l2_.config().latency,
+                     line);
         break;
-      }
-      case MissSource::L3: {
-        const Cycle when = now + l1.config().latency +
-                           l2_.config().latency + l3_.config().latency;
-        events_.schedule(when, [this, line, when] {
-            handleFill(line, when);
-        });
+      case MissSource::L3:
+        scheduleFill(now + l1.config().latency + l2_.config().latency +
+                         l3_.config().latency,
+                     line);
         break;
-      }
       case MissSource::Dram: {
         ThreadSnapshot snap;
         if (snapshotProvider_)
@@ -226,16 +239,17 @@ Hierarchy::maybePrefetch(ThreadId tid, Addr demand_line, Cycle now)
     const Addr line = demand_line + config_.l1d.lineBytes;
     if (mshrUsedPrefetch_ >= config_.prefetchMshrs)
         return;
-    if (misses_.count(line) || l2_.probe(line) || l3_.probe(line))
+    if (missIndex_.find(line) || l2_.probe(line) || l3_.probe(line))
         return;
     if (!dram_.canAccept(line, MemOp::Read))
         return;
 
-    OutstandingMiss m;
-    m.lineAddr = line;
+    OutstandingMiss &m = allocateMiss(line);
     m.source = MissSource::Dram;
+    m.fillL1i = false;
+    m.fillL1d = false;
+    m.dirtyOnFill = false;
     m.prefetch = true;
-    misses_.emplace(line, std::move(m));
     ++mshrUsedPrefetch_;
     ++generation_;
 
@@ -246,15 +260,15 @@ Hierarchy::maybePrefetch(ThreadId tid, Addr demand_line, Cycle now)
     ++prefetchesIssued_;
     if (prefetchedLines_.size() > 65536)
         prefetchedLines_.clear();
-    prefetchedLines_.insert(line);
+    if (!prefetchedLines_.find(line))
+        prefetchedLines_.insert(line, true);
 }
 
 void
 Hierarchy::writebackInto(CacheArray &level, Addr line_addr, Cycle now)
 {
-    if (level.setDirty(line_addr))
-        return;  // already present: absorbed
-    CacheArray::Victim victim = level.insert(line_addr, true);
+    // Already present: absorbed (marked dirty, no victim).
+    const CacheArray::Victim victim = level.fill(line_addr, true);
     if (!victim.valid || !victim.dirty)
         return;
     if (&level == &l2_) {
@@ -280,34 +294,35 @@ Hierarchy::queueDramWrite(Addr line_addr, Cycle now)
 void
 Hierarchy::handleFill(Addr line_addr, Cycle now)
 {
-    auto it = misses_.find(line_addr);
-    panic_if(it == misses_.end(), "fill for unknown line %#llx",
+    const std::uint32_t *found = missIndex_.find(line_addr);
+    panic_if(found == nullptr, "fill for unknown line %#llx",
              (unsigned long long)line_addr);
-    OutstandingMiss m = std::move(it->second);
-    misses_.erase(it);
+    const std::uint32_t slot = *found;
+    missIndex_.erase(line_addr);
+    const OutstandingMiss &m = missSlots_[slot];
     ++generation_;
 
-    // Install outermost-first so inner victims can land outward.
-    if (m.source == MissSource::Dram && !l3_.probe(line_addr)) {
-        CacheArray::Victim v = l3_.insert(line_addr, false);
+    // Install outermost-first so inner victims can land outward.  A
+    // level that already holds the line keeps it as is (the L1D only
+    // takes the store's dirty bit).
+    if (m.source == MissSource::Dram) {
+        const CacheArray::Victim v = l3_.fill(line_addr, false);
         if (v.valid && v.dirty)
             queueDramWrite(v.lineAddr, now);
     }
-    if (m.source != MissSource::L2 && !l2_.probe(line_addr)) {
-        CacheArray::Victim v = l2_.insert(line_addr, false);
+    if (m.source != MissSource::L2) {
+        const CacheArray::Victim v = l2_.fill(line_addr, false);
         if (v.valid && v.dirty)
             writebackInto(l3_, v.lineAddr, now);
     }
-    if (m.fillL1i && !l1i_.probe(line_addr)) {
+    if (m.fillL1i) {
         // Instruction lines are never dirty.
-        l1i_.insert(line_addr, false);
+        l1i_.fill(line_addr, false);
     }
-    if (m.fillL1d && !l1d_.probe(line_addr)) {
-        CacheArray::Victim v = l1d_.insert(line_addr, m.dirtyOnFill);
+    if (m.fillL1d) {
+        const CacheArray::Victim v = l1d_.fill(line_addr, m.dirtyOnFill);
         if (v.valid && v.dirty)
             writebackInto(l2_, v.lineAddr, now);
-    } else if (m.fillL1d && m.dirtyOnFill) {
-        l1d_.setDirty(line_addr);
     }
 
     // Release MSHRs.
@@ -352,6 +367,7 @@ Hierarchy::handleFill(Addr line_addr, Cycle now)
         if (missCallback_)
             missCallback_(t.missId, now);
     }
+    freeMissSlots_.push_back(slot);
 }
 
 void
@@ -367,12 +383,10 @@ Hierarchy::prewarmLine(ThreadId tid, Addr vaddr, bool into_l1)
 {
     const Addr line = lineAlign(pt_->translate(tid, vaddr));
     ++generation_;
-    if (!l3_.probe(line))
-        l3_.insert(line, false);
-    if (!l2_.probe(line))
-        l2_.insert(line, false);
-    if (into_l1 && !l1d_.probe(line))
-        l1d_.insert(line, false);
+    l3_.fill(line, false);
+    l2_.fill(line, false);
+    if (into_l1)
+        l1d_.fill(line, false);
 }
 
 void

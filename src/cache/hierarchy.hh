@@ -25,14 +25,13 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/cache_array.hh"
 #include "cache/cache_config.hh"
 #include "cache/tlb.hh"
 #include "common/event_queue.hh"
+#include "common/flat_u64_map.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "dram/memory_port.hh"
@@ -180,7 +179,7 @@ class Hierarchy
     }
 
     /** Outstanding miss entries (lines in flight), all levels. */
-    size_t outstandingLines() const { return misses_.size(); }
+    size_t outstandingLines() const { return missIndex_.size(); }
 
     void resetStats();
 
@@ -207,9 +206,8 @@ class Hierarchy
         bool countsDram = false;
     };
 
-    /** One line-granular miss in flight. */
+    /** One line-granular miss in flight: a slot of missSlots_. */
     struct OutstandingMiss {
-        Addr lineAddr = kAddrInvalid;
         MissSource source = MissSource::L2;
         bool fillL1i = false;
         bool fillL1d = false;
@@ -235,6 +233,13 @@ class Hierarchy
 
     /** Install @p line_addr at fill time and cascade victims. */
     void handleFill(Addr line_addr, Cycle now);
+
+    /** Run handleFill(@p line_addr) at cycle @p when.  The callback
+     *  captures 16 bytes, which std::function stores inline. */
+    void scheduleFill(Cycle when, Addr line_addr);
+
+    /** Take a free miss slot for @p line_addr and index it. */
+    OutstandingMiss &allocateMiss(Addr line_addr);
 
     /** Write a victim line into @p level (allocate-on-writeback). */
     void writebackInto(CacheArray &level, Addr line_addr, Cycle now);
@@ -266,7 +271,18 @@ class Hierarchy
     MissCallback missCallback_;
     SnapshotProvider snapshotProvider_;
 
-    std::unordered_map<Addr, OutstandingMiss> misses_;
+    /**
+     * The miss table: one slot per L1I, L1D and prefetch MSHR.  Every
+     * live line holds at least one of those MSHRs (a demand miss takes
+     * an L1 MSHR, a prefetch a prefetch MSHR) and gives them back
+     * before its slot frees, so a slot is free whenever an allocation
+     * passes its MSHR checks.  A slot keeps its targets' capacity and
+     * is reused only after handleFill delivered its targets.
+     */
+    std::vector<OutstandingMiss> missSlots_;
+    std::vector<std::uint32_t> freeMissSlots_;
+    /** Line address -> slot of every line in flight. */
+    FlatU64Map<std::uint32_t> missIndex_;
     std::uint32_t mshrUsedL1i_ = 0;
     std::uint32_t mshrUsedL1d_ = 0;
     std::uint32_t mshrUsedL2_ = 0;
@@ -286,8 +302,9 @@ class Hierarchy
     std::uint64_t coalescedTargets_ = 0;
 
     std::uint32_t mshrUsedPrefetch_ = 0;
-    /** Lines brought in by prefetch, awaiting first demand use. */
-    std::unordered_set<Addr> prefetchedLines_;
+    /** Lines brought in by prefetch, awaiting first demand use (the
+     *  value is unused). */
+    FlatU64Map<bool> prefetchedLines_;
     std::uint64_t prefetchesIssued_ = 0;
     std::uint64_t prefetchesUseful_ = 0;
 };

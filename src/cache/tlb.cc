@@ -21,15 +21,14 @@ PageTables::translate(ThreadId tid, Addr vaddr)
     LastXlate &last = last_[tid];
     if (last.vpage == vpage)
         return (last.frame << pageShift_) | offset;
-    auto &pt = tables_[tid];
-    auto it = pt.find(vpage);
+    FlatU64Map<Addr> &pt = tables_[tid];
     Addr frame;
-    if (it == pt.end()) {
+    if (const Addr *mapped = pt.find(vpage)) {
+        frame = *mapped;
+    } else {
         ++nextFrame_;
         frame = frameSource_ ? frameSource_(tid) : nextFrame_ - 1;
-        pt.emplace(vpage, frame);
-    } else {
-        frame = it->second;
+        pt.insert(vpage, frame);
     }
     last.vpage = vpage;
     last.frame = frame;
@@ -37,9 +36,28 @@ PageTables::translate(ThreadId tid, Addr vaddr)
 }
 
 Tlb::Tlb(std::uint32_t entries, Cycle miss_penalty)
-    : entries_(entries), missPenalty_(miss_penalty)
+    : entries_(entries), missPenalty_(miss_penalty), slots_(entries)
 {
     fatal_if(entries_ == 0, "TLB needs at least one entry");
+    index_.reserve(entries_);
+}
+
+void
+Tlb::unlink(std::uint32_t s)
+{
+    Entry &e = slots_[s];
+    (e.prev == kNoSlot ? mru_ : slots_[e.prev].next) = e.next;
+    (e.next == kNoSlot ? lru_ : slots_[e.next].prev) = e.prev;
+}
+
+void
+Tlb::pushFront(std::uint32_t s)
+{
+    Entry &e = slots_[s];
+    e.prev = kNoSlot;
+    e.next = mru_;
+    (mru_ == kNoSlot ? lru_ : slots_[mru_].prev) = s;
+    mru_ = s;
 }
 
 Cycle
@@ -47,25 +65,32 @@ Tlb::lookup(ThreadId tid, Addr vpage)
 {
     const std::uint64_t k = key(tid, vpage);
     // MRU short-circuit: a repeat of the most recent lookup is
-    // already at the LRU front, so the splice would be a no-op and
-    // the hash probe pure overhead.  State evolution is identical.
-    if (!lru_.empty() && lru_.front() == k) {
+    // already at the LRU front, so the move would be a no-op and
+    // the index probe pure overhead.  State evolution is identical.
+    if (mru_ != kNoSlot && slots_[mru_].key == k) {
         stats_.hit();
         return 0;
     }
-    auto it = index_.find(k);
-    if (it != index_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
+    if (const std::uint32_t *s = index_.find(k)) {
+        unlink(*s);
+        pushFront(*s);
         stats_.hit();
         return 0;
     }
     stats_.miss();
-    lru_.push_front(k);
-    index_[k] = lru_.begin();
-    if (lru_.size() > entries_) {
-        index_.erase(lru_.back());
-        lru_.pop_back();
+    // A free slot while the TLB fills, then the LRU entry's: the
+    // entry a true-LRU insert-then-evict would drop.
+    std::uint32_t s = used_;
+    if (used_ < entries_) {
+        ++used_;
+    } else {
+        s = lru_;
+        index_.erase(slots_[s].key);
+        unlink(s);
     }
+    slots_[s].key = k;
+    pushFront(s);
+    index_.insert(k, s);
     return missPenalty_;
 }
 

@@ -15,11 +15,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_config.hh"
+#include "common/flat_u64_map.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -62,13 +61,20 @@ class PageTables
     };
 
     std::uint32_t pageShift_;
-    std::vector<std::unordered_map<Addr, Addr>> tables_;
+    /** Per thread: vpage -> frame. */
+    std::vector<FlatU64Map<Addr>> tables_;
     std::vector<LastXlate> last_;
     std::uint64_t nextFrame_ = 0;
     std::function<Addr(ThreadId)> frameSource_;
 };
 
-/** One TLB (I or D): thread-tagged, fully associative, true LRU. */
+/**
+ * One TLB (I or D): thread-tagged, fully associative, true LRU.
+ *
+ * The entries live in a fixed slot array threaded by an intrusive
+ * MRU-to-LRU list, found through an open-addressed key -> slot index
+ * sized for the capacity, so a lookup never allocates.
+ */
 class Tlb
 {
   public:
@@ -90,11 +96,28 @@ class Tlb
         return (static_cast<std::uint64_t>(tid) << 48) | vpage;
     }
 
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+    /** One cached translation and its LRU-list links. */
+    struct Entry {
+        std::uint64_t key = 0;
+        std::uint32_t prev = kNoSlot;  ///< toward the MRU end
+        std::uint32_t next = kNoSlot;  ///< toward the LRU end
+    };
+
+    /** Take slot @p s out of the LRU list. */
+    void unlink(std::uint32_t s);
+    /** Put slot @p s at the MRU end of the list. */
+    void pushFront(std::uint32_t s);
+
     std::uint32_t entries_;
     Cycle missPenalty_;
-    std::list<std::uint64_t> lru_;
-    std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
-        index_;
+    std::vector<Entry> slots_;
+    std::uint32_t used_ = 0;
+    std::uint32_t mru_ = kNoSlot;
+    std::uint32_t lru_ = kNoSlot;
+    /** key -> slot of every cached translation. */
+    FlatU64Map<std::uint32_t> index_;
     RatioStat stats_;
 };
 

@@ -1,6 +1,7 @@
 #include "cpu/smt_core.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
@@ -39,6 +40,7 @@ SmtCore::SmtCore(const CoreConfig &config, Hierarchy &hierarchy)
                    config.archRegsPerThread * config.numThreads),
       freeFpRegs_(config.fpRegs -
                   config.archRegsPerThread * config.numThreads),
+      robShift_(floorLog2(config.robPerThread)),
       robHighWater_(config.numThreads, 0),
       intIqHighWater_(config.numThreads, 0),
       fetchStallSince_(config.numThreads, kCycleNever)
@@ -51,6 +53,26 @@ SmtCore::SmtCore(const CoreConfig &config, Hierarchy &hierarchy)
     writeBuffer_.init(config_.writeBufferCap);
     intReady_.reserve(config_.intIqSize);
     fpReady_.reserve(config_.fpIqSize);
+
+    fatal_if((std::uint64_t{config_.numThreads} << robShift_) >= kNoSlot,
+             "%u threads x %u ROB entries overflow 32-bit slot indices",
+             config_.numThreads, config_.robPerThread);
+    // The completion ring must outlast the longest issue-to-complete
+    // delay: an execution latency, or a load's L1D hit after a TLB
+    // miss.  At least 64 buckets, one word of the busy bitmap.
+    Cycle longest = execLatency(OpClass::Load) +
+                    hierarchy_.config().l1d.latency +
+                    hierarchy_.config().tlbMissPenalty;
+    for (OpClass c : {OpClass::IntAlu, OpClass::IntMult, OpClass::FpAlu,
+                      OpClass::FpMult, OpClass::Load, OpClass::Store,
+                      OpClass::Branch})
+        longest = std::max(longest, execLatency(c));
+    std::size_t ring = 64;
+    while (ring <= longest)
+        ring *= 2;
+    doneHead_.assign(ring, kNoSlot);
+    doneBusy_.assign(ring / 64, 0);
+    missWaiters_.reserve(config_.lqSize + config_.numThreads);
 
     hierarchy_.setMissCallback(
         [this](std::uint64_t miss_id, Cycle when) {
@@ -91,12 +113,21 @@ SmtCore::bindStream(ThreadId tid, InstStream *stream)
     panic_if(tid >= threads_.size(), "thread %u out of range", tid);
     ThreadState &t = threads_[tid];
     t.stream = stream;
+    if (stream != nullptr)
+        return;
     // Parking must discard a stashed (fetched-but-blocked) op: only a
     // fetch retry can consume it, a parked slot never fetches, and
     // quiescence requires the stash to be empty — keeping it would
     // wedge the migration waiting on this slot forever.
-    if (stream == nullptr)
-        t.stashedOpValid = false;
+    t.stashedOpValid = false;
+    // Only bound slots are traced: end the parked slot's span here,
+    // before the core the thread moves to can open its next one.
+    Cycle &since = fetchStallSince_[tid];
+    if (tracer_ && since != kCycleNever) {
+        tracer_->asyncEnd("cpu", "fetch-stall", tid, kTracePidCpu,
+                          lastCycle_);
+        since = kCycleNever;
+    }
 }
 
 bool
@@ -274,13 +305,63 @@ SmtCore::markCompleted(ThreadId tid, InstSeq seq, Cycle now)
 }
 
 void
+SmtCore::scheduleCompletion(ThreadId tid, DynInst &slot, Cycle now,
+                            Cycle when)
+{
+    panic_if(when <= now || when - now >= doneHead_.size(),
+             "completion at cycle %llu (now %llu) does not fit the "
+             "%zu-cycle ring", (unsigned long long)when,
+             (unsigned long long)now, doneHead_.size());
+    const std::size_t b = when & (doneHead_.size() - 1);
+    slot.nextDone = doneHead_[b];
+    doneHead_[b] = (tid << robShift_) |
+                   static_cast<std::uint32_t>(
+                       slot.seq & (config_.robPerThread - 1));
+    doneBusy_[b >> 6] |= std::uint64_t{1} << (b & 63);
+    ++donePending_;
+}
+
+Cycle
+SmtCore::earliestCompletion() const
+{
+    // Pending completions lie in [doneFrom_, doneFrom_ + ring size):
+    // walk the busy bitmap from doneFrom_'s bucket, wrapping once.
+    const std::size_t mask = doneHead_.size() - 1;
+    std::size_t idx = doneFrom_ & mask;
+    for (Cycle offset = 0;;) {
+        panic_if(offset > doneHead_.size(), "completion ring is empty");
+        const std::uint64_t bits = doneBusy_[idx >> 6] >> (idx & 63);
+        if (bits != 0)
+            return doneFrom_ + offset + std::countr_zero(bits);
+        const std::size_t step = 64 - (idx & 63);
+        offset += step;
+        idx = (idx + step) & mask;
+    }
+}
+
+void
 SmtCore::completeStage(Cycle now)
 {
-    while (!completions_.empty() && completions_.top().when <= now) {
-        const Completion c = completions_.top();
-        completions_.pop();
-        markCompleted(c.tid, c.seq, now);
+    const std::size_t mask = doneHead_.size() - 1;
+    while (donePending_ > 0) {
+        const Cycle when = earliestCompletion();
+        if (when > now)
+            break;
+        const std::size_t b = when & mask;
+        std::uint32_t link = doneHead_[b];
+        doneHead_[b] = kNoSlot;
+        doneBusy_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+        while (link != kNoSlot) {
+            const ThreadId tid = link >> robShift_;
+            const DynInst &slot =
+                threads_[tid].rob[link & (config_.robPerThread - 1)];
+            link = slot.nextDone;
+            --donePending_;
+            markCompleted(tid, slot.seq, now);
+        }
+        doneFrom_ = when + 1;
     }
+    doneFrom_ = now + 1;
 }
 
 // --------------------------------------------------------------------
@@ -352,17 +433,15 @@ SmtCore::issueStage(Cycle now)
                 }
                 --ports;
                 if (r.status == AccessResult::Status::Hit) {
-                    completions_.push(Completion{
-                        now + execLatency(cls) + r.latency, ref.tid,
-                        ref.seq});
+                    scheduleCompletion(ref.tid, slot, now,
+                                       now + execLatency(cls) + r.latency);
                 } else {
-                    missWaiters_[r.missId] =
-                        MissWaiter{ref.tid, ref.seq, false};
+                    addMissWaiter(r.missId, ref.tid, ref.seq, false);
                 }
                 ++perf_[ref.tid].loads;
             } else {
-                completions_.push(Completion{now + execLatency(cls),
-                                             ref.tid, ref.seq});
+                scheduleCompletion(ref.tid, slot, now,
+                                   now + execLatency(cls));
                 if (cls == OpClass::Store)
                     ++perf_[ref.tid].stores;
             }
@@ -532,7 +611,7 @@ SmtCore::fetchFromThread(ThreadId tid, std::uint32_t budget, Cycle now)
             t.lastFetchLine = line;
             if (r.status == AccessResult::Status::Pending) {
                 t.icacheBlocked = true;
-                missWaiters_[r.missId] = MissWaiter{tid, 0, true};
+                addMissWaiter(r.missId, tid, 0, true);
             }
         }
 
@@ -589,8 +668,12 @@ void
 SmtCore::traceFetchStall(ThreadId tid, bool can_fetch, Cycle now)
 {
     // One async span per window in which this thread cannot be
-    // fetched from, labeled with what gates it.
+    // fetched from, labeled with what gates it.  A slot with no bound
+    // stream holds no thread here (on a multi-socket machine, the
+    // thread runs on another core), so it is not traced.
     const ThreadState &t = threads_[tid];
+    if (t.stream == nullptr)
+        return;
     Cycle &since = fetchStallSince_[tid];
     if (!can_fetch && since == kCycleNever) {
         since = now;
@@ -673,13 +756,22 @@ SmtCore::drainWriteBuffer(Cycle now)
 // --------------------------------------------------------------------
 
 void
+SmtCore::addMissWaiter(std::uint64_t miss_id, ThreadId tid, InstSeq seq,
+                       bool is_fetch)
+{
+    panic_if(missWaiters_.size() >= config_.lqSize + config_.numThreads,
+             "more than lqSize + numThreads miss waiters");
+    missWaiters_.insert(miss_id, MissWaiter{tid, is_fetch, seq});
+}
+
+void
 SmtCore::onMissComplete(std::uint64_t miss_id, Cycle when)
 {
-    auto it = missWaiters_.find(miss_id);
-    if (it == missWaiters_.end())
+    const MissWaiter *found = missWaiters_.find(miss_id);
+    if (found == nullptr)
         return;  // e.g. a store fill nobody waits on
-    const MissWaiter w = it->second;
-    missWaiters_.erase(it);
+    const MissWaiter w = *found;
+    missWaiters_.erase(miss_id);
     if (w.isFetch)
         threads_[w.tid].icacheBlocked = false;
     else
@@ -714,8 +806,8 @@ SmtCore::nextEventAt(Cycle now) const
     if (dispatchWakeAt_ <= now + 1)
         return now + 1;
     Cycle next = dispatchWakeAt_;
-    if (!completions_.empty())
-        next = std::min(next, completions_.top().when);
+    if (donePending_ > 0)
+        next = std::min(next, earliestCompletion());
 
     for (ThreadId tid = 0; tid < config_.numThreads; ++tid) {
         const ThreadState &t = threads_[tid];

@@ -24,12 +24,11 @@
 #define SMTDRAM_CPU_SMT_CORE_HH
 
 #include <cstdint>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/hierarchy.hh"
 #include "common/bounded_fifo.hh"
+#include "common/flat_u64_map.hh"
 #include "common/stats.hh"
 #include "common/trace_event.hh"
 #include "common/types.hh"
@@ -58,7 +57,8 @@ class SmtCore
     SmtCore(const CoreConfig &config, Hierarchy &hierarchy);
 
     /** Attach thread @p tid's instruction source (not owned).
-     *  nullptr parks the slot: fetch stops, in-flight work drains. */
+     *  nullptr parks the slot: fetch stops, in-flight work drains,
+     *  and the slot's open fetch-stall trace span closes. */
     void bindStream(ThreadId tid, InstStream *stream);
 
     /**
@@ -181,6 +181,8 @@ class SmtCore
 
     /** Null link in a producer's consumer chain. */
     static constexpr std::uint64_t kNoLink = ~std::uint64_t{0};
+    /** Null link in a completion-ring bucket. */
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
     /** In-flight instruction state (ROB slot). */
     struct DynInst {
@@ -197,6 +199,9 @@ class SmtCore
         /** Load only: the hierarchy resource generation its last cache
          *  probe blocked at, 0 when it is not gated. */
         std::uint64_t blockedGen = 0;
+        /** Next entry of its completion-ring bucket, as a ROB slot
+         *  index over every thread: (tid << robShift_) | ring position. */
+        std::uint32_t nextDone = kNoSlot;
         enum class State : std::uint8_t {
             Empty,
             Waiting,   ///< in the issue queue
@@ -265,6 +270,15 @@ class SmtCore
 
     void markCompleted(ThreadId tid, InstSeq seq, Cycle now);
 
+    /** File the just-issued @p slot of @p tid to complete at @p when. */
+    void scheduleCompletion(ThreadId tid, DynInst &slot, Cycle now,
+                            Cycle when);
+    /** Earliest cycle with a pending completion (some must pend). */
+    Cycle earliestCompletion() const;
+
+    /** Wait for miss @p miss_id: a load (@p seq) or an I-fetch. */
+    void addMissWaiter(std::uint64_t miss_id, ThreadId tid, InstSeq seq,
+                       bool is_fetch);
     void onMissComplete(std::uint64_t miss_id, Cycle when);
 
     // ------------------------------------------------------------------
@@ -308,29 +322,36 @@ class SmtCore
     std::uint32_t lqUsed_ = 0;
     std::uint32_t sqUsed_ = 0;
 
-    /** FU completion events: (cycle, tid, seq). */
-    struct Completion {
-        Cycle when;
-        ThreadId tid;
-        InstSeq seq;
+    /**
+     * FU completions: a calendar ring of per-cycle buckets, each an
+     * intrusive list of ROB slots threaded through DynInst::nextDone.
+     * The ring is a power of two longer than the longest issue-to-
+     * complete delay, so every pending completion lies in
+     * [doneFrom_, doneFrom_ + ring size) and owns its bucket's cycle.
+     * Order within a bucket cannot matter: completing an entry only
+     * marks its slot, files its woken consumers into the ready lists
+     * at their (unique) age positions, and sets a redirect time from
+     * the current cycle alone, so any order leaves the same state.
+     */
+    std::vector<std::uint32_t> doneHead_;
+    /** Bit per bucket: non-empty. */
+    std::vector<std::uint64_t> doneBusy_;
+    std::uint32_t donePending_ = 0;
+    /** First cycle completeStage() has not drained yet. */
+    Cycle doneFrom_ = 0;
+    /** log2(robPerThread), for DynInst::nextDone indices. */
+    unsigned robShift_;
 
-        bool
-        operator>(const Completion &o) const
-        {
-            return when > o.when;
-        }
-    };
-    std::priority_queue<Completion, std::vector<Completion>,
-                        std::greater<>>
-        completions_;
-
-    /** Outstanding load / I-fetch cache misses keyed by miss id. */
+    /** Outstanding load / I-fetch cache misses keyed by miss id.
+     *  Bounded by lqSize + numThreads: a waiting load holds an LQ
+     *  entry, and a thread has at most one I-fetch miss (fetch stops
+     *  until it fills), so the reserved table never grows. */
     struct MissWaiter {
-        ThreadId tid;
-        InstSeq seq;
-        bool isFetch;
+        ThreadId tid = 0;
+        bool isFetch = false;
+        InstSeq seq = 0;
     };
-    std::unordered_map<std::uint64_t, MissWaiter> missWaiters_;
+    FlatU64Map<MissWaiter> missWaiters_;
 
     /** Retired stores on their way to the L1D. */
     struct PendingStore {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/cache_array.hh"
+#include "common/random.hh"
 
 namespace smtdram
 {
@@ -140,6 +141,86 @@ TEST(CacheArray, Table1Geometries)
     EXPECT_EQ(CacheArray(l1, "L1").numSets(), 512u);
     EXPECT_EQ(CacheArray(l2, "L2").numSets(), 4096u);
     EXPECT_EQ(CacheArray(l3, "L3").numSets(), 16384u);
+}
+
+void
+expectSameVictim(const CacheArray::Victim &a, const CacheArray::Victim &b,
+                 int step)
+{
+    EXPECT_EQ(a.valid, b.valid) << "step " << step;
+    EXPECT_EQ(a.dirty, b.dirty) << "step " << step;
+    if (a.valid) {
+        EXPECT_EQ(a.lineAddr, b.lineAddr) << "step " << step;
+    }
+}
+
+/**
+ * The single-scan paths against the probe-then-act sequences they
+ * replace, on a random stream over a 4-set, 4-way array: fill() must
+ * evict the same victims (clean or dirty) as probe + insert/setDirty,
+ * and accessIfHit() must hit, update LRU and count exactly like
+ * probe + access.  Invalidations leave holes between valid ways, so
+ * the victim choice meets invalid ways at every position.
+ */
+TEST(CacheArray, SingleScanMatchesProbeThenInsert)
+{
+    CacheLevelConfig c;
+    c.sizeBytes = 4 * 4 * 64;
+    c.assoc = 4;
+    c.lineBytes = 64;
+    CacheArray fast(c, "scan");
+    CacheArray ref(c, "probe");
+    const auto addr = [](std::uint64_t set, std::uint64_t tag) {
+        return (tag * 4 + set) << 6;
+    };
+    Rng rng(99);
+    for (int step = 0; step < 50'000; ++step) {
+        const Addr a = addr(rng.below(4), rng.below(10));
+        const bool dirty = rng.chance(0.3);
+        switch (rng.below(4)) {
+          case 0: {
+            CacheArray::Victim want;
+            if (!ref.probe(a))
+                want = ref.insert(a, dirty);
+            else if (dirty)
+                ref.setDirty(a);
+            expectSameVictim(fast.fill(a, dirty), want, step);
+            break;
+          }
+          case 1: {
+            const bool want = ref.probe(a) && ref.access(a, dirty);
+            EXPECT_EQ(fast.accessIfHit(a, dirty), want) << "step " << step;
+            break;
+          }
+          case 2:
+            EXPECT_EQ(fast.access(a, dirty), ref.access(a, dirty))
+                << "step " << step;
+            break;
+          default:
+            if (rng.chance(0.2))
+                expectSameVictim(fast.invalidate(a), ref.invalidate(a),
+                                 step);
+        }
+    }
+    for (std::uint64_t set = 0; set < 4; ++set) {
+        for (std::uint64_t tag = 0; tag < 10; ++tag)
+            EXPECT_EQ(fast.probe(addr(set, tag)), ref.probe(addr(set, tag)));
+    }
+    EXPECT_EQ(fast.demandStats().hits(), ref.demandStats().hits());
+    EXPECT_EQ(fast.demandStats().misses(), ref.demandStats().misses());
+}
+
+TEST(CacheArray, FillKeepsPresentLine)
+{
+    CacheArray cache(tiny(), "t");
+    cache.insert(addrOf(0, 1), false);
+    cache.insert(addrOf(0, 2), false);
+    // Present: no victim, no LRU update, only the dirty bit merges.
+    EXPECT_FALSE(cache.fill(addrOf(0, 1), true).valid);
+    const CacheArray::Victim v = cache.insert(addrOf(0, 3), false);
+    ASSERT_TRUE(v.valid);
+    EXPECT_EQ(v.lineAddr, addrOf(0, 1));
+    EXPECT_TRUE(v.dirty);
 }
 
 TEST(CacheArrayDeathTest, DoubleInsertPanics)

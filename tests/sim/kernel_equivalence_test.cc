@@ -274,6 +274,25 @@ TEST(KernelEquivalence, MshrStarvedMemoryMix)
     expectEquivalent(cyc, evt);
 }
 
+TEST(KernelEquivalence, LongTlbPenaltyWrapsCompletionRing)
+{
+    // A 200-cycle TLB miss penalty stretches a load hit's issue-to-
+    // complete delay to 202 cycles, so the core's completion ring
+    // grows past 64 buckets (to 256) and wraps every 256 cycles with
+    // next-cycle and far-out completions pending together.
+    SystemConfig config = SystemConfig::paperDefault(2);
+    config.hierarchy.tlbMissPenalty = 200;
+    const std::vector<AppProfile> apps = mixProfiles("2-MIX");
+    const Snapshot cyc =
+        runKernel(config, apps, 42, KernelMode::PerCycle);
+    const Snapshot evt =
+        runKernel(config, apps, 42, KernelMode::EventDriven);
+    // Not vacuous: TLB misses happen and the run spans many wraps.
+    EXPECT_GT(cyc.dtlbMisses, 0u);
+    EXPECT_GT(cyc.r.measuredCycles, 10u * 256u);
+    expectEquivalent(cyc, evt);
+}
+
 TEST(KernelEquivalence, TracedRunWritesIdenticalTrace)
 {
     // Tracing does not hold the event kernel to per-cycle stepping:

@@ -287,6 +287,65 @@ TEST(Observability, TraceLifecyclesConserve)
     EXPECT_LE(unterminated, 64u);
 }
 
+/**
+ * On a multi-socket machine every core holds a slot for every thread
+ * but runs only the threads bound to it, and all cores key their
+ * fetch-stall spans by thread id.  Only the core a thread is bound to
+ * may trace it, and parking the thread for a migration must close its
+ * open span, so each id's spans alternate begin, end, begin, ...
+ * Runs Figure 14's traced cell (n4-MEM, migrate placement) under both
+ * kernels.
+ */
+TEST(Observability, MultiSocketFetchStallSpansAlternate)
+{
+    for (const KernelMode kernel :
+         {KernelMode::PerCycle, KernelMode::EventDriven}) {
+        TempPaths tmp;
+        SystemConfig config = SystemConfig::paperDefault(4);
+        config.kernel = kernel;
+        config.topology.enabled = true;
+        config.topology.sockets = 2;
+        config.topology.smtWays = 2;
+        config.topology.home = HomePolicy::Loader;
+        config.topology.placement = PlacementPolicy::Migrate;
+        config.topology.migrationEpoch = 5'000;
+        config.observe.tracePath = tmp.trace;
+        std::vector<AppProfile> apps;
+        for (const char *app : {"mcf", "ammp", "equake", "swim"})
+            apps.push_back(specProfile(app));
+        SmtSystem system(config, apps, 42);
+        system.run(4000, 2000);
+        // Not vacuous: a thread was parked and moved while measured.
+        EXPECT_GT(system.router().stats().migrations, 0u);
+
+        const std::string doc = slurp(tmp.trace);
+        std::map<std::string, char> last;  // id -> last phase seen
+        std::istringstream ss(doc);
+        std::string line;
+        size_t spans = 0;
+        while (std::getline(ss, line)) {
+            if (line.find("\"name\":\"fetch-stall\"") == std::string::npos)
+                continue;
+            const size_t ph = line.find("\"ph\":\"");
+            const size_t id_at = line.find("\"id\":\"");
+            ASSERT_NE(ph, std::string::npos);
+            ASSERT_NE(id_at, std::string::npos);
+            const char kind = line[ph + 6];
+            const std::string id = line.substr(
+                id_at + 6, line.find('"', id_at + 6) - id_at - 6);
+            const char prev = last.count(id) ? last[id] : 'e';
+            EXPECT_NE(kind, prev)
+                << "fetch-stall id " << id << " has two '" << kind
+                << "' events in a row (kernel "
+                << (kernel == KernelMode::PerCycle ? "cycle" : "event")
+                << "): " << line;
+            last[id] = kind;
+            spans += kind == 'b';
+        }
+        EXPECT_GT(spans, 0u);
+    }
+}
+
 TEST(Observability, BaselineRunsDoNotClobberMixArtifacts)
 {
     // runMix() executes the mix first, then the per-app alone

@@ -224,15 +224,18 @@ runBothPhases(KernelMode kernel)
     system.run(14'000, 1'000);
     const std::uint64_t longRun = allocCalls() - beforeLong;
 
-    // The DRAM request path is strictly allocation-free (asserted at
-    // the DramSystem layer above); what remains here is the cache
-    // hierarchy's per-L2-miss tracking nodes (unordered_map), ~0.8
-    // allocations per cycle with this workload.  The bound ratchets
-    // that rate: one new per-cycle allocation anywhere in the machine
-    // adds 10k+ and fails.
+    // The whole machine is allocation-free once warm: the DRAM request
+    // path (asserted at the DramSystem layer above), the core's
+    // completion ring and miss-waiter table, the hierarchy's MSHR-slot
+    // miss table, 16-byte fill events (stored inline by std::function)
+    // and the flat TLBs all reuse reserved storage.  What may remain
+    // is first-touch growth: a page-table or event-queue high-water
+    // mark the longer run reaches for the first time.  One allocation
+    // per cycle, per instruction or per miss anywhere in the machine
+    // adds thousands and fails.
     const std::int64_t excess = static_cast<std::int64_t>(longRun) -
                                 static_cast<std::int64_t>(shortRun);
-    EXPECT_LE(excess, 10'000)
+    EXPECT_LE(excess, 64)
         << "10k extra measured cycles cost " << excess
         << " extra allocation(s): something new allocates per cycle "
         << "or per request (short run " << shortRun << ", long run "

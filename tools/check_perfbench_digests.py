@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check perfbench's sweep digests and skip ratios against committed values.
+"""Check perfbench's digests, skip ratios and allocation rates.
 
 Usage, from the root of the repository:
 
@@ -7,7 +7,7 @@ Usage, from the root of the repository:
         [--baseline bench/baseline/perfbench_digests.json]
 
 Runs ``perfbench/run.py --workload W --seed S --seconds 1 --trace 1``
-once for every workload and seed in the baseline and checks three
+once for every workload and seed in the baseline and checks four
 things in its output:
 
 - the ``digest <workload> <hex>`` line matches the committed digest.
@@ -22,7 +22,12 @@ things in its output:
   cycles simulated) is at least the committed floor.  The ratio is a
   simulated count that repeats exactly, so a ``nextEventAt`` that
   answers "next cycle" too often fails here even though every digest
-  still matches.
+  still matches;
+- that JSON's ``sim.allocs_per_kinst`` (heap allocations per thousand
+  measured instructions, counted exactly by the traced run) is at or
+  below the committed ceiling.  The busy path allocates nothing once
+  warm, so one allocation per instruction, per miss or per fill event
+  lifts the count by tens to thousands and fails here.
 
 Exits 1 if any run fails or any check misses.
 """
@@ -39,8 +44,8 @@ DIGEST = re.compile(r"^digest (\S+) ([0-9a-f]+)$", re.MULTILINE)
 
 
 def run_traced(workload, seed):
-    """(digest, failed simulations, skip ratio) of one traced run, or
-    None if the run failed or printed no result."""
+    """(digest, failed simulations, skip ratio, allocs/kinst) of one
+    traced run, or None if the run failed or printed no result."""
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", "1", "--trace", "1"]
@@ -54,10 +59,11 @@ def run_traced(workload, seed):
     try:
         result = json.loads(lines[-1])
         skip = result["metrics"]["sim.skip_ratio"]["value"]
+        allocs = result["metrics"]["sim.allocs_per_kinst"]["value"]
         failed = result["failed"]
     except (ValueError, KeyError):
         return None
-    return digest, failed, skip
+    return digest, failed, skip, allocs
 
 
 def main():
@@ -70,16 +76,18 @@ def main():
     with open(args.baseline) as f:
         baseline = json.load(f)
     floors = baseline["skip_ratio_floors"]
+    ceilings = baseline["allocs_per_kinst_ceilings"]
     failures = 0
     for workload, seeds in baseline["digests"].items():
         for seed, want in seeds.items():
             floor = floors[workload][seed]
+            ceiling = ceilings[workload][seed]
             got = run_traced(workload, int(seed))
             if got is None:
                 problems = ["no result"]
-                digest, skip = None, float("nan")
+                digest, skip, allocs = None, float("nan"), float("nan")
             else:
-                digest, failed, skip = got
+                digest, failed, skip, allocs = got
                 problems = []
                 if digest != want:
                     problems.append("digest MISMATCH")
@@ -87,16 +95,20 @@ def main():
                     problems.append(f"{failed} simulation(s) FAILED")
                 if not skip >= floor:
                     problems.append("skip ratio BELOW FLOOR")
+                if not allocs <= ceiling:
+                    problems.append("allocs/kinst ABOVE CEILING")
             failures += bool(problems)
             print(f"{workload:10s} seed {seed:>5s}: want {want} "
                   f"got {digest or 'nothing'}, skip ratio {skip:.6f} "
-                  f"(floor {floor}) "
+                  f"(floor {floor}), allocs/kinst {allocs:.4f} "
+                  f"(ceiling {ceiling}) "
                   f"{', '.join(problems) if problems else 'ok'}")
     if failures:
         print(f"{failures} perfbench run(s) miss {args.baseline}",
               file=sys.stderr)
         return 1
-    print("all perfbench digests match and skip ratios hold their floors")
+    print("all perfbench digests match, skip ratios hold their floors "
+          "and allocation rates stay under their ceilings")
     return 0
 
 
