@@ -285,12 +285,13 @@ BM_EccScrub(benchmark::State &state)
 BENCHMARK(BM_EccScrub)->DenseRange(0, 5)->Iterations(150'000);
 
 /**
- * Power-subsystem overhead: BM_SimThroughput's workload with the
- * low-power state machine off (arg 0, the always-on metering only)
- * vs. on (arg 1).  The metering row must stay within a few percent of
- * BM_SimThroughput — energy accounting is pure arithmetic on events
- * that already happen and the lazy state machine does no per-cycle
- * work, so neither row may tax the per-cycle kernel.
+ * Power-subsystem overhead: the default machine (event kernel) on a
+ * 2-thread mcf + swim mix, 4000 measured + 1000 warm-up instructions,
+ * with the low-power state machine off (arg 0, the always-on metering
+ * only) vs. on (arg 1).  Row 0 is therefore the plain whole-simulator
+ * throughput of that mix: energy accounting is pure arithmetic on
+ * events that already happen and the lazy state machine does no
+ * per-cycle work, so neither row may tax the kernel.
  */
 void
 BM_PowerOverhead(benchmark::State &state)
@@ -383,112 +384,13 @@ BM_HammerOverhead(benchmark::State &state)
 BENCHMARK(BM_HammerOverhead)->Arg(0)->Arg(1)->Iterations(5);
 
 /**
- * Whole-simulator throughput: simulated cycles per wall-clock second
- * on a small 2-thread memory-bound mix.  This is the number the
- * per-cycle kernel optimizations (candidate scratch reuse, positional
- * dequeue, incremental commit totals, DRAM idle fast-path) move; the
- * figure sweeps scale with it directly.  Arg 0 runs the legacy
- * per-cycle kernel, arg 1 the event-driven one (both produce
- * byte-identical results; see DESIGN.md §14).
- */
-void
-BM_SimThroughput(benchmark::State &state)
-{
-    SystemConfig config = SystemConfig::paperDefault(2);
-    config.kernel = state.range(0) != 0 ? KernelMode::EventDriven
-                                        : KernelMode::PerCycle;
-    std::vector<AppProfile> apps = {specProfile("mcf"),
-                                    specProfile("swim")};
-    std::uint64_t cycles = 0;
-    for (auto _ : state) {
-        SmtSystem system(config, apps, 42);
-        const RunResult r = system.run(4'000, 1'000);
-        cycles += r.measuredCycles;
-        benchmark::DoNotOptimize(r.measuredCycles);
-    }
-    state.SetLabel(state.range(0) != 0 ? "event-driven" : "per-cycle");
-    state.counters["sim_cycles_per_sec"] = benchmark::Counter(
-        static_cast<double>(cycles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimThroughput)->Arg(0)->Arg(1);
-
-/**
- * Event-driven kernel payoff on memory-idle phases: one thread of
- * mcf, the most memory-bound profile, spends most of its cycles with
- * the pipeline fully wedged behind a cache-missing load — the ROB
- * head incomplete, nothing dispatchable or issuable, fetch queue
- * full.  The per-cycle kernel grinds through every one of those
- * stall cycles; the event-driven kernel jumps straight to the DRAM
- * completion.  Arg 0 / arg 1 select the kernel; the event-driven row
- * asserts a >=2x best-of-iterations speedup over the per-cycle row
- * (wall-clock per simulated cycle, which filters scheduler noise).
- * Run without SMTDRAM_KERNEL in the environment — the override
- * applies process-wide and would collapse the two rows into one.
- */
-void
-BM_MemoryIdlePhase(benchmark::State &state)
-{
-    const bool event_driven = state.range(0) != 0;
-    SystemConfig config = SystemConfig::paperDefault(1);
-    config.kernel = event_driven ? KernelMode::EventDriven
-                                 : KernelMode::PerCycle;
-    // mcf dialed up: a stationary stream of mostly-cold pointer-chase
-    // loads serializes the misses, so the machine spends nearly all
-    // its time fully wedged behind a single outstanding DRAM read.
-    // A 6 GHz core against the same 200 MHz DDR part doubles every
-    // stall window in core cycles (the trend the paper's Section 1
-    // motivates), stretching the idle phases the skip kernel elides.
-    AppProfile app = specProfile("mcf");
-    app.coldFrac = 0.6;
-    app.memPhaseFrac = 1.0;
-    std::vector<AppProfile> apps = {app};
-    config.dram.timing.cpuMhz *= 2;
-    config.dram.timing.rowAccess *= 2;
-    config.dram.timing.columnAccess *= 2;
-    config.dram.timing.precharge *= 2;
-    config.dram.timing.controllerOverhead *= 2;
-    static double best_sec_per_cycle[2] = {1e30, 1e30};
-    std::uint64_t cycles = 0;
-    for (auto _ : state) {
-        SmtSystem system(config, apps, 42);
-        // Time run() alone: construction (cache prewarm over the cold
-        // footprint) is identical for both rows and would otherwise
-        // dilute the kernel-to-kernel ratio.
-        const auto t0 = std::chrono::steady_clock::now();
-        const RunResult r = system.run(8'000, 1'000);
-        const std::chrono::duration<double> dt =
-            std::chrono::steady_clock::now() - t0;
-        best_sec_per_cycle[event_driven ? 1 : 0] =
-            std::min(best_sec_per_cycle[event_driven ? 1 : 0],
-                     dt.count() /
-                         static_cast<double>(r.measuredCycles));
-        cycles += r.measuredCycles;
-        benchmark::DoNotOptimize(r.measuredCycles);
-    }
-    state.SetLabel(event_driven ? "event-driven" : "per-cycle");
-    state.counters["sim_cycles_per_sec"] = benchmark::Counter(
-        static_cast<double>(cycles), benchmark::Counter::kIsRate);
-    if (event_driven && best_sec_per_cycle[0] < 1e29) {
-        const double speedup =
-            best_sec_per_cycle[0] / best_sec_per_cycle[1];
-        state.counters["speedup_x"] = speedup;
-        if (speedup < 2.0) {
-            state.SkipWithError(
-                "event-driven kernel is under 2x the per-cycle "
-                "kernel on the memory-idle microbench");
-        }
-    }
-}
-BENCHMARK(BM_MemoryIdlePhase)->Arg(0)->Arg(1)->Iterations(8);
-
-/**
  * Scheduler-scan cost: one controller tick against a read queue held
  * at the given depth.  Each tick launches at most one transaction (so
  * the queue stays near the target depth) and the candidate gather
  * walks every queued entry, making this a direct microbenchmark of
  * the queue-scan data layout (QueuedRef field caching, the bank
- * readiness bitset, the pooled request slab) that BM_SimThroughput
- * only exercises diluted through the whole simulator.
+ * readiness bitset, the pooled request slab) that whole-simulator
+ * runs only exercise diluted.
  */
 void
 BM_SchedScan(benchmark::State &state)

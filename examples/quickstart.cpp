@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "common/flags.hh"
-#include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 
 using namespace smtdram;
 
@@ -48,13 +48,19 @@ main(int argc, char **argv)
         std::printf("%s%s", i ? ", " : "", mix.apps[i].c_str());
     std::printf(")\n\n");
 
-    ExperimentContext ctx(insts, warmup);
-    const MixRun result = ctx.runMix(config, mix);
+    // One worker: the mix and its baselines run inline, in order.
+    ParallelExperimentRunner runner({insts, warmup, 42}, 1);
+    const std::size_t id = runner.submitMix(config, mix);
+    runner.run();
+    const MixRun &result = runner.mixResult(id);
 
+    // Weighted speedup divides by each app's alone IPC on the paper's
+    // default machine; these are memo hits.
+    const SystemConfig reference = SystemConfig::paperDefault(1);
     for (size_t i = 0; i < mix.apps.size(); ++i) {
         std::printf("  thread %zu %-10s IPC %.3f (alone %.3f)\n", i,
                     mix.apps[i].c_str(), result.run.ipc[i],
-                    ctx.aloneIpc(mix.apps[i]));
+                    runner.aloneIpc(mix.apps[i], reference));
     }
     std::printf("\n  weighted speedup      : %.3f\n",
                 result.weightedSpeedup);

@@ -30,6 +30,8 @@ struct CacheLevelConfig {
     bool infinite = false;
 
     std::uint64_t numSets() const { return sizeBytes / lineBytes / assoc; }
+
+    bool operator==(const CacheLevelConfig &) const = default;
 };
 
 /** Full hierarchy: split L1s, unified L2 and L3, TLBs. */
@@ -52,13 +54,15 @@ struct HierarchyConfig {
      * Simple next-line prefetcher: a demand miss that reaches DRAM
      * also fetches the following line into L2/L3 (never the L1s),
      * bounded by the dedicated prefetch MSHRs of Table 1.  Off by
-     * default; bench/ablation_design_choices sweeps it.
+     * default; `smtdram_fig ablation_design_choices` sweeps it.
      */
     bool prefetchNextLine = false;
     /** Prefetch MSHR entries (Table 1: 4 per cache). */
     std::uint32_t prefetchMshrs = 4;
 
     void validate() const;
+
+    bool operator==(const HierarchyConfig &) const = default;
 };
 
 } // namespace smtdram

@@ -59,6 +59,8 @@ struct CoreConfig {
     std::uint32_t writeBufferCap = 8;
 
     void validate() const;
+
+    bool operator==(const CoreConfig &) const = default;
 };
 
 } // namespace smtdram

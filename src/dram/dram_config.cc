@@ -160,9 +160,6 @@ DramConfig::validate() const
                  (unsigned long long)power.exitSlow,
                  (unsigned long long)power.exitSelfRefresh);
     }
-    // Warm the derived-timing cache so the first hot-path call after
-    // validation never pays the double-division recompute.
-    (void)derivedTiming();
 }
 
 std::string

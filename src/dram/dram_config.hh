@@ -75,6 +75,8 @@ struct DramTiming {
         const auto whole = static_cast<Cycle>(c);
         return (c > whole) ? whole + 1 : whole;
     }
+
+    bool operator==(const DramTiming &) const = default;
 };
 
 /**
@@ -114,6 +116,8 @@ struct FaultConfig {
                 readErrorProbability > 0.0 ||
                 (enqueueDelayProbability > 0.0 && enqueueDelayMax > 0));
     }
+
+    bool operator==(const FaultConfig &) const = default;
 };
 
 /** DDR auto-refresh defaults: tREFI 7.8 us, tRFC 100 ns at 3 GHz. */
@@ -161,6 +165,8 @@ struct EccConfig {
         return enabled && (correctableProbability > 0.0 ||
                            uncorrectableProbability > 0.0);
     }
+
+    bool operator==(const EccConfig &) const = default;
 };
 
 /**
@@ -223,6 +229,8 @@ struct HammerConfig {
     {
         return enabled && mitigation;
     }
+
+    bool operator==(const HammerConfig &) const = default;
 };
 
 /**
@@ -230,8 +238,8 @@ struct HammerConfig {
  *
  * The electrical half — datasheet currents (mA) and the device supply
  * voltage — feeds the always-on energy accounting and never affects
- * timing, so it is inert with respect to the golden figures and is
- * excluded from configSignature().  Defaults approximate a 256 Mb
+ * timing, so it is inert with respect to the golden figures and the
+ * configSignature() label leaves it out.  Defaults approximate a 256 Mb
  * DDR-400 x16 device (Micron-class datasheet values).
  *
  * The behavioral half — `enabled` plus the idle thresholds and exit
@@ -275,6 +283,8 @@ struct PowerConfig {
     {
         return enabled;
     }
+
+    bool operator==(const PowerConfig &) const = default;
 };
 
 /**
@@ -345,7 +355,7 @@ struct DramConfig {
     Cycle
     lineTransferCycles() const
     {
-        return derivedTiming().lineTransfer;
+        return timing.transferCycles(lineBytes, gangDegree);
     }
 
     /**
@@ -356,7 +366,8 @@ struct DramConfig {
     Cycle
     burstCycles() const
     {
-        return derivedTiming().burst;
+        return lineTransferCycles() +
+               (ecc.enabled ? ecc.checkOverheadCycles : 0);
     }
 
     /** Line-sized columns in one (ganged) row. */
@@ -454,65 +465,7 @@ struct DramConfig {
     static DramConfig directRambus(std::uint32_t physical_channels,
                                    std::uint32_t chips_per_channel = 4);
 
-  private:
-    /**
-     * Cached derived bus timings.  transferCycles() runs double
-     * division + ceiling per call, and the controller hot path used
-     * to recompute it on every launch; validate() warms this cache
-     * and the fingerprint keeps it honest if a caller mutates the
-     * underlying knobs afterwards (configs are plain structs, so
-     * tests tweak fields freely after construction).
-     */
-    struct DerivedTiming {
-        Cycle lineTransfer = 0;
-        Cycle burst = 0;
-        // Fingerprint of every input feeding the two values above.
-        std::uint32_t inLineBytes = 0;
-        std::uint32_t inGangDegree = 0;
-        std::uint32_t inTransferBytes = 0;
-        double inMegaTransfersPerSec = 0.0;
-        double inCpuMhz = 0.0;
-        bool inEccEnabled = false;
-        Cycle inEccOverhead = 0;
-        bool valid = false;
-
-        bool
-        matches(const DramConfig &c) const
-        {
-            return valid && inLineBytes == c.lineBytes &&
-                   inGangDegree == c.gangDegree &&
-                   inTransferBytes == c.timing.transferBytes &&
-                   inMegaTransfersPerSec ==
-                       c.timing.megaTransfersPerSec &&
-                   inCpuMhz == c.timing.cpuMhz &&
-                   inEccEnabled == c.ecc.enabled &&
-                   inEccOverhead == c.ecc.checkOverheadCycles;
-        }
-    };
-
-    mutable DerivedTiming derived_;
-
-    const DerivedTiming &
-    derivedTiming() const
-    {
-        if (!derived_.matches(*this)) {
-            derived_.lineTransfer =
-                timing.transferCycles(lineBytes, gangDegree);
-            derived_.burst =
-                derived_.lineTransfer +
-                (ecc.enabled ? ecc.checkOverheadCycles : 0);
-            derived_.inLineBytes = lineBytes;
-            derived_.inGangDegree = gangDegree;
-            derived_.inTransferBytes = timing.transferBytes;
-            derived_.inMegaTransfersPerSec =
-                timing.megaTransfersPerSec;
-            derived_.inCpuMhz = timing.cpuMhz;
-            derived_.inEccEnabled = ecc.enabled;
-            derived_.inEccOverhead = ecc.checkOverheadCycles;
-            derived_.valid = true;
-        }
-        return derived_;
-    }
+    bool operator==(const DramConfig &) const = default;
 };
 
 } // namespace smtdram

@@ -8,9 +8,11 @@
  * Pulling them into an abstract port lets a topology layer interpose a
  * router between a core's hierarchy and N per-socket DramSystems
  * without the hierarchy knowing — a remote access looks exactly like a
- * slow local one.  DramSystem implements the port directly, so the
- * single-socket machine pays one virtual dispatch per miss (never per
- * cycle).
+ * slow local one.  SmtSystem plugs every core into a SocketPort that
+ * forwards to the SocketRouter, the 1x1 machine included, so a miss
+ * pays one virtual dispatch (never one per cycle).  DramSystem also
+ * implements the port, so unit tests can wire a hierarchy straight to
+ * one.
  */
 
 #ifndef SMTDRAM_DRAM_MEMORY_PORT_HH

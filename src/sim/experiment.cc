@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/logging.hh"
 #include "workload/hammer_workload.hh"
 
 namespace smtdram
@@ -34,26 +33,17 @@ profilesForMix(const WorkloadMix &mix)
     return apps;
 }
 
-ExperimentContext::ExperimentContext(std::uint64_t measure_insts,
-                                     std::uint64_t warmup_insts,
-                                     std::uint64_t seed)
-    : measureInsts_(measure_insts),
-      warmupInsts_(warmup_insts),
-      seed_(seed)
-{
-}
-
 std::string
 configSignature(const SystemConfig &config)
 {
     // Built as a growing std::string: a fixed snprintf buffer would
-    // silently truncate once enough fields accrue, aliasing cache
-    // keys for distinct configurations.
+    // silently truncate once enough fields accrue.
     const DramConfig &d = config.dram;
     std::string sig = d.label();
     sig += d.mapping == MappingScheme::XorPermute ? "-xor" : "-page";
     sig += d.pageMode == PageMode::Open ? "-open" : "-close";
-    sig += "-" + schedulerName(config.scheduler);
+    sig += "-";
+    sig += schedulerName(config.scheduler);
     sig += config.hierarchy.l3.infinite ? "-l3inf" : "-l3real";
     sig += "-pf" + std::to_string(
                        (config.hierarchy.prefetchNextLine ? 1 : 0) +
@@ -65,8 +55,7 @@ configSignature(const SystemConfig &config)
                "x" + std::to_string(d.timing.refreshCycles);
     }
     if (d.ecc.enabled) {
-        // ECC changes burst timing and adds scrub traffic; baselines
-        // cached for a non-ECC machine must not be reused.
+        // ECC changes burst timing and adds scrub traffic.
         char ebuf[96];
         std::snprintf(ebuf, sizeof(ebuf),
                       "-ecc%llu,%g,%g,%llu,%u,%u",
@@ -79,8 +68,7 @@ configSignature(const SystemConfig &config)
     }
     if (d.power.active()) {
         // Only the state machine changes timing; the electrical
-        // currents are metering-only and deliberately excluded, so a
-        // non-default datasheet never splinters the baseline cache.
+        // currents are metering-only and left out of the label.
         char pbuf[96];
         std::snprintf(pbuf, sizeof(pbuf),
                       "-pwr%llu,%llu,%llu,%llu,%llu,%llu",
@@ -93,8 +81,8 @@ configSignature(const SystemConfig &config)
         sig += pbuf;
     }
     if (d.faults.active()) {
-        // Alone-IPC baselines under fault injection depend on every
-        // knob and on the seed; spell them all out.
+        // Fault-injection outcomes depend on every knob and on the
+        // seed; spell them all out.
         char fbuf[96];
         std::snprintf(fbuf, sizeof(fbuf),
                       "-flt%g,%llu,%g,%u,%llu,%g,%llu,s%llu",
@@ -129,8 +117,8 @@ configSignature(const SystemConfig &config)
     const TopologyConfig &t = config.topology;
     if (t.nontrivial()) {
         // Only a *nontrivial* topology gets a suffix: a disabled or
-        // enabled 1x1 topology builds the same machine, so it must
-        // share one signature (and its cached baselines).
+        // enabled 1x1 topology builds the same machine, so it prints
+        // the same label.
         char tbuf[96];
         std::snprintf(tbuf, sizeof(tbuf),
                       "-numa%ux%uw%u-%s-%s-hop%lluq%llu", t.sockets,
@@ -157,100 +145,6 @@ configSignature(const SystemConfig &config)
         }
     }
     return sig;
-}
-
-double
-simulateAloneIpc(const std::string &app, const SystemConfig &config,
-                 const ExperimentParams &params)
-{
-    SystemConfig alone = config;
-    alone.core.numThreads = 1;
-    // Baseline runs share the mix's config but must not clobber its
-    // observability outputs (same file paths) — run them dark.
-    alone.observe = ObservabilityConfig{};
-    // A pin map is sized for the mix, not for one thread; the alone
-    // run places its single thread by policy instead.
-    alone.topology.pinned.clear();
-    const AppProfile &profile =
-        isHammerProfileName(app) ? hammerProfile(app) : specProfile(app);
-    const RunResult r = runSystem(alone, {profile}, params.seed,
-                                  params.measureInsts,
-                                  params.warmupInsts);
-    return r.ipc.at(0);
-}
-
-MixRun
-simulateMixRun(const SystemConfig &config, const WorkloadMix &mix,
-               const ExperimentParams &params)
-{
-    fatal_if(config.core.numThreads != mix.apps.size(),
-             "config has %u threads but mix '%s' has %zu apps",
-             config.core.numThreads, mix.name.c_str(),
-             mix.apps.size());
-
-    MixRun out;
-    out.run = runSystem(config, profilesForMix(mix), params.seed,
-                        params.measureInsts, params.warmupInsts);
-    out.correctedErrors = out.run.dram.correctedErrors;
-    out.uncorrectableErrors = out.run.dram.uncorrectableErrors;
-    out.scrubReads = out.run.dram.scrubReads;
-    out.retriesExhausted = out.run.dram.retriesExhausted;
-    if (out.run.dram.readLatencyHist.total() > 0) {
-        out.readLatencyP50 = static_cast<std::uint64_t>(
-            out.run.dram.readLatencyHist.p50());
-        out.readLatencyP99 = static_cast<std::uint64_t>(
-            out.run.dram.readLatencyHist.p99());
-    }
-    out.victimFlips = out.run.hammer.victimFlips;
-    out.preventiveRefreshes = out.run.hammer.mitigationsIssued;
-    out.totalEnergyNj = out.run.power.totalEnergy;
-    out.avgPowerMw = out.run.power.averagePowerMw(
-        config.dram.timing.cpuMhz, out.run.measuredCycles);
-    return out;
-}
-
-double
-ExperimentContext::aloneIpc(const std::string &app)
-{
-    return aloneIpcOn(app, SystemConfig::paperDefault(1));
-}
-
-double
-ExperimentContext::aloneIpcOn(const std::string &app,
-                              const SystemConfig &config)
-{
-    const std::string key = app + "@" + configSignature(config);
-    auto it = aloneIpc_.find(key);
-    if (it != aloneIpc_.end())
-        return it->second;
-
-    const double ipc = simulateAloneIpc(app, config, params());
-    aloneIpc_.emplace(key, ipc);
-    return ipc;
-}
-
-MixRun
-ExperimentContext::runMix(const SystemConfig &config,
-                          const WorkloadMix &mix,
-                          bool per_config_baselines)
-{
-    MixRun out = simulateMixRun(config, mix, params());
-    for (size_t i = 0; i < mix.apps.size(); ++i) {
-        const double alone =
-            per_config_baselines ? aloneIpcOn(mix.apps[i], config)
-                                 : aloneIpc(mix.apps[i]);
-        out.weightedSpeedup += out.run.ipc[i] / alone;
-    }
-    return out;
-}
-
-MixRun
-ExperimentContext::runMix(const std::string &mix_name)
-{
-    const WorkloadMix &mix = mixByName(mix_name);
-    const SystemConfig config = SystemConfig::paperDefault(
-        static_cast<std::uint32_t>(mix.apps.size()));
-    return runMix(config, mix);
 }
 
 CpiBreakdown

@@ -1,15 +1,15 @@
 /**
  * @file
  * High-level experiment helpers shared by the benches, examples, and
- * integration tests: single-thread baselines, weighted speedup, and
- * the CPI-breakdown methodology of Section 4.2.
+ * integration tests: one simulation run, the configuration label, and
+ * the CPI-breakdown methodology of Section 4.2.  Single-thread
+ * baselines and weighted speedup live in ParallelExperimentRunner.
  */
 
 #ifndef SMTDRAM_SIM_EXPERIMENT_HH
 #define SMTDRAM_SIM_EXPERIMENT_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -25,33 +25,6 @@ struct MixRun {
     RunResult run;
     /** Weighted speedup = sum_i IPC_mix,i / IPC_alone,i  [28]. */
     double weightedSpeedup = 0.0;
-
-    // --- Reliability summary (copied out of run.dram so sweeps can
-    //     tabulate error outcomes without digging through stats) ---
-    /** Reads delivered after a transparent SECDED fix-up. */
-    std::uint64_t correctedErrors = 0;
-    /** Reads delivered poisoned (detected uncorrectable error). */
-    std::uint64_t uncorrectableErrors = 0;
-    /** ECC patrol-scrub transactions executed. */
-    std::uint64_t scrubReads = 0;
-    /** Reads whose fault-injection retry budget ran out. */
-    std::uint64_t retriesExhausted = 0;
-    /** Rowhammer bit flips landed on victim rows (run.hammer). */
-    std::uint64_t victimFlips = 0;
-    /** Graphene-triggered preventive refreshes issued. */
-    std::uint64_t preventiveRefreshes = 0;
-
-    // --- Latency-distribution summary (from the always-on log
-    //     histogram; means alone hide queueing-tail differences) ---
-    std::uint64_t readLatencyP50 = 0;
-    std::uint64_t readLatencyP99 = 0;
-
-    // --- Energy summary (always metered; see run.power for the
-    //     full breakdown) ---
-    /** Total DRAM energy over the measurement window, nJ. */
-    double totalEnergyNj = 0.0;
-    /** Average DRAM power over the measurement window, mW. */
-    double avgPowerMw = 0.0;
 };
 
 /** Instruction budgets and seed shared by a sweep's simulations. */
@@ -72,90 +45,11 @@ RunResult runSystem(const SystemConfig &config,
                     std::uint64_t warmup_insts);
 
 /**
- * Run @p app alone (one hardware thread) on @p config's memory
- * system and return its IPC.  Observability outputs are disabled so
- * baseline runs never clobber a mix run's trace/stats files.  Pure:
- * no caching, safe to call from any thread.
+ * Human-readable label of a configuration's memory system, printed
+ * as the stats document's `meta.config`.  It names only the fields the
+ * figures vary, so it is a label, not an identity: configs compare
+ * with ==.
  */
-double simulateAloneIpc(const std::string &app,
-                        const SystemConfig &config,
-                        const ExperimentParams &params);
-
-/**
- * Run @p mix on @p config and fill every MixRun field *except*
- * weightedSpeedup (which needs baseline IPCs the caller supplies —
- * see ExperimentContext::runMix and ParallelExperimentRunner).
- * Pure: no caching, safe to call from any thread.
- */
-MixRun simulateMixRun(const SystemConfig &config,
-                      const WorkloadMix &mix,
-                      const ExperimentParams &params);
-
-/**
- * Shared measurement context: instruction budgets and the cache of
- * single-thread baseline IPCs (measured on the paper's default
- * machine so weighted speedups stay comparable across memory
- * configurations, as in the paper's normalized figures).
- *
- * Serial: the baseline cache is not synchronized.  Sweeps that want
- * to use every core go through ParallelExperimentRunner instead,
- * which shares these exact per-run primitives.
- */
-class ExperimentContext
-{
-  public:
-    explicit ExperimentContext(std::uint64_t measure_insts = 200'000,
-                               std::uint64_t warmup_insts = 50'000,
-                               std::uint64_t seed = 42);
-
-    explicit ExperimentContext(const ExperimentParams &params)
-        : ExperimentContext(params.measureInsts, params.warmupInsts,
-                            params.seed)
-    {
-    }
-
-    /** Single-thread IPC of @p app on the reference machine. */
-    double aloneIpc(const std::string &app);
-
-    /**
-     * Single-thread IPC of @p app on @p config's memory system
-     * (cached by configuration signature).  Used when weighted
-     * speedups must be comparable across machine configurations with
-     * per-configuration baselines, as in the paper's Figure 3.
-     */
-    double aloneIpcOn(const std::string &app,
-                      const SystemConfig &config);
-
-    /**
-     * Run @p mix on @p config and compute its weighted speedup.
-     * @param per_config_baselines divide by each application's
-     *        single-thread IPC on this same configuration instead of
-     *        the reference machine.
-     */
-    MixRun runMix(const SystemConfig &config, const WorkloadMix &mix,
-                  bool per_config_baselines = false);
-
-    /** Convenience: build the config for a mix and run it. */
-    MixRun runMix(const std::string &mix_name);
-
-    std::uint64_t measureInsts() const { return measureInsts_; }
-    std::uint64_t warmupInsts() const { return warmupInsts_; }
-    std::uint64_t seed() const { return seed_; }
-
-    ExperimentParams
-    params() const
-    {
-        return {measureInsts_, warmupInsts_, seed_};
-    }
-
-  private:
-    std::uint64_t measureInsts_;
-    std::uint64_t warmupInsts_;
-    std::uint64_t seed_;
-    std::map<std::string, double> aloneIpc_;
-};
-
-/** Stable cache key describing a configuration's memory system. */
 std::string configSignature(const SystemConfig &config);
 
 /** CPI split per the Section 4.2 methodology. */

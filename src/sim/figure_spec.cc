@@ -47,7 +47,7 @@ declareSweepFlags(Flags &flags, bool mixes)
     // Observability: with no flag given a figure emits nothing extra.
     // The trace/stats files describe one run, the sweep's last planned
     // job (see runSweep), whatever --jobs is; alone-IPC baselines
-    // never write (see simulateAloneIpc).
+    // never write (see ParallelExperimentRunner::aloneIpc).
     flags.declare("trace", "",
                   "write a Chrome trace-event / Perfetto JSON of the "
                   "run to this path");

@@ -728,7 +728,8 @@ energyPerInstNj(const MixRun &r)
     std::uint64_t insts = 0;
     for (std::uint64_t c : r.run.committed)
         insts += c;
-    return insts ? r.totalEnergyNj / static_cast<double>(insts) : 0.0;
+    return insts ? r.run.power.totalEnergy / static_cast<double>(insts)
+                 : 0.0;
 }
 
 void
@@ -743,7 +744,7 @@ reportEnergy(const Sweep &sweep, const Flags &)
         {"ED2P normalized to Hit-first (same row)", "%10.4f", nullptr,
          [](const MixRun &r) {
              const double cycles = static_cast<double>(r.run.measuredCycles);
-             return r.totalEnergyNj * cycles * cycles;
+             return r.run.power.totalEnergy * cycles * cycles;
          }},
         true, [](std::vector<double> &ed2p) {
             const double base = ed2p[1]; // Hit-first
@@ -841,12 +842,14 @@ hammerCells(const Flags &flags)
 
 const MetricTable kHammerTables[] = {
     {"victim-row bit flips", "%10.0f", "victim_flips",
-     [](const MixRun &r) { return static_cast<double>(r.victimFlips); }},
+     [](const MixRun &r) {
+         return static_cast<double>(r.run.hammer.victimFlips);
+     }},
     {"weighted speedup (victims + hostile thread)", "%10.3f", nullptr,
      [](const MixRun &r) { return r.weightedSpeedup; }},
     {"preventive refreshes issued", "%10.0f", "preventive_refreshes",
      [](const MixRun &r) {
-         return static_cast<double>(r.preventiveRefreshes);
+         return static_cast<double>(r.run.hammer.mitigationsIssued);
      }},
     {"preventive-refresh energy (nJ)", "%10.1f", "mitigation_energy_nj",
      [](const MixRun &r) { return r.run.power.mitigationEnergy; }},

@@ -1,5 +1,6 @@
 #include "sim/parallel_runner.hh"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -8,6 +9,28 @@
 
 namespace smtdram
 {
+
+namespace
+{
+
+/**
+ * The machine an alone-IPC baseline for a mix on @p config runs on:
+ * one hardware thread; no observability outputs, so baseline runs
+ * never clobber the mix run's trace/stats files; and no pin map,
+ * which is sized for the mix (the one thread is placed by policy).
+ * The memo keys on exactly this config.
+ */
+SystemConfig
+aloneConfig(const SystemConfig &config)
+{
+    SystemConfig alone = config;
+    alone.core.numThreads = 1;
+    alone.observe = ObservabilityConfig{};
+    alone.topology.pinned.clear();
+    return alone;
+}
+
+} // namespace
 
 ParallelExperimentRunner::ParallelExperimentRunner(
     const ExperimentParams &params, unsigned jobs)
@@ -45,29 +68,37 @@ double
 ParallelExperimentRunner::aloneIpc(const std::string &app,
                                    const SystemConfig &config)
 {
-    const std::string key = app + "@" + configSignature(config);
+    const SystemConfig alone = aloneConfig(config);
 
     std::shared_future<double> fut;
     std::promise<double> mine;
     bool compute = false;
     {
         std::lock_guard<std::mutex> lock(baselineMu_);
-        auto it = baselines_.find(key);
+        auto it = std::find_if(
+            baselines_.begin(), baselines_.end(),
+            [&](const Baseline &b) {
+                return b.app == app && b.alone == alone;
+            });
         if (it != baselines_.end()) {
-            fut = it->second;
+            fut = it->ipc;
         } else {
             // First requester: claim the key, then simulate outside
             // the lock.  Waiters block on the shared_future, never on
             // a queued pool task, so a saturated pool cannot deadlock.
             fut = mine.get_future().share();
-            baselines_.emplace(key, fut);
+            baselines_.push_back({app, alone, fut});
             compute = true;
         }
     }
     if (compute) {
         baselineSims_.fetch_add(1, std::memory_order_relaxed);
         try {
-            mine.set_value(simulateAloneIpc(app, config, params_));
+            // The alone run is a one-app mix on the alone machine.
+            const RunResult r = runSystem(
+                alone, profilesForMix({app, {app}}), params_.seed,
+                params_.measureInsts, params_.warmupInsts);
+            mine.set_value(r.ipc.at(0));
         } catch (...) {
             mine.set_exception(std::current_exception());
         }
@@ -78,11 +109,10 @@ ParallelExperimentRunner::aloneIpc(const std::string &app,
 void
 ParallelExperimentRunner::runMixJob(Job &job)
 {
-    // The serial path reports this mismatch via fatal_if() inside
-    // simulateMixRun(); checking first here turns it into an
-    // exception so one malformed cell fails the sweep cleanly (and
-    // deterministically: run() rethrows by submission index) instead
-    // of killing the process from a worker thread.
+    // An exception, not a fatal(), so one malformed cell fails the
+    // sweep cleanly (and deterministically: run() rethrows by
+    // submission index) instead of killing the process from a worker
+    // thread.
     if (job.config.core.numThreads != job.mix.apps.size()) {
         throw std::invalid_argument(
             "config has " +
@@ -91,7 +121,10 @@ ParallelExperimentRunner::runMixJob(Job &job)
             std::to_string(job.mix.apps.size()) + " apps");
     }
 
-    MixRun out = simulateMixRun(job.config, job.mix, params_);
+    MixRun out;
+    out.run = runSystem(job.config, profilesForMix(job.mix),
+                        params_.seed, params_.measureInsts,
+                        params_.warmupInsts);
     const SystemConfig reference = SystemConfig::paperDefault(1);
     for (size_t i = 0; i < job.mix.apps.size(); ++i) {
         const double alone =
@@ -128,7 +161,7 @@ ParallelExperimentRunner::run()
     firstPending_ = end;
 
     if (jobs_ <= 1) {
-        // The historical serial path: no threads, submission order.
+        // Serial: no threads, submission order.
         for (std::size_t i = begin; i < end; ++i)
             execute(*jobs_queue_[i]);
     } else {

@@ -6,25 +6,26 @@
  * × mix) cells plus their single-thread alone-IPC baselines and the
  * four-run CPI breakdowns of Figure 1.  The simulator itself is
  * strictly deterministic, so the sweep is embarrassingly parallel:
- * this runner executes submitted jobs on a fixed-size ThreadPool and
- * guarantees
+ * this runner executes submitted jobs on a fixed-size ThreadPool, is
+ * the one place baselines are memoized and weighted speedups are
+ * computed, and guarantees
  *
  *  - **submission-order results**: results are read back by the index
  *    submit*() returned, whatever order workers finished in, so bench
  *    output is byte-identical for every --jobs value;
- *  - **baseline dedup**: alone-IPC baselines are memoized in a
- *    thread-safe map of std::shared_future keyed by
- *    app@configSignature — each baseline simulates exactly once even
- *    when many mixes request it concurrently, and the first
- *    requester computes it inline (no nested pool tasks, so a full
- *    pool can never deadlock on its own futures);
+ *  - **baseline dedup**: alone-IPC baselines are memoized as
+ *    std::shared_futures keyed by (app, alone config), compared with
+ *    == — the key is the machine that runs.  Each baseline simulates
+ *    exactly once even when many mixes request it concurrently, and
+ *    the first requester computes it inline (no nested pool tasks,
+ *    so a full pool can never deadlock on its own futures);
  *  - **first-error propagation**: run() rethrows the error of the
  *    lowest-index failed job, deterministically, regardless of which
  *    worker failed first on the wall clock.
  *
  * With jobs == 1 no threads are created at all: run() executes
- * everything inline in submission order — exactly the historical
- * serial path.
+ * everything inline in submission order, so single-threaded callers
+ * (the quickstart example, tests) use the same memo and arithmetic.
  */
 
 #ifndef SMTDRAM_SIM_PARALLEL_RUNNER_HH
@@ -34,7 +35,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -62,7 +62,9 @@ class ParallelExperimentRunner
     operator=(const ParallelExperimentRunner &) = delete;
 
     /**
-     * Queue one mix run (see ExperimentContext::runMix).
+     * Queue one mix run.  Its weighted speedup divides each thread's
+     * IPC by the app's alone IPC on the paper's default machine, or,
+     * with @p per_config_baselines, on @p config itself (Figure 3).
      * @return the job's index; pass it to mixResult() after run().
      */
     std::size_t submitMix(const SystemConfig &config,
@@ -92,9 +94,17 @@ class ParallelExperimentRunner
     std::size_t submitted() const { return jobs_queue_.size(); }
 
     /**
+     * Single-thread IPC of @p app on @p config's machine, memoized:
+     * the run uses one hardware thread, no observability outputs and
+     * no pin map, and so does the key.  Computes inline on the first
+     * request; safe to call from any thread.
+     */
+    double aloneIpc(const std::string &app, const SystemConfig &config);
+
+    /**
      * Alone-IPC simulations actually executed (not memo hits).  The
      * dedup guarantee in one number: after any run(), this equals
-     * the count of distinct (app, baseline-signature) keys needed.
+     * the count of distinct (app, alone config) keys needed.
      */
     std::size_t
     baselineSimulations() const
@@ -119,11 +129,15 @@ class ParallelExperimentRunner
         bool done = false;
     };
 
+    /** One memoized baseline: the key and its (pending) IPC. */
+    struct Baseline {
+        std::string app;
+        SystemConfig alone;
+        std::shared_future<double> ipc;
+    };
+
     void execute(Job &job);
     void runMixJob(Job &job);
-
-    /** Memoized alone IPC; computes inline on first request. */
-    double aloneIpc(const std::string &app, const SystemConfig &config);
 
     ExperimentParams params_;
     unsigned jobs_;
@@ -133,7 +147,7 @@ class ParallelExperimentRunner
     std::size_t firstPending_ = 0;
 
     std::mutex baselineMu_;
-    std::map<std::string, std::shared_future<double>> baselines_;
+    std::vector<Baseline> baselines_;
     std::atomic<std::size_t> baselineSims_{0};
 };
 

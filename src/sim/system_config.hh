@@ -22,8 +22,10 @@ namespace smtdram
 /**
  * Observation outputs of one run — trace, stats documents, epoch
  * sampling.  Everything defaults off; none of it affects simulated
- * timing, so it is deliberately excluded from configSignature() and
- * the golden figures are bit-identical whatever is set here.
+ * timing, so the configSignature() label leaves it out and the golden
+ * figures are bit-identical whatever is set here.  Alone-IPC
+ * baselines run with it cleared (see
+ * ParallelExperimentRunner::aloneIpc).
  */
 struct ObservabilityConfig {
     /** Chrome trace-event / Perfetto JSON output path; "" = off. */
@@ -52,6 +54,8 @@ struct ObservabilityConfig {
     {
         return traceEnabled() || statsEnabled();
     }
+
+    bool operator==(const ObservabilityConfig &) const = default;
 };
 
 /**
@@ -60,8 +64,8 @@ struct ObservabilityConfig {
  * system and jumps straight there; PerCycle ticks every simulated
  * cycle and is kept as the differential oracle.  The two are proven
  * byte-identical by the kernel equivalence suite, so — like
- * ObservabilityConfig — the knob is deliberately excluded from
- * configSignature() and golden figures gate both settings.
+ * ObservabilityConfig — the configSignature() label leaves the knob
+ * out and golden figures gate both settings.
  */
 enum class KernelMode : std::uint8_t {
     PerCycle,
@@ -123,6 +127,14 @@ struct SystemConfig {
         c.hierarchy.l3.infinite = true;
         return c;
     }
+
+    /**
+     * Field-by-field identity of the machine, every field included.
+     * Alone-IPC baselines are memoized on it (see
+     * ParallelExperimentRunner::aloneIpc), so no hand-kept field list
+     * can alias two different machines.
+     */
+    bool operator==(const SystemConfig &) const = default;
 };
 
 } // namespace smtdram

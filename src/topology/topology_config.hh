@@ -81,9 +81,10 @@ struct TopologyConfig {
 
     /**
      * True when the topology changes machine behavior: more than one
-     * core exists.  Gates the configSignature() suffix, the numa.*
-     * stats block and RunResult::numa, so every 1x1 machine shares one
-     * signature and stats output whether or not `enabled` is set.
+     * core exists.  Gates the configSignature() label suffix, the
+     * numa.* stats block and RunResult::numa, so every 1x1 machine
+     * prints one label and stats output whether or not `enabled` is
+     * set.
      */
     bool nontrivial() const { return enabled && totalCores() > 1; }
 
@@ -102,6 +103,8 @@ struct TopologyConfig {
      * placement on a multi-core topology, Migrate with epoch 0).
      */
     void validate(std::uint32_t num_threads) const;
+
+    bool operator==(const TopologyConfig &) const = default;
 };
 
 } // namespace smtdram

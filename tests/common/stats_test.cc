@@ -206,8 +206,9 @@ TEST(LogHistogram, BucketIndexRoundTrips)
         EXPECT_EQ(LogHistogram::bucketIndex(
                       LogHistogram::bucketLowerBound(i)),
                   i);
-        if (i + 1 < LogHistogram().numBuckets())
+        if (i + 1 < LogHistogram().numBuckets()) {
             EXPECT_GT(LogHistogram::bucketLowerBound(i + 1), v);
+        }
     }
 }
 

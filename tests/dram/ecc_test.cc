@@ -451,8 +451,8 @@ TEST(EccOff, NoScrubNoErrorsNoOverhead)
 
 TEST(EccOff, ConfigSignatureMatchesPreEccBehavior)
 {
-    // The exact pre-ECC signature, frozen: ECC-off machines must keep
-    // producing it byte-identically so cached baselines stay valid.
+    // The exact pre-ECC label, frozen: ECC-off machines must keep
+    // printing it byte-identically in the stats `meta.config`.
     const SystemConfig config = SystemConfig::paperDefault(2);
     EXPECT_EQ(configSignature(config),
               "2C-1G-xor-open-Hit-first-l3real-pf0");

@@ -73,8 +73,9 @@ TEST(RowHammerModel, FlipsMonotoneInActivationCount)
         doubleSided(model, inj, 0, 10, acts);
         const std::uint32_t flips = model.flipsOn(0, 10);
         EXPECT_GE(flips, last);
-        if (acts > 100)
+        if (acts > 100) {
             EXPECT_GT(flips, last);
+        }
         last = flips;
     }
 }

@@ -10,29 +10,34 @@
 #include <algorithm>
 
 #include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 
 namespace smtdram
 {
 namespace
 {
 
-/** Shared context so single-thread baselines are computed once. */
-ExperimentContext &
-ctx()
+/** Queue one mix on @p runner, run it and return its result. */
+MixRun
+runMix(ParallelExperimentRunner &runner, const SystemConfig &config,
+       const WorkloadMix &mix)
 {
-    static ExperimentContext context(8000, 4000, 42);
-    return context;
+    const std::size_t id = runner.submitMix(config, mix);
+    runner.run();
+    return runner.mixResult(id);
 }
 
 MixRun
 runWith(const char *mix_name,
         const std::function<void(SystemConfig &)> &tweak)
 {
+    // Shared runner so single-thread baselines are computed once.
+    static ParallelExperimentRunner runner({8000, 4000, 42}, 1);
     const WorkloadMix &mix = mixByName(mix_name);
     SystemConfig config = SystemConfig::paperDefault(
         static_cast<std::uint32_t>(mix.apps.size()));
     tweak(config);
-    return ctx().runMix(config, mix);
+    return runMix(runner, config, mix);
 }
 
 // ---- Figure 1 claim -------------------------------------------------
@@ -168,12 +173,11 @@ TEST(PaperClaims, ThreadAwareSchedulingHelpsMemMixes)
     // EXPERIMENTS.md for the 2-MEM magnitude deviation): the best
     // thread-aware scheme must beat FCFS, and scheduling overall
     // must not be a wash.
-    ExperimentContext local(20000, 10000, 42);
+    ParallelExperimentRunner local({20000, 10000, 42}, 1);
     auto ws = [&local](SchedulerKind scheduler) {
-        const WorkloadMix &mix = mixByName("4-MEM");
         SystemConfig config = SystemConfig::paperDefault(4);
         config.scheduler = scheduler;
-        return local.runMix(config, mix).weightedSpeedup;
+        return runMix(local, config, mixByName("4-MEM")).weightedSpeedup;
     };
     const double fcfs = ws(SchedulerKind::Fcfs);
     const double best_thread_aware =

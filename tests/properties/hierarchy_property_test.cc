@@ -42,7 +42,8 @@ std::string
 caseName(const testing::TestParamInfo<HierarchyCase> &info)
 {
     const HierarchyCase &c = info.param;
-    std::string name = "t" + std::to_string(c.threads);
+    std::string name = "t";
+    name += std::to_string(c.threads);
     if (c.infiniteL2)
         name += "_infL2";
     if (c.infiniteL3)

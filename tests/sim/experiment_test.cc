@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 #include "workload/hammer_workload.hh"
 
 namespace smtdram
@@ -10,12 +11,29 @@ namespace smtdram
 namespace
 {
 
+// The ExperimentContext cases cover the experiment layer's baseline
+// memo and weighted speedup, both owned by ParallelExperimentRunner.
+
+/** Queue one mix on @p runner, run it and return its result. */
+MixRun
+runMix(ParallelExperimentRunner &runner, const SystemConfig &config,
+       const WorkloadMix &mix, bool per_config_baselines = false)
+{
+    const std::size_t id =
+        runner.submitMix(config, mix, per_config_baselines);
+    runner.run();
+    return runner.mixResult(id);
+}
+
+const SystemConfig kReference = SystemConfig::paperDefault(1);
+
 TEST(ExperimentContext, AloneIpcIsCachedAndStable)
 {
-    ExperimentContext ctx(5000, 2000, 42);
-    const double first = ctx.aloneIpc("gzip");
-    const double second = ctx.aloneIpc("gzip");
+    ParallelExperimentRunner runner({5000, 2000, 42}, 1);
+    const double first = runner.aloneIpc("gzip", kReference);
+    const double second = runner.aloneIpc("gzip", kReference);
     EXPECT_DOUBLE_EQ(first, second);
+    EXPECT_EQ(runner.baselineSimulations(), 1u);
     EXPECT_GT(first, 0.5);
 }
 
@@ -23,29 +41,23 @@ TEST(ExperimentContext, WeightedSpeedupDefinition)
 {
     // With N copies of similar load, weighted speedup is bounded by
     // N and positive.
-    ExperimentContext ctx(4000, 2000, 42);
-    const MixRun r = ctx.runMix("2-ILP");
+    ParallelExperimentRunner runner({4000, 2000, 42}, 1);
+    const MixRun r = runMix(runner, SystemConfig::paperDefault(2),
+                            mixByName("2-ILP"));
     EXPECT_GT(r.weightedSpeedup, 0.5);
     EXPECT_LE(r.weightedSpeedup, 2.1);
 }
 
 TEST(ExperimentContext, MixRunMatchesManualComputation)
 {
-    ExperimentContext ctx(4000, 2000, 42);
+    ParallelExperimentRunner runner({4000, 2000, 42}, 1);
     const WorkloadMix &mix = mixByName("2-MIX");
     const SystemConfig config = SystemConfig::paperDefault(2);
-    const MixRun r = ctx.runMix(config, mix);
-    const double manual = r.run.ipc[0] / ctx.aloneIpc("gzip") +
-                          r.run.ipc[1] / ctx.aloneIpc("mcf");
+    const MixRun r = runMix(runner, config, mix);
+    const double manual =
+        r.run.ipc[0] / runner.aloneIpc("gzip", kReference) +
+        r.run.ipc[1] / runner.aloneIpc("mcf", kReference);
     EXPECT_NEAR(r.weightedSpeedup, manual, 1e-9);
-}
-
-TEST(ExperimentContextDeathTest, ThreadMismatchFatal)
-{
-    ExperimentContext ctx(1000, 500, 42);
-    const SystemConfig config = SystemConfig::paperDefault(4);
-    EXPECT_EXIT((void)ctx.runMix(config, mixByName("2-MEM")),
-                testing::ExitedWithCode(1), "threads");
 }
 
 TEST(CpiBreakdown, ComponentsAreNonNegativeAndSum)
@@ -102,7 +114,7 @@ TEST(ConfigSignature, DistinguishesMemoryConfigurations)
          {channels, ganged, mapping, mode, sched, inf, pf}) {
         EXPECT_NE(configSignature(other), sig);
     }
-    // Thread count is not part of the memory-system signature.
+    // Thread count is not part of the memory-system label.
     SystemConfig threads = SystemConfig::paperDefault(4);
     EXPECT_EQ(configSignature(threads), sig);
 }
@@ -110,8 +122,8 @@ TEST(ConfigSignature, DistinguishesMemoryConfigurations)
 TEST(ConfigSignature, KernelModeIsInert)
 {
     // Both kernels are proven byte-identical by the differential
-    // equivalence suite, so the knob must not splinter alone-IPC
-    // cache keys (same contract as the observability block).
+    // equivalence suite, so the label leaves the knob out (same
+    // contract as the observability block).
     const SystemConfig base = SystemConfig::paperDefault(2);
     SystemConfig cycle = base;
     cycle.kernel = KernelMode::PerCycle;
@@ -124,8 +136,8 @@ TEST(ConfigSignature, HammerBlockOnlyWhenEnabled)
     const std::string sig = configSignature(base);
     EXPECT_EQ(sig.find("-ham"), std::string::npos);
 
-    // Inert hammer knobs must not splinter the baseline cache: only
-    // `enabled` gates the block.
+    // Inert hammer knobs stay out of the label: only `enabled` gates
+    // the block.
     SystemConfig inert = base;
     inert.dram.hammer.hammerThreshold = 1;
     inert.dram.hammer.seed = 999;
@@ -176,23 +188,24 @@ TEST(ProfilesForMix, ResolvesHammerThreadsInHostileMixes)
 
 TEST(ExperimentContext, PerConfigBaselinesDiffer)
 {
-    ExperimentContext ctx(4000, 2000, 42);
-    SystemConfig inf = SystemConfig::paperDefault(1).withInfiniteL3();
-    const double real_ipc = ctx.aloneIpc("mcf");
-    const double inf_ipc = ctx.aloneIpcOn("mcf", inf);
+    ParallelExperimentRunner runner({4000, 2000, 42}, 1);
+    const SystemConfig inf = kReference.withInfiniteL3();
+    const double real_ipc = runner.aloneIpc("mcf", kReference);
+    const double inf_ipc = runner.aloneIpc("mcf", inf);
     // mcf is memory-bound: an infinite L3 transforms it.
     EXPECT_GT(inf_ipc, 2.0 * real_ipc);
     // Cached: repeated queries are stable.
-    EXPECT_DOUBLE_EQ(ctx.aloneIpcOn("mcf", inf), inf_ipc);
+    EXPECT_DOUBLE_EQ(runner.aloneIpc("mcf", inf), inf_ipc);
+    EXPECT_EQ(runner.baselineSimulations(), 2u);
 }
 
 TEST(ExperimentContext, PerConfigWeightedSpeedupUsesOwnBaselines)
 {
-    ExperimentContext ctx(4000, 2000, 42);
+    ParallelExperimentRunner runner({4000, 2000, 42}, 1);
     const WorkloadMix &mix = mixByName("2-MEM");
     SystemConfig inf = SystemConfig::paperDefault(2).withInfiniteL3();
-    const MixRun fixed = ctx.runMix(inf, mix, false);
-    const MixRun per_config = ctx.runMix(inf, mix, true);
+    const MixRun fixed = runMix(runner, inf, mix, false);
+    const MixRun per_config = runMix(runner, inf, mix, true);
     // Fixed baselines (real machine) inflate the infinite-L3 WS.
     EXPECT_GT(fixed.weightedSpeedup,
               1.5 * per_config.weightedSpeedup);

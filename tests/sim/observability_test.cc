@@ -4,8 +4,7 @@
  *
  *  - the inert-knob guarantee: turning tracing and stats on changes
  *    no simulated outcome (bit-identical metrics) and leaves the
- *    configuration signature — and therefore the golden figures and
- *    cached baselines — frozen;
+ *    configuration label and the golden figures frozen;
  *  - the exported artifacts: schema-versioned stats JSON, epoch CSV,
  *    and a trace whose request lifecycles conserve;
  *  - the experiment layer: alone-IPC baseline runs never clobber the
@@ -23,6 +22,7 @@
 #include <vector>
 
 #include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 #include "sim/smt_system.hh"
 #include "temp_path.hh"
 
@@ -99,11 +99,10 @@ TEST(Observability, KnobsAreInert)
 
 TEST(Observability, ConfigSignatureStaysFrozen)
 {
-    // ObservabilityConfig is deliberately excluded from the
-    // signature: cached alone-IPC baselines and the golden figures
-    // must not fork when tracing is enabled.  The literal pins the
-    // signature itself — if this fails, every golden file and cache
-    // key just changed meaning.
+    // ObservabilityConfig is deliberately excluded from the label
+    // printed as the stats `meta.config`.  The literal pins the label
+    // itself — if this fails, every stats document's meta.config just
+    // changed meaning.
     SystemConfig config = SystemConfig::paperDefault(2);
     const std::string dark = configSignature(config);
     EXPECT_EQ(dark, "2C-1G-xor-open-Hit-first-l3real-pf0");
@@ -348,16 +347,17 @@ TEST(Observability, MultiSocketFetchStallSpansAlternate)
 
 TEST(Observability, BaselineRunsDoNotClobberMixArtifacts)
 {
-    // runMix() executes the mix first, then the per-app alone
+    // A mix job runs the mix first, then the per-app alone
     // baselines for the weighted speedup.  The artifacts on disk
     // afterwards must describe the 2-thread mix, not a 1-thread
     // baseline.
     TempPaths tmp;
     SystemConfig config = SystemConfig::paperDefault(2);
     config.observe.statsJsonPath = tmp.json;
-    ExperimentContext ctx(3000, 1000, 42);
-    const MixRun mix = ctx.runMix(config, mixByName("2-MEM"));
-    EXPECT_GT(mix.weightedSpeedup, 0.0);
+    ParallelExperimentRunner runner({3000, 1000, 42}, 1);
+    const std::size_t id = runner.submitMix(config, mixByName("2-MEM"));
+    runner.run();
+    EXPECT_GT(runner.mixResult(id).weightedSpeedup, 0.0);
 
     const std::string doc = slurp(tmp.json);
     ASSERT_FALSE(doc.empty());
@@ -367,11 +367,14 @@ TEST(Observability, BaselineRunsDoNotClobberMixArtifacts)
 
 TEST(Observability, MixRunCarriesLatencyPercentiles)
 {
-    ExperimentContext ctx(3000, 1000, 42);
-    const MixRun mix = ctx.runMix(SystemConfig::paperDefault(2),
-                                  mixByName("2-MEM"));
-    EXPECT_GT(mix.readLatencyP50, 0u);
-    EXPECT_GE(mix.readLatencyP99, mix.readLatencyP50);
+    ParallelExperimentRunner runner({3000, 1000, 42}, 1);
+    const std::size_t id = runner.submitMix(SystemConfig::paperDefault(2),
+                                            mixByName("2-MEM"));
+    runner.run();
+    const LogHistogram &latency =
+        runner.mixResult(id).run.dram.readLatencyHist;
+    EXPECT_GT(latency.p50(), 0.0);
+    EXPECT_GE(latency.p99(), latency.p50());
 }
 
 } // namespace

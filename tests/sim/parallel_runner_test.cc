@@ -37,25 +37,12 @@ expectIdenticalMixRuns(const MixRun &a, const MixRun &b)
     EXPECT_EQ(a.run.dram.readLatency.mean(),
               b.run.dram.readLatency.mean());
     EXPECT_EQ(a.run.perThreadReads, b.run.perThreadReads);
-    EXPECT_EQ(a.readLatencyP50, b.readLatencyP50);
-    EXPECT_EQ(a.readLatencyP99, b.readLatencyP99);
-    EXPECT_EQ(a.correctedErrors, b.correctedErrors);
-    EXPECT_EQ(a.retriesExhausted, b.retriesExhausted);
-}
-
-TEST(ParallelRunner, SerialPathMatchesExperimentContext)
-{
-    const WorkloadMix &mix = mixByName("2-MIX");
-    const SystemConfig config = SystemConfig::paperDefault(2);
-
-    ExperimentContext ctx(kSmall.measureInsts, kSmall.warmupInsts,
-                          kSmall.seed);
-    const MixRun serial = ctx.runMix(config, mix);
-
-    ParallelExperimentRunner runner(kSmall, 1);
-    const std::size_t id = runner.submitMix(config, mix);
-    runner.run();
-    expectIdenticalMixRuns(runner.mixResult(id), serial);
+    EXPECT_EQ(a.run.dram.readLatencyHist.p50(),
+              b.run.dram.readLatencyHist.p50());
+    EXPECT_EQ(a.run.dram.readLatencyHist.p99(),
+              b.run.dram.readLatencyHist.p99());
+    EXPECT_EQ(a.run.dram.correctedErrors, b.run.dram.correctedErrors);
+    EXPECT_EQ(a.run.dram.retriesExhausted, b.run.dram.retriesExhausted);
 }
 
 TEST(ParallelRunner, ParallelIsByteIdenticalToSerialAllSchedulers)
@@ -122,6 +109,69 @@ TEST(ParallelRunner, PerConfigBaselinesAddKeys)
     // the weighted speedup is computed against a taller denominator.
     EXPECT_GT(runner.mixResult(fixed).weightedSpeedup, 0.0);
     EXPECT_GT(runner.mixResult(per_config).weightedSpeedup, 0.0);
+}
+
+TEST(ParallelRunner, BaselineKeyTellsFetchPoliciesApart)
+{
+    // DWarn and DG machines print the same configSignature() label.
+    // A runner that ran DWarn first must still give DG its own
+    // per-config baselines, exactly as a fresh runner does.
+    const WorkloadMix &mix = mixByName("2-MEM");
+    SystemConfig dwarn = SystemConfig::paperDefault(2);
+    SystemConfig dg = dwarn;
+    dg.core.fetchPolicy = FetchPolicyKind::Dg;
+    ASSERT_EQ(configSignature(dg), configSignature(dwarn));
+
+    ParallelExperimentRunner reused(kSmall, 1);
+    reused.submitMix(dwarn, mix, true);
+    reused.run();
+    const std::size_t id = reused.submitMix(dg, mix, true);
+    reused.run();
+
+    ParallelExperimentRunner fresh(kSmall, 1);
+    const std::size_t fresh_id = fresh.submitMix(dg, mix, true);
+    fresh.run();
+
+    EXPECT_EQ(reused.mixResult(id).weightedSpeedup,
+              fresh.mixResult(fresh_id).weightedSpeedup);
+    EXPECT_EQ(reused.baselineSimulations(), 4u);
+}
+
+TEST(ParallelRunner, BaselineKeyCoversCoreAndCacheFields)
+{
+    // Each copy differs from the reference machine in one field the
+    // label does not name, and each needs its own baseline.
+    const SystemConfig reference = SystemConfig::paperDefault(1);
+    SystemConfig lq = reference;
+    lq.core.lqSize /= 4;
+    SystemConfig dg = reference;
+    dg.core.fetchPolicy = FetchPolicyKind::Dg;
+    SystemConfig mshrs = reference;
+    mshrs.hierarchy.l1d.mshrs = 2;
+
+    ParallelExperimentRunner runner(kSmall, 1);
+    const double base = runner.aloneIpc("mcf", reference);
+    for (const SystemConfig &other : {lq, dg, mshrs}) {
+        EXPECT_EQ(configSignature(other), configSignature(reference));
+        runner.aloneIpc("mcf", other);
+    }
+    EXPECT_EQ(runner.baselineSimulations(), 4u);
+    EXPECT_NE(runner.aloneIpc("mcf", mshrs), base);
+    EXPECT_EQ(runner.baselineSimulations(), 4u);
+}
+
+TEST(ParallelRunner, BaselineSharedAcrossThreadCounts)
+{
+    // The key is the alone machine, so the same per-config cell in a
+    // 2-thread and a 4-thread row shares each app's baseline: mcf and
+    // ammp once, plus swim and lucas.
+    ParallelExperimentRunner runner(kSmall, 2);
+    runner.submitMix(SystemConfig::paperDefault(2).withInfiniteL3(),
+                     mixByName("2-MEM"), true);
+    runner.submitMix(SystemConfig::paperDefault(4).withInfiniteL3(),
+                     mixByName("4-MEM"), true);
+    runner.run();
+    EXPECT_EQ(runner.baselineSimulations(), 4u);
 }
 
 TEST(ParallelRunner, CpiBreakdownMatchesSerialHelper)
