@@ -1,5 +1,6 @@
 #include "common/stats_registry.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
@@ -36,27 +37,70 @@ jsonString(const std::string &s)
     return out;
 }
 
-} // namespace
-
-void
-StatsRegistry::registerScalar(const std::string &name, ScalarFn fn)
+/** The names of @p items, in order. */
+template <typename T>
+std::vector<std::string>
+namesOf(const std::vector<std::pair<std::string, T>> &items)
 {
-    for (const auto &n : scalarNames_)
-        panic_if(n == name, "scalar '%s' registered twice", name.c_str());
-    panic_if(!epochCycles_.empty(),
-             "cannot register '%s' after sampling began", name.c_str());
-    scalarNames_.push_back(name);
-    scalarFns_.push_back(std::move(fn));
+    std::vector<std::string> names;
+    names.reserve(items.size());
+    for (const auto &item : items)
+        names.push_back(item.first);
+    return names;
 }
 
+/** Panic naming a stat that appears twice in @p names. */
 void
-StatsRegistry::registerHistogram(const std::string &name, HistogramFn fn)
+checkUnique(const char *kind, std::vector<std::string> names)
 {
-    for (const auto &n : histNames_)
-        panic_if(n == name, "histogram '%s' registered twice",
-                 name.c_str());
-    histNames_.push_back(name);
-    histFns_.push_back(std::move(fn));
+    std::sort(names.begin(), names.end());
+    const auto dup = std::adjacent_find(names.begin(), names.end());
+    panic_if(dup != names.end(), "%s '%s' emitted twice in one sample",
+             kind, dup->c_str());
+}
+
+/** Panic naming the first stat where @p got departs from @p fixed. */
+template <typename T>
+void
+checkShape(const char *kind, const std::vector<std::string> &fixed,
+           const std::vector<std::pair<std::string, T>> &got)
+{
+    std::size_t i = 0;
+    while (i < fixed.size() && i < got.size() && fixed[i] == got[i].first)
+        ++i;
+    if (i < got.size()) {
+        const std::string had =
+            i < fixed.size() ? "'" + fixed[i] + "'" : "nothing";
+        panic("stats sample emits %s '%s' at position %zu, where the "
+              "first sample had %s",
+              kind, got[i].first.c_str(), i, had.c_str());
+    }
+    panic_if(i < fixed.size(),
+             "stats sample lacks %s '%s' that the first sample had at "
+             "position %zu",
+             kind, fixed[i].c_str(), i);
+}
+
+} // namespace
+
+StatsSample
+StatsRegistry::sample() const
+{
+    StatsSample s;
+    s.scalars.reserve(scalarNames_.size());
+    s.histograms.reserve(histNames_.size());
+    source_(s);
+    if (shaped_) {
+        checkShape("scalar", scalarNames_, s.scalars);
+        checkShape("histogram", histNames_, s.histograms);
+        return s;
+    }
+    scalarNames_ = namesOf(s.scalars);
+    histNames_ = namesOf(s.histograms);
+    checkUnique("scalar", scalarNames_);
+    checkUnique("histogram", histNames_);
+    shaped_ = true;
+    return s;
 }
 
 void
@@ -74,26 +118,27 @@ StatsRegistry::setMeta(const std::string &key, const std::string &value)
 void
 StatsRegistry::sampleEpoch(Cycle now)
 {
-    if (series_.empty())
-        series_.resize(scalarFns_.size());
+    const StatsSample s = sample();
     epochCycles_.push_back(now);
-    for (size_t i = 0; i < scalarFns_.size(); ++i)
-        series_[i].push_back(scalarFns_[i]());
+    for (const auto &scalar : s.scalars)
+        series_.push_back(scalar.second);
 }
 
 double
 StatsRegistry::value(const std::string &name) const
 {
-    for (size_t i = 0; i < scalarNames_.size(); ++i) {
-        if (scalarNames_[i] == name)
-            return scalarFns_[i]();
+    const StatsSample s = sample();
+    for (const auto &scalar : s.scalars) {
+        if (scalar.first == name)
+            return scalar.second;
     }
-    panic("no scalar '%s' registered", name.c_str());
+    panic("no scalar '%s' in the stats sample", name.c_str());
 }
 
 void
 StatsRegistry::writeJson(std::ostream &os, Cycle final_cycle) const
 {
+    const StatsSample s = sample();
     os << "{\n\"schema\":" << jsonString(kSchemaName)
        << ",\n\"version\":" << kSchemaVersion << ",\n\"meta\":{";
     for (size_t i = 0; i < meta_.size(); ++i) {
@@ -103,18 +148,18 @@ StatsRegistry::writeJson(std::ostream &os, Cycle final_cycle) const
            << jsonString(meta_[i].second);
     }
     os << "},\n\"finalCycle\":" << final_cycle << ",\n\"scalars\":{";
-    for (size_t i = 0; i < scalarNames_.size(); ++i) {
+    for (size_t i = 0; i < s.scalars.size(); ++i) {
         if (i)
             os << ",";
-        os << "\n" << jsonString(scalarNames_[i]) << ":"
-           << jsonNumber(scalarFns_[i]());
+        os << "\n" << jsonString(s.scalars[i].first) << ":"
+           << jsonNumber(s.scalars[i].second);
     }
     os << "},\n\"histograms\":{";
-    for (size_t i = 0; i < histNames_.size(); ++i) {
+    for (size_t i = 0; i < s.histograms.size(); ++i) {
         if (i)
             os << ",";
-        const LogHistogram h = histFns_[i]();
-        os << "\n" << jsonString(histNames_[i]) << ":{"
+        const LogHistogram &h = s.histograms[i].second;
+        os << "\n" << jsonString(s.histograms[i].first) << ":{"
            << "\"count\":" << h.total() << ",\"min\":" << h.min()
            << ",\"max\":" << h.max()
            << ",\"mean\":" << jsonNumber(h.mean())
@@ -141,15 +186,15 @@ StatsRegistry::writeJson(std::ostream &os, Cycle final_cycle) const
         os << epochCycles_[e];
     }
     os << "],\"series\":{";
-    for (size_t i = 0; i < scalarNames_.size() && !series_.empty();
-         ++i) {
+    const size_t n = s.scalars.size();
+    for (size_t i = 0; i < n && !epochCycles_.empty(); ++i) {
         if (i)
             os << ",";
-        os << "\n" << jsonString(scalarNames_[i]) << ":[";
-        for (size_t e = 0; e < series_[i].size(); ++e) {
+        os << "\n" << jsonString(s.scalars[i].first) << ":[";
+        for (size_t e = 0; e < epochCycles_.size(); ++e) {
             if (e)
                 os << ",";
-            os << jsonNumber(series_[i][e]);
+            os << jsonNumber(series_[e * n + i]);
         }
         os << "]";
     }
@@ -159,19 +204,21 @@ StatsRegistry::writeJson(std::ostream &os, Cycle final_cycle) const
 void
 StatsRegistry::writeCsv(std::ostream &os, Cycle final_cycle) const
 {
+    const StatsSample s = sample();
     os << "cycle";
-    for (const auto &n : scalarNames_)
-        os << "," << n;
+    for (const auto &scalar : s.scalars)
+        os << "," << scalar.first;
     os << "\n";
+    const size_t n = s.scalars.size();
     for (size_t e = 0; e < epochCycles_.size(); ++e) {
         os << epochCycles_[e];
-        for (size_t i = 0; i < series_.size(); ++i)
-            os << "," << jsonNumber(series_[i][e]);
+        for (size_t i = 0; i < n; ++i)
+            os << "," << jsonNumber(series_[e * n + i]);
         os << "\n";
     }
     os << final_cycle;
-    for (const auto &fn : scalarFns_)
-        os << "," << jsonNumber(fn());
+    for (const auto &scalar : s.scalars)
+        os << "," << jsonNumber(scalar.second);
     os << "\n";
 }
 

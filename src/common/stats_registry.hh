@@ -2,9 +2,13 @@
  * @file
  * Machine-readable statistics pipeline.
  *
- * Components register named scalar and histogram providers into a
- * StatsRegistry; the registry samples the scalars into an
- * epoch-indexed time series during a run and exports one
+ * A StatsRegistry has one source: a function that writes every scalar
+ * and histogram of one sample, in document order, into a StatsSample.
+ * The registry calls it exactly once per sampleEpoch(), writeJson(),
+ * writeCsv() and value(), so every sample sees live state and the
+ * source computes whatever its stats share (a cross-channel
+ * aggregate, say) once per sample.  The registry samples the scalars
+ * into an epoch-indexed time series during a run and exports one
  * schema-versioned JSON (and optionally CSV) document per run:
  *
  *   {
@@ -22,10 +26,12 @@
  * column per scalar) plus a terminal "final" row, for spreadsheet and
  * pandas consumption without a JSON parser.
  *
- * Providers are callbacks, not copied values, so registration is done
- * once up front and every sample/export sees live state.  A registry
- * costs nothing until sampleEpoch()/write*() are called; benches that
- * don't pass --stats-json never create one.
+ * Shape rule: the first sample fixes the names and their order.  A
+ * later sample whose names differ panics naming the stray stat, and a
+ * name emitted twice in one sample panics, so the CSV header, the JSON
+ * scalar keys and the epoch series keys always agree.  A registry
+ * costs nothing until it is sampled or written; benches that don't
+ * pass --stats-json never create one.
  */
 
 #ifndef SMTDRAM_COMMON_STATS_REGISTRY_HH
@@ -35,6 +41,7 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
@@ -43,7 +50,25 @@
 namespace smtdram
 {
 
-/** Named-provider statistics registry with epoch sampling. */
+/** Every scalar and histogram of one sample, in document order. */
+struct StatsSample {
+    std::vector<std::pair<std::string, double>> scalars;
+    std::vector<std::pair<std::string, LogHistogram>> histograms;
+
+    void
+    scalar(std::string name, double value)
+    {
+        scalars.emplace_back(std::move(name), value);
+    }
+
+    void
+    histogram(std::string name, LogHistogram hist)
+    {
+        histograms.emplace_back(std::move(name), std::move(hist));
+    }
+};
+
+/** Single-source statistics registry with epoch sampling. */
 class StatsRegistry
 {
   public:
@@ -60,25 +85,20 @@ class StatsRegistry
     static constexpr std::uint32_t kSchemaVersion = 3;
     static constexpr const char *kSchemaName = "smtdram-stats";
 
-    using ScalarFn = std::function<double()>;
-    using HistogramFn = std::function<LogHistogram()>;
+    /** Writes one complete sample. */
+    using Source = std::function<void(StatsSample &)>;
 
-    /** Register a scalar series; @p name must be unique. */
-    void registerScalar(const std::string &name, ScalarFn fn);
-
-    /** Register a histogram snapshot provider; @p name unique. */
-    void registerHistogram(const std::string &name, HistogramFn fn);
+    explicit StatsRegistry(Source source) : source_(std::move(source)) {}
 
     /** Attach a key/value to the exported "meta" object. */
     void setMeta(const std::string &key, const std::string &value);
 
-    /** Record one epoch sample of every registered scalar. */
+    /** Record one epoch sample of every scalar. */
     void sampleEpoch(Cycle now);
 
     size_t epochs() const { return epochCycles_.size(); }
-    size_t scalars() const { return scalarNames_.size(); }
 
-    /** Evaluate one registered scalar by name (tests, summaries). */
+    /** One scalar of a fresh sample, by name (tests, summaries). */
     double value(const std::string &name) const;
 
     /** Write the full JSON document; @p final_cycle stamps the run. */
@@ -88,14 +108,19 @@ class StatsRegistry
     void writeCsv(std::ostream &os, Cycle final_cycle) const;
 
   private:
-    std::vector<std::string> scalarNames_;
-    std::vector<ScalarFn> scalarFns_;
-    std::vector<std::string> histNames_;
-    std::vector<HistogramFn> histFns_;
+    /** Run the source once and hold the sample to the shape rule. */
+    StatsSample sample() const;
+
+    Source source_;
+    /** The shape, fixed by the first sample (hence mutable: every
+     *  const export may be that first sample). */
+    mutable std::vector<std::string> scalarNames_;
+    mutable std::vector<std::string> histNames_;
+    mutable bool shaped_ = false;
     std::vector<std::pair<std::string, std::string>> meta_;
     std::vector<Cycle> epochCycles_;
-    /** series_[i][e] = scalar i at epoch e. */
-    std::vector<std::vector<double>> series_;
+    /** Epoch-major: scalar i at epoch e is series_[e * scalars + i]. */
+    std::vector<double> series_;
 };
 
 } // namespace smtdram

@@ -136,8 +136,6 @@ class SmtCore
     /** Thread state piggybacked on DRAM requests (Section 3). */
     ThreadSnapshot snapshot(ThreadId tid) const;
 
-    const BranchPredictor &predictor() const { return predictor_; }
-
     /** Cycles in which at least one integer instruction issued. */
     std::uint64_t intIssueActiveCycles() const
     {

@@ -318,20 +318,11 @@ DramSystem::channels() const
     return static_cast<std::uint32_t>(controllers_.size());
 }
 
-const ControllerStats &
-DramSystem::channelStats(std::uint32_t channel) const
+const MemoryController &
+DramSystem::channel(std::uint32_t c) const
 {
-    panic_if(channel >= controllers_.size(), "channel %u out of range",
-             channel);
-    return controllers_[channel].stats();
-}
-
-size_t
-DramSystem::channelQueuedReads(std::uint32_t channel) const
-{
-    panic_if(channel >= controllers_.size(), "channel %u out of range",
-             channel);
-    return controllers_[channel].queuedReads();
+    panic_if(c >= controllers_.size(), "channel %u out of range", c);
+    return controllers_[c];
 }
 
 ControllerStats
@@ -347,25 +338,9 @@ FaultStats
 DramSystem::aggregateFaultStats() const
 {
     FaultStats agg;
-    for (const auto &mc : controllers_) {
-        const FaultStats &f = mc.faultStats();
-        agg.busStalls += f.busStalls;
-        agg.busStallCycles += f.busStallCycles;
-        agg.readErrors += f.readErrors;
-        agg.enqueueDelays += f.enqueueDelays;
-        agg.enqueueDelayCycles += f.enqueueDelayCycles;
-        agg.eccSingleBit += f.eccSingleBit;
-        agg.eccMultiBit += f.eccMultiBit;
-    }
+    for (const auto &mc : controllers_)
+        agg.merge(mc.faultStats());
     return agg;
-}
-
-const FaultStats &
-DramSystem::channelFaultStats(std::uint32_t channel) const
-{
-    panic_if(channel >= controllers_.size(), "channel %u out of range",
-             channel);
-    return controllers_[channel].faultStats();
 }
 
 HammerStats
@@ -375,14 +350,6 @@ DramSystem::aggregateHammerStats() const
     for (const auto &mc : controllers_)
         agg.merge(mc.hammerStats());
     return agg;
-}
-
-const HammerStats &
-DramSystem::channelHammerStats(std::uint32_t channel) const
-{
-    panic_if(channel >= controllers_.size(), "channel %u out of range",
-             channel);
-    return controllers_[channel].hammerStats();
 }
 
 std::uint64_t
@@ -401,28 +368,6 @@ DramSystem::aggregatePowerStats() const
     for (const auto &mc : controllers_)
         agg.merge(mc.powerStats());
     return agg;
-}
-
-const PowerStats &
-DramSystem::channelPowerStats(std::uint32_t channel) const
-{
-    panic_if(channel >= controllers_.size(), "channel %u out of range",
-             channel);
-    return controllers_[channel].powerStats();
-}
-
-double
-DramSystem::rankEnergy(std::uint32_t channel, std::uint32_t rank) const
-{
-    panic_if(channel >= controllers_.size(), "channel %u out of range",
-             channel);
-    return controllers_[channel].rankEnergy(rank);
-}
-
-std::uint32_t
-DramSystem::powerRanks() const
-{
-    return controllers_.empty() ? 0 : controllers_.front().powerRanks();
 }
 
 void

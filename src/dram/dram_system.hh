@@ -130,10 +130,8 @@ class DramSystem : public MemoryPort
     const AddressMapping &mapping() const { return mapping_; }
     std::uint32_t channels() const;
 
-    const ControllerStats &channelStats(std::uint32_t channel) const;
-
-    /** Live demand-read queue depth on one channel. */
-    size_t channelQueuedReads(std::uint32_t channel) const;
+    /** One channel's controller: its stats, queues and power ranks. */
+    const MemoryController &channel(std::uint32_t c) const;
 
     /** Sum of all per-channel stats. */
     ControllerStats aggregateStats() const;
@@ -141,29 +139,14 @@ class DramSystem : public MemoryPort
     /** Sum of all per-channel injected-fault stats. */
     FaultStats aggregateFaultStats() const;
 
-    /** One channel's injected-fault stats. */
-    const FaultStats &channelFaultStats(std::uint32_t channel) const;
-
     /** Sum of all per-channel rowhammer stats. */
     HammerStats aggregateHammerStats() const;
-
-    /** One channel's rowhammer stats. */
-    const HammerStats &channelHammerStats(std::uint32_t channel) const;
 
     /** Victim rows currently carrying at least one flipped bit. */
     std::uint64_t hammerFlippedRows() const;
 
     /** Sum of all per-channel energy/power stats. */
     PowerStats aggregatePowerStats() const;
-
-    /** One channel's energy/power stats. */
-    const PowerStats &channelPowerStats(std::uint32_t channel) const;
-
-    /** Energy attributed to rank @p rank of channel @p channel, nJ. */
-    double rankEnergy(std::uint32_t channel, std::uint32_t rank) const;
-
-    /** Ranks per channel (chip groups the power model tracks). */
-    std::uint32_t powerRanks() const;
 
     /**
      * Bring every channel's background-energy accounting current to

@@ -33,6 +33,19 @@ struct FaultStats {
     std::uint64_t enqueueDelayCycles = 0;
     std::uint64_t eccSingleBit = 0;     ///< single-bit flips injected
     std::uint64_t eccMultiBit = 0;      ///< multi-bit flips injected
+
+    /** Accumulate @p other (another channel's stats). */
+    void
+    merge(const FaultStats &other)
+    {
+        busStalls += other.busStalls;
+        busStallCycles += other.busStallCycles;
+        readErrors += other.readErrors;
+        enqueueDelays += other.enqueueDelays;
+        enqueueDelayCycles += other.enqueueDelayCycles;
+        eccSingleBit += other.eccSingleBit;
+        eccMultiBit += other.eccMultiBit;
+    }
 };
 
 /** What SECDED sees on one completing read. */

@@ -167,9 +167,7 @@ class MemoryController
     }
 
     size_t queuedReads() const { return readQueue_.size(); }
-    size_t queuedWrites() const { return writeQueue_.size(); }
     size_t queuedScrubs() const { return scrubQueue_.size(); }
-    size_t queuedMitigations() const { return mitigationQueue_.size(); }
 
     /**
      * Hand the preventive refreshes the aggressor tracker has
@@ -289,27 +287,6 @@ class MemoryController
      * watchdog/checker diagnostics on a stuck simulation.
      */
     void dumpState(std::ostream &os) const;
-
-    /** Visit every queued or in-flight request (for samplers). */
-    template <typename Fn>
-    void
-    forEachRequest(Fn &&fn) const
-    {
-        for (const QueuedRef &q : readQueue_)
-            fn(pool_.at(q.h));
-        for (const QueuedRef &q : writeQueue_)
-            fn(pool_.at(q.h));
-        for (const QueuedRef &q : scrubQueue_)
-            fn(pool_.at(q.h));
-        for (const QueuedRef &q : mitigationQueue_)
-            fn(pool_.at(q.h));
-        for (const InFlightRef &f : inFlight_)
-            fn(pool_.at(f.h));
-    }
-
-    /** The precomputed command-timing table (tests assert identities
-     *  against the raw config arithmetic). */
-    const TimingTable &timings() const { return table_; }
 
   private:
     /** A launched transaction, ordered by completion time. */

@@ -1,12 +1,29 @@
 #include "sim/experiment.hh"
 
 #include <algorithm>
-#include <cstdio>
+#include <cstdarg>
 
+#include "common/logging.hh"
 #include "workload/hammer_workload.hh"
 
 namespace smtdram
 {
+
+namespace
+{
+
+/** printf onto the end of @p out; unlike a fixed buffer it never
+ *  truncates. */
+__attribute__((format(printf, 2, 3))) void
+appendf(std::string &out, const char *fmt, ...)
+{
+    va_list args;
+    va_start(args, fmt);
+    out += vformat(fmt, args);
+    va_end(args);
+}
+
+} // namespace
 
 RunResult
 runSystem(const SystemConfig &config,
@@ -56,62 +73,47 @@ configSignature(const SystemConfig &config)
     }
     if (d.ecc.enabled) {
         // ECC changes burst timing and adds scrub traffic.
-        char ebuf[96];
-        std::snprintf(ebuf, sizeof(ebuf),
-                      "-ecc%llu,%g,%g,%llu,%u,%u",
-                      (unsigned long long)d.ecc.checkOverheadCycles,
-                      d.ecc.correctableProbability,
-                      d.ecc.uncorrectableProbability,
-                      (unsigned long long)d.ecc.scrubInterval,
-                      d.ecc.scrubBurst, d.ecc.scrubRegionRows);
-        sig += ebuf;
+        appendf(sig, "-ecc%llu,%g,%g,%llu,%u,%u",
+                (unsigned long long)d.ecc.checkOverheadCycles,
+                d.ecc.correctableProbability,
+                d.ecc.uncorrectableProbability,
+                (unsigned long long)d.ecc.scrubInterval, d.ecc.scrubBurst,
+                d.ecc.scrubRegionRows);
     }
     if (d.power.active()) {
         // Only the state machine changes timing; the electrical
         // currents are metering-only and left out of the label.
-        char pbuf[96];
-        std::snprintf(pbuf, sizeof(pbuf),
-                      "-pwr%llu,%llu,%llu,%llu,%llu,%llu",
-                      (unsigned long long)d.power.powerdownIdle,
-                      (unsigned long long)d.power.slowExitIdle,
-                      (unsigned long long)d.power.selfRefreshIdle,
-                      (unsigned long long)d.power.exitFast,
-                      (unsigned long long)d.power.exitSlow,
-                      (unsigned long long)d.power.exitSelfRefresh);
-        sig += pbuf;
+        appendf(sig, "-pwr%llu,%llu,%llu,%llu,%llu,%llu",
+                (unsigned long long)d.power.powerdownIdle,
+                (unsigned long long)d.power.slowExitIdle,
+                (unsigned long long)d.power.selfRefreshIdle,
+                (unsigned long long)d.power.exitFast,
+                (unsigned long long)d.power.exitSlow,
+                (unsigned long long)d.power.exitSelfRefresh);
     }
     if (d.faults.active()) {
         // Fault-injection outcomes depend on every knob and on the
         // seed; spell them all out.
-        char fbuf[96];
-        std::snprintf(fbuf, sizeof(fbuf),
-                      "-flt%g,%llu,%g,%u,%llu,%g,%llu,s%llu",
-                      d.faults.busStallProbability,
-                      (unsigned long long)d.faults.busStallCycles,
-                      d.faults.readErrorProbability, d.faults.maxRetries,
-                      (unsigned long long)d.faults.retryBackoff,
-                      d.faults.enqueueDelayProbability,
-                      (unsigned long long)d.faults.enqueueDelayMax,
-                      (unsigned long long)d.faults.seed);
-        sig += fbuf;
+        appendf(sig, "-flt%g,%llu,%g,%u,%llu,%g,%llu,s%llu",
+                d.faults.busStallProbability,
+                (unsigned long long)d.faults.busStallCycles,
+                d.faults.readErrorProbability, d.faults.maxRetries,
+                (unsigned long long)d.faults.retryBackoff,
+                d.faults.enqueueDelayProbability,
+                (unsigned long long)d.faults.enqueueDelayMax,
+                (unsigned long long)d.faults.seed);
     }
     if (d.hammer.active()) {
         // The disturbance model changes victim-read outcomes and (with
         // mitigation) injects preventive-refresh traffic; every knob
         // and the dedicated seed are timing- or outcome-relevant.
-        char hbuf[96];
-        std::snprintf(hbuf, sizeof(hbuf),
-                      "-ham%llu,%g,%u,s%llu",
-                      (unsigned long long)d.hammer.hammerThreshold,
-                      d.hammer.flipProbability, d.hammer.blastRadius,
-                      (unsigned long long)d.hammer.seed);
-        sig += hbuf;
+        appendf(sig, "-ham%llu,%g,%u,s%llu",
+                (unsigned long long)d.hammer.hammerThreshold,
+                d.hammer.flipProbability, d.hammer.blastRadius,
+                (unsigned long long)d.hammer.seed);
         if (d.hammer.mitigates()) {
-            std::snprintf(hbuf, sizeof(hbuf), "-mit%u,%llu",
-                          d.hammer.trackerCapacity,
-                          (unsigned long long)
-                              d.hammer.mitigationThreshold);
-            sig += hbuf;
+            appendf(sig, "-mit%u,%llu", d.hammer.trackerCapacity,
+                    (unsigned long long)d.hammer.mitigationThreshold);
         }
     }
     const TopologyConfig &t = config.topology;
@@ -119,21 +121,16 @@ configSignature(const SystemConfig &config)
         // Only a *nontrivial* topology gets a suffix: a disabled or
         // enabled 1x1 topology builds the same machine, so it prints
         // the same label.
-        char tbuf[96];
-        std::snprintf(tbuf, sizeof(tbuf),
-                      "-numa%ux%uw%u-%s-%s-hop%lluq%llu", t.sockets,
-                      t.coresPerSocket, t.smtWays,
-                      placementPolicyName(t.placement),
-                      homePolicyName(t.home),
-                      (unsigned long long)t.hopLatency,
-                      (unsigned long long)t.linkOccupancy);
-        sig += tbuf;
+        appendf(sig, "-numa%ux%uw%u-%s-%s-hop%lluq%llu", t.sockets,
+                t.coresPerSocket, t.smtWays,
+                placementPolicyName(t.placement), homePolicyName(t.home),
+                (unsigned long long)t.hopLatency,
+                (unsigned long long)t.linkOccupancy);
         if (t.placement == PlacementPolicy::Migrate &&
             t.migrationEpoch > 0) {
-            std::snprintf(tbuf, sizeof(tbuf), "-mig%lluc%llu",
-                          (unsigned long long)t.migrationEpoch,
-                          (unsigned long long)t.migrationCost);
-            sig += tbuf;
+            appendf(sig, "-mig%lluc%llu",
+                    (unsigned long long)t.migrationEpoch,
+                    (unsigned long long)t.migrationCost);
         }
         if (!t.pinned.empty()) {
             sig += "-pin";

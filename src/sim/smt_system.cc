@@ -46,6 +46,26 @@ kernelMode(KernelMode configured)
  *  scheduler considers moving it (noise floor / hysteresis). */
 constexpr std::uint64_t kMigrateThreshold = 16;
 
+/**
+ * Per-thread DRAM bandwidth shares in percent, one sample per thread
+ * (RunResult::bandwidthShareHist and dram.bandwidth_share_pct).
+ * Rounded to nearest: plain truncation systematically biases every
+ * share low (four perfectly fair threads each report 24%, not 25%).
+ */
+LogHistogram
+bandwidthShares(const std::vector<std::uint64_t> &reads)
+{
+    LogHistogram h;
+    std::uint64_t total = 0;
+    for (auto v : reads)
+        total += v;
+    if (total > 0) {
+        for (auto v : reads)
+            h.sample((100 * v + total / 2) / total);
+    }
+    return h;
+}
+
 } // namespace
 
 SmtSystem::SmtSystem(const SystemConfig &config,
@@ -123,8 +143,15 @@ SmtSystem::SmtSystem(const SystemConfig &config,
             c->setTracer(tracer_.get());
     }
     if (config_.observe.statsEnabled()) {
-        registry_ = std::make_unique<StatsRegistry>();
-        registerStats();
+        registry_ = std::make_unique<StatsRegistry>(
+            [this](StatsSample &out) { emitStats(out); });
+        registry_->setMeta("config", configSignature(config_));
+        registry_->setMeta("threads", std::to_string(n));
+        registry_->setMeta("channels", std::to_string(totalChannels()));
+        if (topo.nontrivial()) {
+            registry_->setMeta("sockets", std::to_string(topo.sockets));
+            registry_->setMeta("cores", std::to_string(cores));
+        }
     }
     if (config_.observe.any()) {
         // panic()/watchdog post-mortem: flush whatever observability
@@ -186,13 +213,11 @@ SmtSystem::totalChannels() const
     return config_.topology.sockets * drams_[0]->channels();
 }
 
-const DramSystem &
-SmtSystem::dramOfChannel(std::uint32_t global,
-                         std::uint32_t &local) const
+const MemoryController &
+SmtSystem::globalChannel(std::uint32_t global) const
 {
     const std::uint32_t per = drams_[0]->channels();
-    local = global % per;
-    return *drams_[global / per];
+    return drams_[global / per]->channel(global % per);
 }
 
 std::uint64_t
@@ -264,435 +289,217 @@ SmtSystem::perThreadReads() const
 }
 
 void
-SmtSystem::registerStats()
+SmtSystem::emitStats(StatsSample &out) const
 {
-    StatsRegistry &r = *registry_;
-    r.setMeta("config", configSignature(config_));
-    r.setMeta("threads", std::to_string(config_.core.numThreads));
-    r.setMeta("channels", std::to_string(totalChannels()));
+    // One aggregation per sample: every DRAM, power and hammer stat
+    // below reads these.  The callers that sample the registry
+    // (sampleEpoch, exportObservability) syncPower() first, so the
+    // lazy background accounting is current here.
+    const ControllerStats dram = aggDramStats();
+    const PowerStats power = aggPowerStats();
+    const HammerStats hammer = aggHammerStats();
+    const std::vector<std::uint64_t> reads = perThreadReads();
+    const std::uint32_t n = config_.core.numThreads;
+    const std::uint32_t channels = totalChannels();
 
-    // DRAM aggregate counters.  Each provider re-aggregates across
-    // channels and sockets on call; epochs are sparse so the cost is
-    // irrelevant.
-    r.registerScalar("dram.reads", [this] {
-        return static_cast<double>(aggDramStats().reads);
-    });
-    r.registerScalar("dram.writes", [this] {
-        return static_cast<double>(aggDramStats().writes);
-    });
-    r.registerScalar("dram.row_hits", [this] {
-        return static_cast<double>(aggDramStats().rowHits);
-    });
-    r.registerScalar("dram.row_conflicts", [this] {
-        return static_cast<double>(aggDramStats().rowConflicts);
-    });
-    r.registerScalar("dram.row_miss_rate", [this] {
-        return aggDramStats().rowMissRate();
-    });
-    r.registerScalar("dram.refreshes", [this] {
-        return static_cast<double>(aggDramStats().refreshes);
-    });
-    r.registerScalar("dram.outstanding", [this] {
-        return static_cast<double>(dramOutstanding());
-    });
-    for (std::uint32_t c = 0; c < totalChannels(); ++c) {
-        std::uint32_t lc;
-        const DramSystem *d = &dramOfChannel(c, lc);
+    out.scalar("dram.reads", dram.reads);
+    out.scalar("dram.writes", dram.writes);
+    out.scalar("dram.row_hits", dram.rowHits);
+    out.scalar("dram.row_conflicts", dram.rowConflicts);
+    out.scalar("dram.row_miss_rate", dram.rowMissRate());
+    out.scalar("dram.refreshes", dram.refreshes);
+    out.scalar("dram.outstanding", dramOutstanding());
+    for (std::uint32_t c = 0; c < channels; ++c) {
+        const MemoryController &mc = globalChannel(c);
         const std::string ch = "dram.ch" + std::to_string(c) + ".";
-        r.registerScalar(ch + "queued_reads", [d, lc] {
-            return static_cast<double>(d->channelQueuedReads(lc));
-        });
-        r.registerScalar(ch + "reads", [d, lc] {
-            return static_cast<double>(d->channelStats(lc).reads);
-        });
+        out.scalar(ch + "queued_reads", mc.queuedReads());
+        out.scalar(ch + "reads", mc.stats().reads);
     }
 
-    // Energy/power breakdown.  The callers that sample the registry
-    // (sampleEpoch, exportObservability) syncPower() first, so the
-    // lazy background accounting is always current here.
-    r.registerScalar("dram.power.total_energy_nj", [this] {
-        return aggPowerStats().totalEnergy;
-    });
-    r.registerScalar("dram.power.background_energy_nj", [this] {
-        return aggPowerStats().backgroundEnergy;
-    });
-    r.registerScalar("dram.power.activate_energy_nj", [this] {
-        return aggPowerStats().activateEnergy;
-    });
-    r.registerScalar("dram.power.read_energy_nj", [this] {
-        return aggPowerStats().readEnergy;
-    });
-    r.registerScalar("dram.power.write_energy_nj", [this] {
-        return aggPowerStats().writeEnergy;
-    });
-    r.registerScalar("dram.power.refresh_energy_nj", [this] {
-        return aggPowerStats().refreshEnergy;
-    });
-    r.registerScalar("dram.power.scrub_energy_nj", [this] {
-        return aggPowerStats().scrubEnergy;
-    });
-    r.registerScalar("dram.power.avg_power_mw", [this] {
-        return aggPowerStats().averagePowerMw(
-            config_.dram.timing.cpuMhz, now_ - statsResetAt_);
-    });
-    r.registerScalar("dram.power.exit_penalty_cycles", [this] {
-        return static_cast<double>(aggPowerStats().exitPenaltyCycles);
-    });
-    r.registerScalar("dram.power.refreshes_suppressed", [this] {
-        return static_cast<double>(
-            aggPowerStats().refreshesSuppressed);
-    });
-    r.registerScalar("dram.power.powerdown_entries", [this] {
-        return static_cast<double>(aggPowerStats().powerdownEntries);
-    });
-    r.registerScalar("dram.power.self_refresh_entries", [this] {
-        return static_cast<double>(
-            aggPowerStats().selfRefreshEntries);
-    });
-    r.registerScalar("dram.power.active_cycles", [this] {
-        return static_cast<double>(aggPowerStats().activeCycles);
-    });
-    r.registerScalar("dram.power.powerdown_fast_cycles", [this] {
-        return static_cast<double>(
-            aggPowerStats().powerdownFastCycles);
-    });
-    r.registerScalar("dram.power.powerdown_slow_cycles", [this] {
-        return static_cast<double>(
-            aggPowerStats().powerdownSlowCycles);
-    });
-    r.registerScalar("dram.power.self_refresh_cycles", [this] {
-        return static_cast<double>(aggPowerStats().selfRefreshCycles);
-    });
-    r.registerHistogram("dram.power.low_power_span", [this] {
-        return aggPowerStats().lowPowerSpanHist;
-    });
-    for (std::uint32_t c = 0; c < totalChannels(); ++c) {
-        std::uint32_t lc;
-        const DramSystem *d = &dramOfChannel(c, lc);
+    // Energy/power breakdown.
+    out.scalar("dram.power.total_energy_nj", power.totalEnergy);
+    out.scalar("dram.power.background_energy_nj", power.backgroundEnergy);
+    out.scalar("dram.power.activate_energy_nj", power.activateEnergy);
+    out.scalar("dram.power.read_energy_nj", power.readEnergy);
+    out.scalar("dram.power.write_energy_nj", power.writeEnergy);
+    out.scalar("dram.power.refresh_energy_nj", power.refreshEnergy);
+    out.scalar("dram.power.scrub_energy_nj", power.scrubEnergy);
+    out.scalar("dram.power.avg_power_mw",
+               power.averagePowerMw(config_.dram.timing.cpuMhz,
+                                    now_ - statsResetAt_));
+    out.scalar("dram.power.exit_penalty_cycles", power.exitPenaltyCycles);
+    out.scalar("dram.power.refreshes_suppressed",
+               power.refreshesSuppressed);
+    out.scalar("dram.power.powerdown_entries", power.powerdownEntries);
+    out.scalar("dram.power.self_refresh_entries", power.selfRefreshEntries);
+    out.scalar("dram.power.active_cycles", power.activeCycles);
+    out.scalar("dram.power.powerdown_fast_cycles",
+               power.powerdownFastCycles);
+    out.scalar("dram.power.powerdown_slow_cycles",
+               power.powerdownSlowCycles);
+    out.scalar("dram.power.self_refresh_cycles", power.selfRefreshCycles);
+    out.histogram("dram.power.low_power_span", power.lowPowerSpanHist);
+    for (std::uint32_t c = 0; c < channels; ++c) {
+        const MemoryController &mc = globalChannel(c);
         const std::string ch = "dram.ch" + std::to_string(c) + ".";
-        r.registerScalar(ch + "energy_nj", [d, lc] {
-            return d->channelPowerStats(lc).totalEnergy;
-        });
-        for (std::uint32_t k = 0; k < d->powerRanks(); ++k) {
-            r.registerScalar(
-                ch + "rank" + std::to_string(k) + ".energy_nj",
-                [d, lc, k] { return d->rankEnergy(lc, k); });
+        out.scalar(ch + "energy_nj", mc.powerStats().totalEnergy);
+        for (std::uint32_t k = 0; k < mc.powerRanks(); ++k) {
+            out.scalar(ch + "rank" + std::to_string(k) + ".energy_nj",
+                       mc.rankEnergy(k));
         }
     }
-    r.registerScalar("dram.power.mitigation_energy_nj", [this] {
-        return aggPowerStats().mitigationEnergy;
-    });
+    out.scalar("dram.power.mitigation_energy_nj", power.mitigationEnergy);
 
-    // Per-channel injected-fault counters.  Registered even when
+    // Per-channel injected-fault counters.  Emitted even when
     // injection is off (all zeros): sweeps comparing faulty vs clean
     // configs then diff identical column sets.
-    for (std::uint32_t c = 0; c < totalChannels(); ++c) {
-        std::uint32_t lc;
-        const DramSystem *d = &dramOfChannel(c, lc);
-        const std::string p =
-            "dram.ch" + std::to_string(c) + ".faults.";
-        r.registerScalar(p + "bus_stalls", [d, lc] {
-            return static_cast<double>(d->channelFaultStats(lc).busStalls);
-        });
-        r.registerScalar(p + "bus_stall_cycles", [d, lc] {
-            return static_cast<double>(
-                d->channelFaultStats(lc).busStallCycles);
-        });
-        r.registerScalar(p + "read_errors", [d, lc] {
-            return static_cast<double>(
-                d->channelFaultStats(lc).readErrors);
-        });
-        r.registerScalar(p + "enqueue_delays", [d, lc] {
-            return static_cast<double>(
-                d->channelFaultStats(lc).enqueueDelays);
-        });
-        r.registerScalar(p + "enqueue_delay_cycles", [d, lc] {
-            return static_cast<double>(
-                d->channelFaultStats(lc).enqueueDelayCycles);
-        });
-        r.registerScalar(p + "ecc_single_bit", [d, lc] {
-            return static_cast<double>(
-                d->channelFaultStats(lc).eccSingleBit);
-        });
-        r.registerScalar(p + "ecc_multi_bit", [d, lc] {
-            return static_cast<double>(
-                d->channelFaultStats(lc).eccMultiBit);
-        });
+    for (std::uint32_t c = 0; c < channels; ++c) {
+        const FaultStats &f = globalChannel(c).faultStats();
+        const std::string p = "dram.ch" + std::to_string(c) + ".faults.";
+        out.scalar(p + "bus_stalls", f.busStalls);
+        out.scalar(p + "bus_stall_cycles", f.busStallCycles);
+        out.scalar(p + "read_errors", f.readErrors);
+        out.scalar(p + "enqueue_delays", f.enqueueDelays);
+        out.scalar(p + "enqueue_delay_cycles", f.enqueueDelayCycles);
+        out.scalar(p + "ecc_single_bit", f.eccSingleBit);
+        out.scalar(p + "ecc_multi_bit", f.eccMultiBit);
     }
 
     // Rowhammer disturbance/mitigation counters (zeros when the
     // model is off, same diff-ability rationale as above).
-    r.registerScalar("dram.hammer.activations", [this] {
-        return static_cast<double>(aggHammerStats().activations);
-    });
-    r.registerScalar("dram.hammer.threshold_crossings", [this] {
-        return static_cast<double>(
-            aggHammerStats().thresholdCrossings);
-    });
-    r.registerScalar("dram.hammer.victim_flips", [this] {
-        return static_cast<double>(aggHammerStats().victimFlips);
-    });
-    r.registerScalar("dram.hammer.victim_corrected", [this] {
-        return static_cast<double>(aggHammerStats().victimCorrected);
-    });
-    r.registerScalar("dram.hammer.victim_uncorrectable", [this] {
-        return static_cast<double>(
-            aggHammerStats().victimUncorrectable);
-    });
-    r.registerScalar("dram.hammer.silent_corruptions", [this] {
-        return static_cast<double>(
-            aggHammerStats().silentCorruptions);
-    });
-    r.registerScalar("dram.hammer.flips_scrubbed", [this] {
-        return static_cast<double>(aggHammerStats().flipsScrubbed);
-    });
-    r.registerScalar("dram.hammer.window_resets", [this] {
-        return static_cast<double>(aggHammerStats().windowResets);
-    });
-    r.registerScalar("dram.hammer.mitigations_requested", [this] {
-        return static_cast<double>(
-            aggHammerStats().mitigationsRequested);
-    });
-    r.registerScalar("dram.hammer.mitigations_issued", [this] {
-        return static_cast<double>(
-            aggHammerStats().mitigationsIssued);
-    });
-    r.registerScalar("dram.hammer.mitigation_cycles", [this] {
-        return static_cast<double>(aggHammerStats().mitigationCycles);
-    });
-    r.registerScalar("dram.hammer.tracker_evictions", [this] {
-        return static_cast<double>(aggHammerStats().trackerEvictions);
-    });
-    for (std::uint32_t c = 0; c < totalChannels(); ++c) {
-        std::uint32_t lc;
-        const DramSystem *d = &dramOfChannel(c, lc);
+    out.scalar("dram.hammer.activations", hammer.activations);
+    out.scalar("dram.hammer.threshold_crossings", hammer.thresholdCrossings);
+    out.scalar("dram.hammer.victim_flips", hammer.victimFlips);
+    out.scalar("dram.hammer.victim_corrected", hammer.victimCorrected);
+    out.scalar("dram.hammer.victim_uncorrectable",
+               hammer.victimUncorrectable);
+    out.scalar("dram.hammer.silent_corruptions", hammer.silentCorruptions);
+    out.scalar("dram.hammer.flips_scrubbed", hammer.flipsScrubbed);
+    out.scalar("dram.hammer.window_resets", hammer.windowResets);
+    out.scalar("dram.hammer.mitigations_requested",
+               hammer.mitigationsRequested);
+    out.scalar("dram.hammer.mitigations_issued", hammer.mitigationsIssued);
+    out.scalar("dram.hammer.mitigation_cycles", hammer.mitigationCycles);
+    out.scalar("dram.hammer.tracker_evictions", hammer.trackerEvictions);
+    for (std::uint32_t c = 0; c < channels; ++c) {
+        const HammerStats &h = globalChannel(c).hammerStats();
         const std::string ch = "dram.ch" + std::to_string(c) + ".";
-        r.registerScalar(ch + "hammer.victim_flips", [d, lc] {
-            return static_cast<double>(
-                d->channelHammerStats(lc).victimFlips);
-        });
-        r.registerScalar(ch + "hammer.mitigations_issued", [d, lc] {
-            return static_cast<double>(
-                d->channelHammerStats(lc).mitigationsIssued);
-        });
+        out.scalar(ch + "hammer.victim_flips", h.victimFlips);
+        out.scalar(ch + "hammer.mitigations_issued", h.mitigationsIssued);
     }
 
     // Per-thread CPU counters, summed over cores (a thread's commits
     // follow it across migrations).
-    for (std::uint32_t t = 0; t < config_.core.numThreads; ++t) {
-        const std::string p = "cpu.t" + std::to_string(t) + ".";
+    for (std::uint32_t t = 0; t < n; ++t) {
         const auto tid = static_cast<ThreadId>(t);
-        r.registerScalar(p + "committed", [this, tid] {
-            return static_cast<double>(committedOf(tid));
-        });
-        r.registerScalar(p + "rob_occupancy", [this, tid] {
-            std::uint32_t occ = 0;
-            for (const auto &c : cores_)
-                occ += c->robOccupancy(tid);
-            return static_cast<double>(occ);
-        });
-        r.registerScalar(p + "rob_high_water", [this, tid] {
-            std::uint32_t hw = 0;
-            for (const auto &c : cores_)
-                hw = std::max(hw, c->robHighWater(tid));
-            return static_cast<double>(hw);
-        });
-        r.registerScalar(p + "iq_high_water", [this, tid] {
-            std::uint32_t hw = 0;
-            for (const auto &c : cores_)
-                hw = std::max(hw, c->intIqHighWater(tid));
-            return static_cast<double>(hw);
-        });
-        r.registerScalar(p + "dram_reads", [this, tid] {
-            const auto reads = perThreadReads();
-            return tid < reads.size()
-                       ? static_cast<double>(reads[tid])
-                       : 0.0;
-        });
+        std::uint32_t occ = 0, rob_hw = 0, iq_hw = 0;
+        for (const auto &c : cores_) {
+            occ += c->robOccupancy(tid);
+            rob_hw = std::max(rob_hw, c->robHighWater(tid));
+            iq_hw = std::max(iq_hw, c->intIqHighWater(tid));
+        }
+        const std::string p = "cpu.t" + std::to_string(t) + ".";
+        out.scalar(p + "committed", committedOf(tid));
+        out.scalar(p + "rob_occupancy", occ);
+        out.scalar(p + "rob_high_water", rob_hw);
+        out.scalar(p + "iq_high_water", iq_hw);
+        out.scalar(p + "dram_reads", reads[t]);
     }
 
     // Latency-blame attribution (stats schema v2): aggregate cycle
     // totals + per-request distributions per component, the per-thread
     // DRAM-side CPI stack, and the who-stalled-whom matrix.
+    const auto component = [](std::size_t c) {
+        return std::string(blameComponentName(static_cast<BlameComponent>(c)));
+    };
     for (std::size_t c = 0; c < kNumBlameComponents; ++c) {
-        const std::string name =
-            blameComponentName(static_cast<BlameComponent>(c));
-        r.registerScalar("dram.blame." + name + "_cycles", [this, c] {
-            return static_cast<double>(
-                aggDramStats().blameTotals.cycles[c]);
-        });
-        r.registerHistogram("dram.blame." + name, [this, c] {
-            return aggDramStats().blameHist[c];
-        });
+        out.scalar("dram.blame." + component(c) + "_cycles",
+                   dram.blameTotals.cycles[c]);
+        out.histogram("dram.blame." + component(c), dram.blameHist[c]);
     }
-    for (std::uint32_t t = 0; t < config_.core.numThreads; ++t) {
+    for (std::uint32_t t = 0; t < n; ++t) {
+        const LatencyBlame blame = t < dram.perThreadBlame.size()
+                                       ? dram.perThreadBlame[t]
+                                       : LatencyBlame{};
         const std::string p = "cpu.t" + std::to_string(t) + ".blame.";
-        for (std::size_t c = 0; c < kNumBlameComponents; ++c) {
-            const std::string name =
-                blameComponentName(static_cast<BlameComponent>(c));
-            r.registerScalar(p + name + "_cycles", [this, t, c] {
-                const auto per = aggDramStats().perThreadBlame;
-                return t < per.size()
-                           ? static_cast<double>(per[t].cycles[c])
-                           : 0.0;
-            });
-        }
+        for (std::size_t c = 0; c < kNumBlameComponents; ++c)
+            out.scalar(p + component(c) + "_cycles", blame.cycles[c]);
     }
-    for (std::uint32_t i = 0; i < config_.core.numThreads; ++i) {
+    for (std::uint32_t i = 0; i < n; ++i) {
         const std::string p =
             "dram.interference.t" + std::to_string(i) + ".";
         const auto blocked = static_cast<ThreadId>(i);
-        r.registerScalar(p + "system", [this, blocked] {
-            return static_cast<double>(
-                aggDramStats().interference.at(blocked, kThreadNone));
-        });
-        for (std::uint32_t j = 0; j < config_.core.numThreads; ++j) {
-            const auto blocker = static_cast<ThreadId>(j);
-            r.registerScalar(
-                p + "t" + std::to_string(j), [this, blocked, blocker] {
-                    return static_cast<double>(
-                        aggDramStats().interference.at(blocked,
-                                                       blocker));
-                });
+        out.scalar(p + "system", dram.interference.at(blocked, kThreadNone));
+        for (std::uint32_t j = 0; j < n; ++j) {
+            out.scalar(p + "t" + std::to_string(j),
+                       dram.interference.at(blocked,
+                                            static_cast<ThreadId>(j)));
         }
-        r.registerScalar(p + "total", [this, blocked] {
-            return static_cast<double>(
-                aggDramStats().interference.rowSum(blocked));
-        });
+        out.scalar(p + "total", dram.interference.rowSum(blocked));
     }
 
     // Bounded-buffer trace drops: a truncated trace must be visible
     // in the stats JSON, not only in the file's own gaps.
-    r.registerScalar("trace.dropped_events", [this] {
-        return tracer_ ? static_cast<double>(tracer_->droppedEvents())
-                       : 0.0;
-    });
+    out.scalar("trace.dropped_events",
+               tracer_ ? tracer_->droppedEvents() : 0);
 
-    // Per-channel power-state residency and mitigation activity.
-    // Registered as scalars so sampleEpoch() turns them into epoch
-    // time series alongside the aggregate residency counters above.
-    for (std::uint32_t c = 0; c < totalChannels(); ++c) {
-        std::uint32_t lc;
-        const DramSystem *d = &dramOfChannel(c, lc);
+    // Per-channel power-state residency and mitigation activity, as
+    // scalars so sampleEpoch() turns them into epoch time series
+    // alongside the aggregate residency counters above.
+    for (std::uint32_t c = 0; c < channels; ++c) {
+        const MemoryController &mc = globalChannel(c);
+        const PowerStats &p = mc.powerStats();
         const std::string ch = "dram.ch" + std::to_string(c) + ".";
-        const std::string p = ch + "power.";
-        r.registerScalar(p + "active_cycles", [d, lc] {
-            return static_cast<double>(
-                d->channelPowerStats(lc).activeCycles);
-        });
-        r.registerScalar(p + "powerdown_fast_cycles", [d, lc] {
-            return static_cast<double>(
-                d->channelPowerStats(lc).powerdownFastCycles);
-        });
-        r.registerScalar(p + "powerdown_slow_cycles", [d, lc] {
-            return static_cast<double>(
-                d->channelPowerStats(lc).powerdownSlowCycles);
-        });
-        r.registerScalar(p + "self_refresh_cycles", [d, lc] {
-            return static_cast<double>(
-                d->channelPowerStats(lc).selfRefreshCycles);
-        });
-        r.registerScalar(ch + "hammer.mitigation_cycles", [d, lc] {
-            return static_cast<double>(
-                d->channelHammerStats(lc).mitigationCycles);
-        });
+        out.scalar(ch + "power.active_cycles", p.activeCycles);
+        out.scalar(ch + "power.powerdown_fast_cycles",
+                   p.powerdownFastCycles);
+        out.scalar(ch + "power.powerdown_slow_cycles",
+                   p.powerdownSlowCycles);
+        out.scalar(ch + "power.self_refresh_cycles", p.selfRefreshCycles);
+        out.scalar(ch + "hammer.mitigation_cycles",
+                   mc.hammerStats().mitigationCycles);
     }
 
     // Distribution views.
-    r.registerHistogram("dram.read_latency", [this] {
-        return aggDramStats().readLatencyHist;
-    });
-    r.registerHistogram("dram.read_queue_depth", [this] {
-        return aggDramStats().queueDepthHist;
-    });
-    r.registerHistogram("dram.row_hit_run", [this] {
-        return aggDramStats().rowHitRunHist;
-    });
-    r.registerHistogram("dram.bandwidth_share_pct", [this] {
-        LogHistogram h;
-        const auto reads = perThreadReads();
-        std::uint64_t total = 0;
-        for (auto v : reads)
-            total += v;
-        if (total > 0) {
-            // Round to nearest, matching run()'s bandwidthShareHist;
-            // truncation biases every thread's share low.
-            for (auto v : reads)
-                h.sample((100 * v + total / 2) / total);
-        }
-        return h;
-    });
+    out.histogram("dram.read_latency", dram.readLatencyHist);
+    out.histogram("dram.read_queue_depth", dram.queueDepthHist);
+    out.histogram("dram.row_hit_run", dram.rowHitRunHist);
+    out.histogram("dram.bandwidth_share_pct", bandwidthShares(reads));
 
-    // --- stats schema v3: the numa.* block.  Registered (and the
-    // meta keys set) only on a nontrivial topology, so a one-core
-    // machine exports the v2 key set under the v3 stamp. ------------
+    // --- stats schema v3: the numa.* block, only on a nontrivial
+    // topology, so a one-core machine exports the v2 key set under
+    // the v3 stamp. ---------------------------------------------------
     if (!config_.topology.nontrivial())
         return;
-    r.setMeta("sockets", std::to_string(config_.topology.sockets));
-    r.setMeta("cores",
-              std::to_string(config_.topology.totalCores()));
-    r.registerScalar("numa.local_reads", [this] {
-        return static_cast<double>(router_->stats().localReads);
-    });
-    r.registerScalar("numa.remote_reads", [this] {
-        return static_cast<double>(router_->stats().remoteReads);
-    });
-    r.registerScalar("numa.remote_read_frac", [this] {
-        return router_->stats().remoteReadFrac();
-    });
-    r.registerScalar("numa.local_writes", [this] {
-        return static_cast<double>(router_->stats().localWrites);
-    });
-    r.registerScalar("numa.remote_writes", [this] {
-        return static_cast<double>(router_->stats().remoteWrites);
-    });
-    r.registerScalar("numa.outbound_cycles", [this] {
-        return static_cast<double>(router_->stats().outboundCycles);
-    });
-    r.registerScalar("numa.return_cycles", [this] {
-        return static_cast<double>(router_->stats().returnCycles);
-    });
-    r.registerScalar("numa.link_queue_cycles", [this] {
-        return static_cast<double>(router_->stats().linkQueueCycles);
-    });
-    r.registerScalar("numa.link_transfers", [this] {
-        return static_cast<double>(router_->stats().linkTransfers);
-    });
-    r.registerScalar("numa.migrations", [this] {
-        return static_cast<double>(router_->stats().migrations);
-    });
-    r.registerScalar("numa.migration_stall_cycles", [this] {
-        return static_cast<double>(
-            router_->stats().migrationStallCycles);
-    });
+    const NumaStats &numa = router_->stats();
+    out.scalar("numa.local_reads", numa.localReads);
+    out.scalar("numa.remote_reads", numa.remoteReads);
+    out.scalar("numa.remote_read_frac", numa.remoteReadFrac());
+    out.scalar("numa.local_writes", numa.localWrites);
+    out.scalar("numa.remote_writes", numa.remoteWrites);
+    out.scalar("numa.outbound_cycles", numa.outboundCycles);
+    out.scalar("numa.return_cycles", numa.returnCycles);
+    out.scalar("numa.link_queue_cycles", numa.linkQueueCycles);
+    out.scalar("numa.link_transfers", numa.linkTransfers);
+    out.scalar("numa.migrations", numa.migrations);
+    out.scalar("numa.migration_stall_cycles", numa.migrationStallCycles);
     for (std::uint32_t s = 0; s < config_.topology.sockets; ++s) {
+        const ControllerStats socket = drams_[s]->aggregateStats();
         const std::string p = "numa.s" + std::to_string(s) + ".";
-        r.registerScalar(p + "reads", [this, s] {
-            return static_cast<double>(
-                drams_[s]->aggregateStats().reads);
-        });
-        r.registerScalar(p + "writes", [this, s] {
-            return static_cast<double>(
-                drams_[s]->aggregateStats().writes);
-        });
-        r.registerScalar(p + "row_hits", [this, s] {
-            return static_cast<double>(
-                drams_[s]->aggregateStats().rowHits);
-        });
+        out.scalar(p + "reads", socket.reads);
+        out.scalar(p + "writes", socket.writes);
+        out.scalar(p + "row_hits", socket.rowHits);
     }
-    for (std::uint32_t t = 0; t < config_.core.numThreads; ++t) {
+    for (std::uint32_t t = 0; t < n; ++t) {
         const std::string p = "numa.t" + std::to_string(t) + ".";
-        r.registerScalar(p + "remote_reads", [this, t] {
-            const auto &per = router_->stats().perThreadRemoteReads;
-            return t < per.size() ? static_cast<double>(per[t]) : 0.0;
-        });
-        r.registerScalar(p + "return_cycles", [this, t] {
-            const auto &per = router_->stats().perThreadReturnCycles;
-            return t < per.size() ? static_cast<double>(per[t]) : 0.0;
-        });
-        r.registerScalar(p + "core", [this, t] {
-            return static_cast<double>(threadCore_[t]);
-        });
+        out.scalar(p + "remote_reads", t < numa.perThreadRemoteReads.size()
+                                           ? numa.perThreadRemoteReads[t]
+                                           : 0);
+        out.scalar(p + "return_cycles",
+                   t < numa.perThreadReturnCycles.size()
+                       ? numa.perThreadReturnCycles[t]
+                       : 0);
+        out.scalar(p + "core", threadCore_[t]);
     }
 }
 
@@ -710,11 +517,9 @@ SmtSystem::sampleEpoch()
         // summed over threads — render as stacked area charts in
         // Perfetto.
         for (std::uint32_t c = 0; c < totalChannels(); ++c) {
-            std::uint32_t lc;
-            const DramSystem &d = dramOfChannel(c, lc);
             tracer_->counter(
                 tracePidChannel(c), "queued_reads", now_,
-                static_cast<double>(d.channelQueuedReads(lc)));
+                static_cast<double>(globalChannel(c).queuedReads()));
         }
         double rob_total = 0.0;
         for (std::uint32_t t = 0; t < config_.core.numThreads; ++t) {
@@ -735,17 +540,16 @@ SmtSystem::sampleEpoch()
             "blame_power_exit",    "blame_hammer_mitigation",
             "blame_remote_access", "blame_intrinsic"};
         for (std::uint32_t c = 0; c < totalChannels(); ++c) {
-            std::uint32_t lc;
-            const DramSystem &d = dramOfChannel(c, lc);
+            const MemoryController &mc = globalChannel(c);
             const int pid = tracePidChannel(c);
-            const ControllerStats &s = d.channelStats(lc);
+            const ControllerStats &s = mc.stats();
             for (std::size_t k = 0; k < kNumBlameComponents; ++k) {
                 tracer_->counter(
                     pid, kBlameCounter[k], now_,
                     static_cast<double>(s.blameTotals.cycles[k]));
             }
             if (config_.dram.power.enabled) {
-                const PowerStats &p = d.channelPowerStats(lc);
+                const PowerStats &p = mc.powerStats();
                 tracer_->counter(
                     pid, "power_active_cycles", now_,
                     static_cast<double>(p.activeCycles));
@@ -759,7 +563,7 @@ SmtSystem::sampleEpoch()
                 tracer_->counter(
                     pid, "hammer_mitigation_cycles", now_,
                     static_cast<double>(
-                        d.channelHammerStats(lc).mitigationCycles));
+                        mc.hammerStats().mitigationCycles));
             }
         }
     }
@@ -1265,17 +1069,7 @@ SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
         branches ? static_cast<double>(mispredicts) / branches : 0.0;
 
     res.perThreadReads = perThreadReads();
-    std::uint64_t reads_total = 0;
-    for (auto v : res.perThreadReads)
-        reads_total += v;
-    if (reads_total > 0) {
-        // Round to nearest: plain truncation systematically biases
-        // every share low (four perfectly fair threads each report
-        // 24% instead of 25%).
-        for (auto v : res.perThreadReads)
-            res.bandwidthShareHist.sample(
-                (100 * v + reads_total / 2) / reads_total);
-    }
+    res.bandwidthShareHist = bandwidthShares(res.perThreadReads);
 
     exportObservability();
     return res;

@@ -3,9 +3,10 @@
  * The complete simulated machine — N sockets x M SMT cores, each
  * core with its own cache hierarchy, each socket with its own DRAM
  * system, a ring interconnect between sockets and an OS layer that
- * places (and optionally migrates) threads — plus the run loop and
- * the samplers behind Figures 4 and 5.  A config without an active
- * topology builds the paper's machine: one socket, one core.
+ * places (and optionally migrates) threads — plus the run loop, the
+ * samplers behind Figures 4 and 5, and the stats document's one
+ * source, emitStats().  A config without an active topology builds
+ * the paper's machine: one socket, one core.
  *
  * Structure per core: SmtCore -> Hierarchy -> SocketPort, where the
  * SocketPort routes through the SocketRouter to the home socket's
@@ -137,7 +138,9 @@ class SmtSystem
      */
     void dumpState(std::ostream &os) const;
 
-    /** Stats registry, or nullptr when no stats output is configured. */
+    /** Stats registry, or nullptr when no stats output is configured.
+     *  Its source is emitStats(): every value() or write*() call
+     *  takes a fresh sample of the live machine. */
     const StatsRegistry *statsRegistry() const { return registry_.get(); }
 
     /** Lifecycle tracer, or nullptr when tracing is off. */
@@ -167,8 +170,12 @@ class SmtSystem
      */
     std::uint64_t skipToNextEvent(Cycle clamp);
 
-    /** Register every component's stats into registry_. */
-    void registerStats();
+    /**
+     * The stats registry's one source: every scalar and histogram of
+     * the stats document, in document order, from one aggregation of
+     * the DRAM, power and hammer stats.
+     */
+    void emitStats(StatsSample &out) const;
 
     /** Epoch boundary: sample the registry and emit trace counters. */
     void sampleEpoch();
@@ -181,9 +188,8 @@ class SmtSystem
     PowerStats aggPowerStats() const;
     HammerStats aggHammerStats() const;
     std::uint32_t totalChannels() const;
-    /** (socket, local channel) for a global channel index. */
-    const DramSystem &dramOfChannel(std::uint32_t global,
-                                    std::uint32_t &local) const;
+    /** Global channel @p global: socket global / channels-per-socket. */
+    const MemoryController &globalChannel(std::uint32_t global) const;
     std::uint64_t committedOf(ThreadId tid) const;
     std::uint64_t grandCommitted() const;
     bool dramBusy() const;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the StatsRegistry: registration rules, epoch sampling,
- * and the schema-versioned JSON / CSV exports.
+ * Tests for the StatsRegistry: one source pass per sample, the shape
+ * rule, epoch sampling, and the schema-versioned JSON / CSV exports.
  */
 
 #include <gtest/gtest.h>
@@ -19,9 +19,8 @@ namespace
 
 TEST(StatsRegistry, ScalarProvidersAreLive)
 {
-    StatsRegistry r;
     double x = 1.0;
-    r.registerScalar("x", [&x] { return x; });
+    StatsRegistry r([&x](StatsSample &s) { s.scalar("x", x); });
     EXPECT_DOUBLE_EQ(r.value("x"), 1.0);
     x = 7.0;
     EXPECT_DOUBLE_EQ(r.value("x"), 7.0);
@@ -29,9 +28,8 @@ TEST(StatsRegistry, ScalarProvidersAreLive)
 
 TEST(StatsRegistry, EpochSeriesRecordsEachSample)
 {
-    StatsRegistry r;
     double x = 0.0;
-    r.registerScalar("x", [&x] { return x; });
+    StatsRegistry r([&x](StatsSample &s) { s.scalar("x", x); });
     for (Cycle c = 100; c <= 300; c += 100) {
         x = static_cast<double>(c) / 10.0;
         r.sampleEpoch(c);
@@ -50,15 +48,14 @@ TEST(StatsRegistry, EpochSeriesRecordsEachSample)
 
 TEST(StatsRegistry, JsonDocumentCarriesSchemaAndContent)
 {
-    StatsRegistry r;
-    r.setMeta("config", "test-config");
-    r.registerScalar("dram.reads", [] { return 42.0; });
-    r.registerHistogram("lat", [] {
+    StatsRegistry r([](StatsSample &s) {
+        s.scalar("dram.reads", 42.0);
         LogHistogram h;
         for (std::uint64_t v = 1; v <= 100; ++v)
             h.sample(v);
-        return h;
+        s.histogram("lat", h);
     });
+    r.setMeta("config", "test-config");
     r.sampleEpoch(1000);
 
     std::ostringstream os;
@@ -85,20 +82,60 @@ TEST(StatsRegistry, JsonDocumentCarriesSchemaAndContent)
               std::count(doc.begin(), doc.end(), ']'));
 }
 
+TEST(StatsRegistry, OneSourcePassPerSample)
+{
+    int passes = 0;
+    StatsRegistry r([&passes](StatsSample &s) {
+        ++passes;
+        s.scalar("a", 1.0);
+        s.scalar("b", 2.0);
+        s.histogram("h", LogHistogram());
+    });
+    EXPECT_EQ(passes, 0);
+    r.sampleEpoch(10);
+    EXPECT_EQ(passes, 1);
+    std::ostringstream json;
+    r.writeJson(json, 20);
+    EXPECT_EQ(passes, 2);
+    std::ostringstream csv;
+    r.writeCsv(csv, 20);
+    EXPECT_EQ(passes, 3);
+    EXPECT_DOUBLE_EQ(r.value("b"), 2.0);
+    EXPECT_EQ(passes, 4);
+}
+
 TEST(StatsRegistryDeath, DuplicateNamePanics)
 {
-    StatsRegistry r;
-    r.registerScalar("dup", [] { return 0.0; });
-    EXPECT_DEATH(r.registerScalar("dup", [] { return 1.0; }), "dup");
+    StatsRegistry r([](StatsSample &s) {
+        s.scalar("dup", 0.0);
+        s.scalar("dup", 1.0);
+    });
+    EXPECT_DEATH(r.sampleEpoch(10), "dup");
 }
 
 TEST(StatsRegistryDeath, RegistrationAfterSamplingPanics)
 {
-    StatsRegistry r;
-    r.registerScalar("a", [] { return 0.0; });
+    // The first sample fixes the shape; a stat that appears later is
+    // a shape change, named in the panic.
+    bool late = false;
+    StatsRegistry r([&late](StatsSample &s) {
+        s.scalar("a", 0.0);
+        if (late)
+            s.scalar("late", 0.0);
+    });
     r.sampleEpoch(10);
-    EXPECT_DEATH(r.registerScalar("late", [] { return 0.0; }),
-                 "late");
+    late = true;
+    EXPECT_DEATH(r.sampleEpoch(20), "late");
+
+    // Dropping a stat is a shape change too.
+    bool gone = false;
+    StatsRegistry shrinking([&gone](StatsSample &s) {
+        if (!gone)
+            s.scalar("gone", 0.0);
+    });
+    shrinking.sampleEpoch(10);
+    gone = true;
+    EXPECT_DEATH(shrinking.sampleEpoch(20), "gone");
 }
 
 } // namespace

@@ -32,12 +32,12 @@ TEST(DramSystem, RoutesByChannelBits)
     // Line 0 -> channel 0, line 1 -> channel 1.
     sys.enqueueRead(0, 0, {}, 0);
     sys.enqueueRead(64, 0, {}, 0);
-    EXPECT_EQ(sys.channelStats(0).reads +
-                  sys.channelStats(1).reads,
+    EXPECT_EQ(sys.channel(0).stats().reads +
+                  sys.channel(1).stats().reads,
               0u);  // nothing issued yet
     drain(sys, 2000);
-    EXPECT_EQ(sys.channelStats(0).reads, 1u);
-    EXPECT_EQ(sys.channelStats(1).reads, 1u);
+    EXPECT_EQ(sys.channel(0).stats().reads, 1u);
+    EXPECT_EQ(sys.channel(1).stats().reads, 1u);
 }
 
 TEST(DramSystem, ReadCallbackFiresOncePerRead)
@@ -104,7 +104,7 @@ TEST(DramSystem, AggregateStatsSumChannels)
     const ControllerStats agg = sys.aggregateStats();
     EXPECT_EQ(agg.reads, 8u);
     EXPECT_EQ(agg.reads,
-              sys.channelStats(0).reads + sys.channelStats(1).reads);
+              sys.channel(0).stats().reads + sys.channel(1).stats().reads);
     EXPECT_EQ(agg.rowHits + agg.rowEmpty + agg.rowConflicts, 8u);
     EXPECT_EQ(agg.readLatency.count(), 8u);
 }

@@ -17,6 +17,10 @@
  * them.  All windows run with ECC disabled: the snapshots double as
  * the proof that the ECC layer is invisible when off.
  *
+ * The GoldenStats tests pin the exported stats document itself (JSON
+ * and CSV, byte for byte) for one single-socket and one two-socket
+ * run, under the same regeneration rule.
+ *
  * The FigureSpecs tests check the table itself: every flag group a
  * figure honours reaches every cell it runs, the observability files
  * come from one run whatever --jobs is, --mixes resolves a figure's
@@ -108,6 +112,53 @@ class GoldenFigure : public ::testing::Test
     }
     return true;
 }();
+
+// --- The stats document ------------------------------------------------
+
+/**
+ * Run one cell of @p figure with @p args and pin the stats JSON and
+ * CSV it exports, as <stem>.json.golden and <stem>.csv.golden.  The
+ * names, their order and every value are part of the snapshot.
+ */
+void
+checkStatsGolden(const std::string &stem, const char *figure,
+                 std::vector<std::string> args, const std::string &cell)
+{
+    const FigureSpec &spec = *findFigure(figure);
+    const std::string path = testArtifactPath(stem);
+    args.push_back("--stats-json=" + path + ".json");
+    args.push_back("--stats-csv=" + path + ".csv");
+    runSweep(spec, figureFlags(spec, args), /*jobs=*/1, {cell});
+    for (const char *ext : {".json", ".csv"}) {
+        std::ifstream in(path + ext);
+        std::ostringstream text;
+        text << in.rdbuf();
+        std::remove((path + ext).c_str());
+        checkGolden(stem + ext, text.str());
+    }
+}
+
+TEST(GoldenStats, SingleSocketDocument)
+{
+    // One socket with refresh, ECC scrub, the power state machine and
+    // rowhammer mitigation on.
+    checkStatsGolden("stats_single_socket", "fig13_blame",
+                     {"--insts=2000", "--warmup=1000", "--seed=42",
+                      "--mixes=2-MEM", "--refresh", "--ecc", "--power",
+                      "--hammer", "--hammer-mitigate", "--epoch=3000"},
+                     "Criticality");
+}
+
+TEST(GoldenStats, NumaMigrateDocument)
+{
+    // Two sockets: the meta sockets/cores keys and the numa.* block,
+    // with remote reads, link queueing and two migrations.
+    checkStatsGolden("stats_numa_migrate", "fig14_numa",
+                     {"--insts=2000", "--warmup=1000", "--seed=42",
+                      "--mixes=n4-MEM", "--placement=migrate",
+                      "--epoch=12000"},
+                     "migrate");
+}
 
 // --- The figure table itself -------------------------------------------
 

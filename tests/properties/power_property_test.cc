@@ -125,9 +125,11 @@ TEST_P(PowerProperty, EnergyConservesUnderHostileTraffic)
 
     // Conservation #2: per-rank attribution tiles the total.
     double rank_sum = 0.0;
-    for (std::uint32_t ch = 0; ch < c.logicalChannels(); ++ch)
-        for (std::uint32_t r = 0; r < dram.powerRanks(); ++r)
-            rank_sum += dram.rankEnergy(ch, r);
+    for (std::uint32_t ch = 0; ch < c.logicalChannels(); ++ch) {
+        const MemoryController &mc = dram.channel(ch);
+        for (std::uint32_t r = 0; r < mc.powerRanks(); ++r)
+            rank_sum += mc.rankEnergy(r);
+    }
     EXPECT_NEAR(rank_sum, s.totalEnergy, 1e-9 * s.totalEnergy);
 
     // Conservation #3: the four states tile every rank-cycle of every
@@ -135,7 +137,7 @@ TEST_P(PowerProperty, EnergyConservesUnderHostileTraffic)
     // refreshes, and syncs.
     const std::uint64_t rank_cycles =
         static_cast<std::uint64_t>(c.logicalChannels()) *
-        dram.powerRanks() * now;
+        dram.channel(0).powerRanks() * now;
     EXPECT_EQ(s.activeCycles + s.powerdownFastCycles +
                   s.powerdownSlowCycles + s.selfRefreshCycles,
               rank_cycles);

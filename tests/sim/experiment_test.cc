@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "sim/experiment.hh"
 #include "sim/parallel_runner.hh"
 #include "workload/hammer_workload.hh"
@@ -165,6 +168,31 @@ TEST(ConfigSignature, HammerBlockOnlyWhenEnabled)
     SystemConfig cap = mit;
     cap.dram.hammer.trackerCapacity = 4;
     EXPECT_NE(configSignature(cap), mit_sig);
+}
+
+TEST(ConfigSignature, LongFaultSuffixIsNotTruncated)
+{
+    // Every fault knob at full width runs the suffix past the 96 bytes
+    // a fixed buffer held; the seed, printed last, must survive whole.
+    SystemConfig a = SystemConfig::paperDefault(2);
+    FaultConfig &f = a.dram.faults;
+    f.enabled = true;
+    f.busStallProbability = 0.123456789;
+    f.readErrorProbability = 0.123456789;
+    f.enqueueDelayProbability = 0.123456789;
+    f.busStallCycles = 123456789012345;
+    f.retryBackoff = 123456789012345;
+    f.enqueueDelayMax = 123456789012345;
+    f.maxRetries = std::numeric_limits<std::uint32_t>::max();
+    f.seed = std::numeric_limits<std::uint64_t>::max();
+    SystemConfig b = a;
+    b.dram.faults.seed = f.seed - 1;
+
+    const std::string sig_a = configSignature(a);
+    const std::string sig_b = configSignature(b);
+    EXPECT_NE(sig_a, sig_b);
+    EXPECT_TRUE(sig_a.ends_with("s18446744073709551615")) << sig_a;
+    EXPECT_TRUE(sig_b.ends_with("s18446744073709551614")) << sig_b;
 }
 
 TEST(ProfilesForMix, ResolvesHammerThreadsInHostileMixes)
