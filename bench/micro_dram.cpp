@@ -28,6 +28,11 @@ using namespace smtdram;
 namespace
 {
 
+/** Every scheduling policy; the per-policy benches register one row
+ *  per entry of allSchedulerKindsExtended(), so a new policy joins
+ *  them (and the CI soaks that run them) without an edit here. */
+const int kPolicies = static_cast<int>(allSchedulerKindsExtended().size());
+
 void
 BM_AddressMappingPage(benchmark::State &state)
 {
@@ -60,10 +65,9 @@ BENCHMARK(BM_AddressMappingXor);
 void
 BM_SchedulerPick(benchmark::State &state)
 {
-    const auto kind = static_cast<SchedulerKind>(state.range(0));
+    const SchedulerKind kind = allSchedulerKindsExtended()[state.range(0)];
     const size_t depth = static_cast<size_t>(state.range(1));
 
-    auto scheduler = makeScheduler(kind);
     Rng rng(7);
     std::vector<DramRequest> reqs(depth);
     std::vector<SchedCandidate> candidates(depth);
@@ -82,11 +86,12 @@ BM_SchedulerPick(benchmark::State &state)
         candidates[i].bankIdle = rng.chance(0.2);
     }
     for (auto _ : state)
-        benchmark::DoNotOptimize(scheduler->pick(candidates, depth));
+        benchmark::DoNotOptimize(pickCandidate(kind, candidates, depth));
     state.SetLabel(schedulerName(kind));
 }
 BENCHMARK(BM_SchedulerPick)
-    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {8, 32}});
+    ->ArgsProduct({benchmark::CreateDenseRange(0, kPolicies - 1, 1),
+                   {8, 32}});
 
 /** End-to-end controller throughput on a synthetic request storm. */
 void
@@ -104,7 +109,7 @@ BM_ControllerStream(benchmark::State &state)
         if (mc.canAcceptRead()) {
             DramRequest req;
             req.id = id++;
-            req.op = MemOp::Read;
+            req.kind = RequestKind::Read;
             req.addr = rng.below(1ULL << 28) & ~63ULL;
             req.thread = 0;
             req.arrival = now;
@@ -145,7 +150,7 @@ BM_TraceOverhead(benchmark::State &state)
         if (mc.canAcceptRead()) {
             DramRequest req;
             req.id = id++;
-            req.op = MemOp::Read;
+            req.kind = RequestKind::Read;
             req.addr = rng.below(1ULL << 28) & ~63ULL;
             req.thread = 0;
             req.arrival = now;
@@ -175,7 +180,7 @@ BENCHMARK(BM_TraceOverhead)->Arg(0)->Arg(1);
 void
 BM_FaultSoak(benchmark::State &state)
 {
-    const auto kind = static_cast<SchedulerKind>(state.range(0));
+    const SchedulerKind kind = allSchedulerKindsExtended()[state.range(0)];
     DramConfig config = DramConfig::ddrSdram(2).withRefresh(5'000, 120);
     config.checkerEnabled = true;
     config.checkerMaxAge = 2'000'000;
@@ -219,7 +224,9 @@ BM_FaultSoak(benchmark::State &state)
     state.counters["refreshes"] = static_cast<double>(stats.refreshes);
     state.counters["stalls"] = static_cast<double>(faults.busStalls);
 }
-BENCHMARK(BM_FaultSoak)->DenseRange(0, 5)->Iterations(200'000);
+BENCHMARK(BM_FaultSoak)
+    ->DenseRange(0, kPolicies - 1)
+    ->Iterations(200'000);
 
 /**
  * SECDED ECC soak: every scheduler ticked through demand traffic with
@@ -232,7 +239,7 @@ BENCHMARK(BM_FaultSoak)->DenseRange(0, 5)->Iterations(200'000);
 void
 BM_EccScrub(benchmark::State &state)
 {
-    const auto kind = static_cast<SchedulerKind>(state.range(0));
+    const SchedulerKind kind = allSchedulerKindsExtended()[state.range(0)];
     DramConfig config = DramConfig::ddrSdram(2);
     config.checkerEnabled = true;
     config.checkerMaxAge = 2'000'000;
@@ -282,7 +289,9 @@ BM_EccScrub(benchmark::State &state)
         static_cast<double>(stats.uncorrectableErrors);
     state.counters["poisoned"] = static_cast<double>(poisoned);
 }
-BENCHMARK(BM_EccScrub)->DenseRange(0, 5)->Iterations(150'000);
+BENCHMARK(BM_EccScrub)
+    ->DenseRange(0, kPolicies - 1)
+    ->Iterations(150'000);
 
 /**
  * Power-subsystem overhead: the default machine (event kernel) on a
@@ -409,7 +418,7 @@ BM_SchedScan(benchmark::State &state)
         while (mc.queuedReads() < depth && mc.canAcceptRead()) {
             DramRequest req;
             req.id = id++;
-            req.op = MemOp::Read;
+            req.kind = RequestKind::Read;
             req.addr = rng.below(1ULL << 28) & ~63ULL;
             req.thread = static_cast<ThreadId>(rng.below(4));
             req.arrival = now;

@@ -52,11 +52,8 @@ DramSystem::serviceScrub(Cycle now)
         for (std::uint32_t i = mc.queuedScrubs(); i < ecc.scrubBurst;
              ++i) {
             DramRequest req;
-            req.id = nextId_++;
-            req.op = MemOp::Read;
-            req.scrub = true;
+            req.kind = RequestKind::Scrub;
             req.thread = kThreadNone;
-            req.arrival = now;
             req.addr = kAddrInvalid;  // patrol walks coordinates
             req.coord = {c, s.bank, s.row, s.column};
             req.critical = false;
@@ -69,10 +66,7 @@ DramSystem::serviceScrub(Cycle now)
                     s.bank = (s.bank + 1) % banks;
                 }
             }
-            if (checker_)
-                checker_->onEnqueue(req, now);
-            mc.enqueue(req);
-            ++outstanding_;
+            submit(req, now);
         }
         s.nextAt += ecc.scrubInterval;
         if (s.nextAt <= now)
@@ -91,18 +85,12 @@ DramSystem::serviceMitigations(Cycle now)
         mc.takePendingMitigations(mitigationScratch_);
         for (const MitigationRequest &m : mitigationScratch_) {
             DramRequest req;
-            req.id = nextId_++;
-            req.op = MemOp::Read;
-            req.mitigation = true;
+            req.kind = RequestKind::Mitigation;
             req.thread = kThreadNone;
-            req.arrival = now;
             req.addr = kAddrInvalid;  // row-granular, no data moved
             req.coord = {c, m.bank, m.row, 0};
             req.critical = false;
-            if (checker_)
-                checker_->onEnqueue(req, now);
-            mc.enqueue(req);
-            ++outstanding_;
+            submit(req, now);
         }
     }
 }
@@ -130,12 +118,10 @@ DramSystem::enqueueRead(Addr addr, ThreadId thread,
                         std::uint32_t origin)
 {
     DramRequest req;
-    req.id = nextId_++;
-    req.op = MemOp::Read;
+    req.kind = RequestKind::Read;
     req.addr = addr;
     req.thread = thread;
     req.origin = origin;
-    req.arrival = now;
     req.snap = snap;
     req.coord = mapping_.map(addr);
     req.critical = critical;
@@ -148,11 +134,7 @@ DramSystem::enqueueRead(Addr addr, ThreadId thread,
             perThreadOutstanding_.resize(thread + 1, 0);
         ++perThreadOutstanding_[thread];
     }
-    if (checker_)
-        checker_->onEnqueue(req, now);
-    controllers_[req.coord.channel].enqueue(req);
-    ++outstanding_;
-    return req.id;
+    return submit(req, now);
 }
 
 std::uint64_t
@@ -165,16 +147,22 @@ std::uint64_t
 DramSystem::enqueueWrite(Addr addr, Cycle now, Cycle remote_until)
 {
     DramRequest req;
-    req.id = nextId_++;
-    req.op = MemOp::Write;
+    req.kind = RequestKind::Write;
     req.addr = addr;
     req.thread = kThreadNone;
-    req.arrival = now;
     req.coord = mapping_.map(addr);
     if (remote_until > now) {
         req.remoteUntil = remote_until;
         req.notBefore = remote_until;
     }
+    return submit(req, now);
+}
+
+std::uint64_t
+DramSystem::submit(DramRequest &req, Cycle now)
+{
+    req.id = nextId_++;
+    req.arrival = now;
     if (checker_)
         checker_->onEnqueue(req, now);
     controllers_[req.coord.channel].enqueue(req);
@@ -234,7 +222,7 @@ DramSystem::tick(Cycle now)
         // Scrub and mitigation completions are internal maintenance:
         // conserved by the checker above but invisible to the demand
         // callback.
-        if (req.op != MemOp::Read || req.scrub || req.mitigation)
+        if (req.kind != RequestKind::Read)
             continue;
         if (req.thread != kThreadNone &&
             req.thread < perThreadOutstanding_.size()) {
@@ -254,9 +242,10 @@ DramSystem::tick(Cycle now)
     if (checker_ && now - lastAgeCheck_ >= kAgeCheckPeriod) {
         lastAgeCheck_ = now;
         checker_->checkAges(now);
-        // The checker's live set must equal what the queues (read,
-        // write, scrub, in-flight) actually hold — scrub requests
-        // included; a drift means a request leaked past one side.
+        // The checker's live set must equal what the controllers
+        // actually hold — every kind's queue plus in flight,
+        // maintenance included; a drift means a request leaked past
+        // one side.
         // Also cross-check the incremental counter against the
         // queues while we are paying for a scan anyway.
         size_t summed = 0;

@@ -127,7 +127,6 @@ class DramSystem : public MemoryPort
     std::uint32_t distinctThreadsOutstanding() const;
 
     const DramConfig &config() const { return config_; }
-    const AddressMapping &mapping() const { return mapping_; }
     std::uint32_t channels() const;
 
     /** One channel's controller: its stats, queues and power ranks. */
@@ -180,16 +179,25 @@ class DramSystem : public MemoryPort
 
   private:
     /**
+     * The one admission path, for demand and maintenance traffic
+     * alike: give @p req (kind, coordinates and payload already set)
+     * the next id and arrival @p now, register it with the checker,
+     * queue it at its channel and count it outstanding.
+     * @return the assigned id.
+     */
+    std::uint64_t submit(DramRequest &req, Cycle now);
+
+    /**
      * Inject due patrol-scrub reads.  Generation lives here, not in
-     * the controller, so scrub requests take the same id/checker path
-     * as demand traffic and conservation covers them.
+     * the controller, so scrub requests enter through submit() like
+     * demand traffic and conservation covers them.
      */
     void serviceScrub(Cycle now);
 
     /**
      * Materialize preventive refreshes the aggressor trackers have
      * requested.  Like scrub, generation lives here so mitigation
-     * commands take the same id/checker path as demand traffic.
+     * commands enter through submit() like demand traffic.
      */
     void serviceMitigations(Cycle now);
 

@@ -1,12 +1,15 @@
 /**
  * @file
  * Plain data types exchanged between the processor side and the DRAM
- * subsystem.
+ * subsystem.  A request's RequestKind is the one field that says what
+ * it is: the controller indexes its queues by it, and every "is this
+ * a demand read?" test reads it.
  */
 
 #ifndef SMTDRAM_DRAM_DRAM_TYPES_HH
 #define SMTDRAM_DRAM_DRAM_TYPES_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/types.hh"
@@ -15,8 +18,35 @@
 namespace smtdram
 {
 
-/** Direction of a main-memory transaction. */
+/** Direction of an access the cache side asks the port to accept. */
 enum class MemOp : std::uint8_t { Read, Write };
+
+/**
+ * What a DRAM transaction is.  The value indexes the controller's
+ * queues (and orders its state dump), so the order is fixed.
+ */
+enum class RequestKind : std::uint8_t {
+    /** Demand read; the only kind delivered through the read
+     *  callback. */
+    Read,
+    /** Writeback; completes silently. */
+    Write,
+    /** ECC patrol-scrub read: background maintenance that moves data
+     *  (it can fail, retry and find errors) but is never delivered. */
+    Scrub,
+    /** Rowhammer preventive refresh: a maintenance ACT+PRE on a victim
+     *  row that restores its charge.  Moves no data. */
+    Mitigation,
+};
+
+inline constexpr std::size_t kNumRequestKinds = 4;
+
+/** Position of @p kind in per-kind tables. */
+constexpr std::size_t
+kindIndex(RequestKind kind)
+{
+    return static_cast<std::size_t>(kind);
+}
 
 /**
  * Thread state piggybacked on a memory request when the cache miss is
@@ -44,7 +74,7 @@ struct DramCoord {
 /** One line-sized main-memory transaction. */
 struct DramRequest {
     std::uint64_t id = 0;
-    MemOp op = MemOp::Read;
+    RequestKind kind = RequestKind::Read;
     Addr addr = kAddrInvalid;
     /** Owning hardware thread; kThreadNone for writebacks. */
     ThreadId thread = kThreadNone;
@@ -68,13 +98,6 @@ struct DramRequest {
     Cycle remoteUntil = 0;
     /** Transient-read-error retries already taken (fault injection). */
     std::uint32_t retries = 0;
-    /** True for ECC patrol-scrub reads (background maintenance
-     *  traffic; never delivered through the read callback). */
-    bool scrub = false;
-    /** True for rowhammer preventive-refresh commands: a maintenance
-     *  ACT+PRE on a victim row that restores its charge.  Moves no
-     *  data, never delivered through the read callback. */
-    bool mitigation = false;
 
     /**
      * Where every cycle since arrival went (see blame.hh).  Maintained

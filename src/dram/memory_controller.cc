@@ -46,15 +46,38 @@ ControllerStats::merge(const ControllerStats &s)
 namespace
 {
 
-/** Static-storage lifecycle-span name for a request. */
-const char *
-requestTraceName(const DramRequest &req)
+/** Per-kind labels, indexed by RequestKind: the lifecycle-span name
+ *  in traces, and the queue's name in dumps and overflow panics. */
+constexpr const char *kSpanName[kNumRequestKinds] = {"read", "write",
+                                                     "scrub", "prevref"};
+constexpr const char *kQueueName[kNumRequestKinds] = {
+    "readQueue", "writeQueue", "scrubQueue", "mitigationQueue"};
+
+/** True for the kinds that read data off the DRAM: read-error
+ *  retries, ECC outcomes and hammer flips apply to them. */
+bool
+readsData(RequestKind kind)
 {
-    if (req.mitigation)
-        return "prevref";
-    if (req.scrub)
-        return "scrub";
-    return req.op == MemOp::Read ? "read" : "write";
+    return kind == RequestKind::Read || kind == RequestKind::Scrub;
+}
+
+/** Dump letter: scrubs and mitigations read like reads ("R"). */
+const char *
+opLetter(RequestKind kind)
+{
+    return kind == RequestKind::Write ? "W" : "R";
+}
+
+/**
+ * Entries a kind's queue holds.  Demand requests are refused at the
+ * cap (canAcceptRead/canAcceptWrite); scrub and mitigation traffic is
+ * paced by its generator, so reaching the cap means the pacing broke.
+ */
+std::size_t
+queueCap(const DramConfig &config, RequestKind kind)
+{
+    return kind == RequestKind::Write ? config.writeQueueCap
+                                      : config.readQueueCap;
 }
 
 } // namespace
@@ -64,7 +87,7 @@ MemoryController::MemoryController(const DramConfig &config,
                                    std::uint32_t channel)
     : config_(config),
       channel_(channel),
-      scheduler_(makeScheduler(scheduler)),
+      scheduler_(scheduler),
       injector_(config.faults, config.ecc, config.hammer, channel),
       // The address map does not bound the row index (pages map ever
       // upward), so the disturbance model only clips victims at the
@@ -90,16 +113,18 @@ MemoryController::MemoryController(const DramConfig &config,
     }
     // Queues hold small fixed-size entries; reserving the acceptance
     // caps up front means even the cold-start ramp never reallocates.
-    readQueue_.reserve(config_.readQueueCap);
-    writeQueue_.reserve(config_.writeQueueCap);
-    scrubQueue_.reserve(config_.readQueueCap);
-    mitigationQueue_.reserve(config_.readQueueCap);
-    // One scheduling scan can surface reads, mitigations, scrubs, and
-    // writes together, so reserving the summed caps makes the scratch
+    // One scheduling scan can surface every kind together, so
+    // reserving the summed caps makes the candidate scratch
     // allocation-free for the controller's lifetime (ZeroAllocTest
     // pins this).
-    candidateScratch_.reserve(3 * config_.readQueueCap +
-                              config_.writeQueueCap);
+    std::size_t total_cap = 0;
+    for (std::size_t k = 0; k < kNumRequestKinds; ++k) {
+        const std::size_t cap =
+            queueCap(config_, static_cast<RequestKind>(k));
+        queues_[k].reserve(cap);
+        total_cap += cap;
+    }
+    candidateScratch_.reserve(total_cap);
 }
 
 void
@@ -130,15 +155,16 @@ MemoryController::enqueue(DramRequest req)
     panic_if(req.coord.bank >= banks_.size(),
              "bank %u out of range (%zu banks)", req.coord.bank,
              static_cast<size_t>(banks_.size()));
-    if (req.op == MemOp::Read && !req.scrub && !req.mitigation &&
-        req.retries == 0) {
-        stats_.queueDepthHist.sample(readQueue_.size());
-    }
+    const RequestKind kind = req.kind;
+    panic_if(queue(kind).size() >= queueCap(config_, kind),
+             "%s overflow", kQueueName[kindIndex(kind)]);
+    if (kind == RequestKind::Read && req.retries == 0)
+        stats_.queueDepthHist.sample(queuedReads());
     if (tracer_ && req.retries == 0) {
         // Retried requests re-enter the queue inside an already-open
         // span; only the first enqueue begins the lifecycle.
         tracer_->asyncBegin(
-            "dram", requestTraceName(req), req.id,
+            "dram", kSpanName[kindIndex(kind)], req.id,
             tracePidChannel(channel_), req.arrival,
             Tracer::arg2("bank", req.coord.bank, "thread",
                          req.thread == kThreadNone
@@ -147,60 +173,38 @@ MemoryController::enqueue(DramRequest req)
     }
     // Mitigation commands never draw from the fault stream: enabling
     // the hammer model must not perturb the fault pattern of a seed.
-    if (injector_.active() && !req.mitigation) {
+    if (injector_.active() && kind != RequestKind::Mitigation) {
         // A command-path glitch delays when the request may issue,
         // not when it occupies queue space.
         const Cycle d = injector_.sampleEnqueueDelay();
         if (d > 0)
             req.notBefore = std::max(req.notBefore, req.arrival + d);
     }
-    // Blame: anchor attribution at arrival, then account any window
-    // already standing against this request (busy bank, engaged bus
-    // gate) so a mid-window arrival attributes its wait correctly.
-    // Retried requests re-enter via retire(), not here.
+    // Blame: anchor attribution at arrival.
     if (req.blameUpTo < req.arrival)
         req.blameUpTo = req.arrival;
+    const Cycle arrival = req.arrival;
+    joinQueue(pool_.alloc(std::move(req)), arrival);
+}
+
+void
+MemoryController::joinQueue(ReqHandle h, Cycle now)
+{
+    DramRequest &req = pool_.at(h);
+    // Account any window already standing against this request (busy
+    // bank, engaged bus gate) so a mid-window arrival attributes its
+    // wait correctly.
     const std::uint32_t b = req.coord.bank;
-    if (banks_.readyAt[b] > req.arrival) {
+    if (banks_.readyAt[b] > now) {
         accountWaitUntil(req, banks_.readyAt[b], banks_.busyCause[b],
                          banks_.busyOwner[b]);
     }
-    if (busFreeAt_ > req.arrival + table_.maxBusLead) {
+    if (busFreeAt_ > now + table_.maxBusLead) {
         accountWaitUntil(req, busFreeAt_ - table_.maxBusLead,
                          busGateCause_, busOwner_);
     }
-    std::vector<QueuedRef> *queue;
-    if (req.mitigation) {
-        // Preventive refreshes are paced by the Misra-Gries trigger
-        // threshold; an unbounded queue means the tracker is firing
-        // faster than the channel can ever serve.
-        panic_if(req.op != MemOp::Read,
-                 "mitigation requests are maintenance reads");
-        panic_if(mitigationQueue_.size() >= config_.readQueueCap,
-                 "mitigation queue overflow");
-        queue = &mitigationQueue_;
-    } else if (req.scrub) {
-        // Patrol scrub is paced by the generator; a runaway queue
-        // means the pacing logic is broken, not that load is high.
-        panic_if(req.op != MemOp::Read, "scrub requests are reads");
-        panic_if(scrubQueue_.size() >= config_.readQueueCap,
-                 "scrub queue overflow");
-        queue = &scrubQueue_;
-    } else if (req.op == MemOp::Read) {
-        panic_if(!canAcceptRead(), "read queue overflow");
-        queue = &readQueue_;
-    } else {
-        panic_if(!canAcceptWrite(), "write queue overflow");
-        queue = &writeQueue_;
-    }
-    // Capture the scan-filter fields before the move into the pool.
-    QueuedRef entry;
-    entry.bank = req.coord.bank;
-    entry.row = req.coord.row;
-    entry.arrival = req.arrival;
-    entry.notBefore = req.notBefore;
-    entry.h = pool_.alloc(std::move(req));
-    queue->push_back(entry);
+    queue(req.kind).push_back(
+        QueuedRef{h, b, req.coord.row, req.arrival, req.notBefore});
 }
 
 void
@@ -243,8 +247,8 @@ MemoryController::accountWaitUntil(DramRequest &r, Cycle until,
                            cause == BlameComponent::RefreshStall ||
                            cause == BlameComponent::ScrubInterference ||
                            cause == BlameComponent::HammerMitigation;
-    if (occupancy && r.op == MemOp::Read && !r.scrub &&
-        !r.mitigation && r.thread != kThreadNone) {
+    if (occupancy && r.kind == RequestKind::Read &&
+        r.thread != kThreadNone) {
         stats_.interference.add(r.thread, owner, cycles);
     }
 }
@@ -266,17 +270,13 @@ MemoryController::accountBankWindow(std::uint32_t bank_index, Cycle now)
         return;
     const BlameComponent cause = banks_.busyCause[bank_index];
     const ThreadId owner = banks_.busyOwner[bank_index];
-    const auto sweep = [&](const std::vector<QueuedRef> &queue) {
+    for (const std::vector<QueuedRef> &queue : queues_) {
         for (const QueuedRef &q : queue) {
             if (q.bank == bank_index)
                 accountBlocked(pool_.at(q.h), now, ready_at, cause,
                                owner);
         }
-    };
-    sweep(readQueue_);
-    sweep(writeQueue_);
-    sweep(scrubQueue_);
-    sweep(mitigationQueue_);
+    }
 }
 
 void
@@ -286,63 +286,33 @@ MemoryController::accountBusGate(Cycle now, BlameComponent cause,
     if (busFreeAt_ <= now + table_.maxBusLead)
         return;
     const Cycle gate_end = busFreeAt_ - table_.maxBusLead;
-    const auto sweep = [&](const std::vector<QueuedRef> &queue) {
+    for (const std::vector<QueuedRef> &queue : queues_) {
         for (const QueuedRef &q : queue)
             accountBlocked(pool_.at(q.h), now, gate_end, cause, owner);
-    };
-    sweep(readQueue_);
-    sweep(writeQueue_);
-    sweep(scrubQueue_);
-    sweep(mitigationQueue_);
-}
-
-void
-MemoryController::gatherCandidates(const std::vector<QueuedRef> &queue,
-                                   CandidateSource source, Cycle now,
-                                   std::vector<SchedCandidate> &out) const
-{
-    // The filters run on the entry's cached fields; the pool is
-    // dereferenced only for entries that survive them.
-    const std::uint32_t n = static_cast<std::uint32_t>(queue.size());
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const QueuedRef &q = queue[i];
-        if (q.notBefore > now)
-            continue;
-        // One bit test against the mask sync()ed at tryIssue entry.
-        if (!banks_.ready(q.bank))
-            continue;
-        SchedCandidate c;
-        c.req = &pool_.at(q.h);
-        c.rowHit = table_.openMode && banks_.rowHit(q.bank, q.row);
-        c.bankIdle = banks_.idle(q.bank);
-        c.source = source;
-        c.sourceIndex = i;
-        out.push_back(c);
     }
 }
 
 void
-MemoryController::gatherScrubCandidates(
-    Cycle now, bool escalated_only,
-    std::vector<SchedCandidate> &out) const
+MemoryController::gatherCandidates(RequestKind kind, Cycle now,
+                                   Cycle min_age,
+                                   std::vector<SchedCandidate> &out) const
 {
-    const Cycle deadline = table_.scrubDeadline;
-    const std::uint32_t n =
-        static_cast<std::uint32_t>(scrubQueue_.size());
+    // The filters run on the entry's cached fields; the pool is
+    // dereferenced only for entries that survive them.
+    const std::vector<QueuedRef> &q = queue(kind);
+    const std::uint32_t n = static_cast<std::uint32_t>(q.size());
     for (std::uint32_t i = 0; i < n; ++i) {
-        const QueuedRef &q = scrubQueue_[i];
-        if (q.notBefore > now)
+        const QueuedRef &e = q[i];
+        if (e.notBefore > now || now - e.arrival < min_age)
             continue;
-        if (escalated_only && now - q.arrival <= deadline)
-            continue;
-        if (!banks_.ready(q.bank))
+        // One bit test against the mask sync()ed at tryIssue entry.
+        if (!banks_.ready(e.bank))
             continue;
         SchedCandidate c;
-        c.req = &pool_.at(q.h);
-        c.rowHit = table_.openMode && banks_.rowHit(q.bank, q.row);
-        c.bankIdle = banks_.idle(q.bank);
-        c.source = CandidateSource::ScrubQueue;
-        c.sourceIndex = i;
+        c.req = &pool_.at(e.h);
+        c.rowHit = table_.openMode && banks_.rowHit(e.bank, e.row);
+        c.bankIdle = banks_.idle(e.bank);
+        c.queueIndex = i;
         out.push_back(c);
     }
 }
@@ -358,17 +328,17 @@ MemoryController::tryIssue(Cycle now)
     // only grows and the first post-window evaluation latches the
     // same state either way.  (Pinned by WriteDrainLatch* tests and
     // golden bit-identity.)
-    if (writeQueue_.size() >= config_.writeHighWatermark)
+    const size_t writes = queue(RequestKind::Write).size();
+    if (writes >= config_.writeHighWatermark)
         drainingWrites_ = true;
-    else if (writeQueue_.size() <= config_.writeLowWatermark)
+    else if (writes <= config_.writeLowWatermark)
         drainingWrites_ = false;
 
     // Nothing queued anywhere: the gathers below would all come back
     // empty, so skip the mask sync and scratch churn entirely.
-    if (readQueue_.empty() && writeQueue_.empty() &&
-        scrubQueue_.empty() && mitigationQueue_.empty()) {
+    const size_t queued_total = queued();
+    if (queued_total == 0)
         return;
-    }
 
     // Scheduling decisions are taken as late as possible: never book
     // the data bus more than maxBusLead ahead of real time.
@@ -383,47 +353,36 @@ MemoryController::tryIssue(Cycle now)
     // allocate (capacity persists across calls).
     std::vector<SchedCandidate> &candidates = candidateScratch_;
     candidates.clear();
-    gatherCandidates(readQueue_, CandidateSource::ReadQueue, now,
-                     candidates);
+    gatherCandidates(RequestKind::Read, now, 0, candidates);
     // Preventive refreshes compete at demand priority: Graphene must
     // beat the aggressor to the hammer threshold, so its refreshes
     // cannot wait for an idle channel the attacker never yields.
-    if (!mitigationQueue_.empty()) {
-        gatherCandidates(mitigationQueue_,
-                         CandidateSource::MitigationQueue, now,
-                         candidates);
-    }
+    if (!queue(RequestKind::Mitigation).empty())
+        gatherCandidates(RequestKind::Mitigation, now, 0, candidates);
     // A scrub read stale past its deadline competes with demand.
-    if (!scrubQueue_.empty())
-        gatherScrubCandidates(now, /*escalated_only=*/true, candidates);
+    if (!queue(RequestKind::Scrub).empty()) {
+        gatherCandidates(RequestKind::Scrub, now,
+                         table_.scrubDeadline + 1, candidates);
+    }
     // Writes compete only when draining or when no read could go.
     if (drainingWrites_ || candidates.empty())
-        gatherCandidates(writeQueue_, CandidateSource::WriteQueue, now,
-                         candidates);
+        gatherCandidates(RequestKind::Write, now, 0, candidates);
     // Fresh scrub reads take whatever cycles nothing else wants.
     if (candidates.empty())
-        gatherScrubCandidates(now, /*escalated_only=*/false,
-                              candidates);
+        gatherCandidates(RequestKind::Scrub, now, 0, candidates);
     if (candidates.empty())
         return;
 
-    const size_t queued = readQueue_.size() + writeQueue_.size() +
-                          scrubQueue_.size() + mitigationQueue_.size();
-    const size_t pick = scheduler_->pick(candidates, queued);
-    panic_if(pick >= candidates.size(), "scheduler picked out of range");
-    const SchedCandidate &chosen = candidates[pick];
+    const SchedCandidate &chosen =
+        candidates[pickCandidate(scheduler_, candidates, queued_total)];
 
-    // Remove by recorded position — no re-scan of the four queues.
-    std::vector<QueuedRef> &q =
-        chosen.source == CandidateSource::ReadQueue    ? readQueue_
-        : chosen.source == CandidateSource::WriteQueue ? writeQueue_
-        : chosen.source == CandidateSource::ScrubQueue ? scrubQueue_
-                                                       : mitigationQueue_;
-    panic_if(chosen.sourceIndex >= q.size() ||
-                 pool_.at(q[chosen.sourceIndex].h).id != chosen.req->id,
+    // Remove by recorded position in the winner's kind's queue.
+    std::vector<QueuedRef> &q = queue(chosen.req->kind);
+    panic_if(chosen.queueIndex >= q.size() ||
+                 pool_.at(q[chosen.queueIndex].h).id != chosen.req->id,
              "picked request vanished from queues");
-    const ReqHandle h = q[chosen.sourceIndex].h;
-    q.erase(q.begin() + chosen.sourceIndex);
+    const ReqHandle h = q[chosen.queueIndex].h;
+    q.erase(q.begin() + chosen.queueIndex);
 
     launch(h, now);
 }
@@ -475,7 +434,7 @@ MemoryController::launch(ReqHandle handle, Cycle now)
     // empty row buffer after an exit.
     const Cycle wake_penalty = wakeRank(rank, now);
 
-    if (req.mitigation) {
+    if (req.kind == RequestKind::Mitigation) {
         // Preventive refresh: a maintenance ACT+PRE row cycle on the
         // victim row — no column access, no data burst, no bus time.
         // It closes whatever row was open, ending the bank's hit run.
@@ -522,13 +481,7 @@ MemoryController::launch(ReqHandle handle, Cycle now)
                            Tracer::arg("id", req.id));
         }
 
-        const Cycle completion = req.completion;
-        auto mit = std::upper_bound(
-            inFlight_.begin(), inFlight_.end(), completion,
-            [](Cycle c, const InFlightRef &r) {
-                return c < r.completion;
-            });
-        inFlight_.insert(mit, InFlightRef{completion, handle});
+        addInFlight(handle, req.completion);
         return;
     }
 
@@ -560,7 +513,7 @@ MemoryController::launch(ReqHandle handle, Cycle now)
         // A data write overwrites the victim row's content, repairing
         // any disturbance flips it carried (row-granular abstraction;
         // see DESIGN.md section 13).
-        if (req.op == MemOp::Write) {
+        if (req.kind == RequestKind::Write) {
             hammer_.clearFlips(bank, req.coord.row,
                                /*countAsScrubbed=*/true);
         }
@@ -614,24 +567,24 @@ MemoryController::launch(ReqHandle handle, Cycle now)
     req.blameUpTo = req.completion;
     // Charge everyone queued behind the bank window and the bus-gate
     // window this launch just created.
-    banks_.busyCause[bank] = req.scrub
-                                 ? BlameComponent::ScrubInterference
-                                 : BlameComponent::Queueing;
-    banks_.busyOwner[bank] = req.scrub ? kThreadNone : req.thread;
+    const bool scrub = req.kind == RequestKind::Scrub;
+    banks_.busyCause[bank] = scrub ? BlameComponent::ScrubInterference
+                                   : BlameComponent::Queueing;
+    banks_.busyOwner[bank] = scrub ? kThreadNone : req.thread;
     accountBankWindow(bank, now);
     busGateCause_ = BlameComponent::Queueing;
     busOwner_ = banks_.busyOwner[bank];
     accountBusGate(now, busGateCause_, busOwner_);
 
     // Energy: the commands this access issued, attributed to its rank.
-    power_.meterAccess(rank, req.op == MemOp::Write, req.scrub, hit,
+    power_.meterAccess(rank, req.kind == RequestKind::Write, scrub, hit,
                        idle);
     rankPower_.noteBusyUntil(rank, banks_.readyAt[bank]);
 
     if (tracer_) {
         const int pid = tracePidChannel(channel_);
         const int bank_tid = traceTidBank(bank);
-        const char *name = requestTraceName(req);
+        const char *name = kSpanName[kindIndex(req.kind)];
         tracer_->asyncStep("dram", name, req.id, pid, now, "sched");
         Cycle at = now + wake_penalty;
         if (!hit && !idle) {
@@ -650,11 +603,11 @@ MemoryController::launch(ReqHandle handle, Cycle now)
                        transfer, Tracer::arg("id", req.id));
     }
 
-    if (req.scrub) {
+    if (scrub) {
         // Background maintenance: counted apart from demand so the
         // paper's reads/latency stats keep their meaning.
         ++stats_.scrubReads;
-    } else if (req.op == MemOp::Read) {
+    } else if (req.kind == RequestKind::Read) {
         ++stats_.reads;
         stats_.readQueueing.sample(static_cast<double>(now - req.arrival));
         stats_.readLatency.sample(
@@ -671,12 +624,18 @@ MemoryController::launch(ReqHandle handle, Cycle now)
         ++stats_.writes;
     }
 
-    // Keep inFlight_ sorted by completion for cheap retirement.
-    const Cycle completion = req.completion;
-    auto it = std::upper_bound(
+    addInFlight(handle, req.completion);
+}
+
+void
+MemoryController::addInFlight(ReqHandle h, Cycle completion)
+{
+    // Keep inFlight_ sorted by completion for cheap retirement; ties
+    // retire in launch order.
+    const auto it = std::upper_bound(
         inFlight_.begin(), inFlight_.end(), completion,
         [](Cycle c, const InFlightRef &r) { return c < r.completion; });
-    inFlight_.insert(it, InFlightRef{completion, handle});
+    inFlight_.insert(it, InFlightRef{completion, h});
 }
 
 void
@@ -767,8 +726,8 @@ MemoryController::retire(Cycle now, std::vector<DramRequest> &completed)
         const ReqHandle handle = inFlight_[i].h;
         DramRequest &req = pool_.at(handle);
         bool exhausted = false;
-        if (req.op == MemOp::Read && !req.mitigation &&
-            injector_.active() && injector_.sampleReadError()) {
+        if (readsData(req.kind) && injector_.active() &&
+            injector_.sampleReadError()) {
             if (req.retries < config_.faults.maxRetries) {
                 // Bounded retry with exponential backoff: the
                 // transaction goes back into its queue and becomes
@@ -782,20 +741,6 @@ MemoryController::retire(Cycle now, std::vector<DramRequest> &completed)
                     config_.faults.retryBackoff
                     << std::min<std::uint32_t>(req.retries - 1, 16);
                 req.notBefore = now + backoff;
-                // Blame: like enqueue, account windows standing at
-                // re-queue time (the backoff embargo routes most of
-                // them to fault-retry via the notBefore split).
-                const std::uint32_t rb = req.coord.bank;
-                if (banks_.readyAt[rb] > now) {
-                    accountWaitUntil(req, banks_.readyAt[rb],
-                                     banks_.busyCause[rb],
-                                     banks_.busyOwner[rb]);
-                }
-                if (busFreeAt_ > now + table_.maxBusLead) {
-                    accountWaitUntil(req,
-                                     busFreeAt_ - table_.maxBusLead,
-                                     busGateCause_, busOwner_);
-                }
                 if (tracer_) {
                     tracer_->instant(tracePidChannel(channel_),
                                      kTraceTidQueue, "fault-retry", now,
@@ -804,15 +749,11 @@ MemoryController::retire(Cycle now, std::vector<DramRequest> &completed)
                 }
                 // The pooled slot survives the round trip: only the
                 // queue entry is rebuilt (notBefore moved, so the
-                // cached copy must be refreshed).
-                QueuedRef entry;
-                entry.h = handle;
-                entry.bank = rb;
-                entry.row = req.coord.row;
-                entry.arrival = req.arrival;
-                entry.notBefore = req.notBefore;
-                (req.scrub ? scrubQueue_ : readQueue_)
-                    .push_back(entry);
+                // cached copy must be refreshed).  Like enqueue, the
+                // windows standing at re-queue time are accounted (the
+                // backoff embargo routes most of them to fault-retry
+                // via the notBefore split).
+                joinQueue(handle, now);
                 continue;
             }
             ++stats_.retriesExhausted;
@@ -835,8 +776,7 @@ MemoryController::retire(Cycle now, std::vector<DramRequest> &completed)
         // uncorrectable error that persists until a write or scrub.
         // With ECC off the read is silently corrupt — audited only.
         bool hammer_handled = false;
-        if (req.op == MemOp::Read && !req.mitigation &&
-            hammer_.active()) {
+        if (readsData(req.kind) && hammer_.active()) {
             const std::uint32_t flips =
                 hammer_.flipsOn(req.coord.bank, req.coord.row);
             if (flips > 0) {
@@ -864,8 +804,8 @@ MemoryController::retire(Cycle now, std::vector<DramRequest> &completed)
                 hammer_handled = true;
             }
         }
-        if (req.op == MemOp::Read && !req.mitigation && !exhausted &&
-            !hammer_handled && injector_.eccActive()) {
+        if (readsData(req.kind) && !exhausted && !hammer_handled &&
+            injector_.eccActive()) {
             switch (injector_.sampleEccRead()) {
               case EccOutcome::Corrected:
                 // Single-bit flip: SECDED fixes it in the controller
@@ -883,8 +823,7 @@ MemoryController::retire(Cycle now, std::vector<DramRequest> &completed)
         }
         // Blame: the per-thread CPI stack counts each demand read once,
         // at final completion (the retry path above `continue`s).
-        if (req.op == MemOp::Read && !req.scrub && !req.mitigation &&
-            req.thread != kThreadNone) {
+        if (req.kind == RequestKind::Read && req.thread != kThreadNone) {
             if (stats_.perThreadBlame.size() <= req.thread)
                 stats_.perThreadBlame.resize(req.thread + 1);
             stats_.perThreadBlame[req.thread].merge(req.blame);
@@ -903,8 +842,8 @@ MemoryController::retire(Cycle now, std::vector<DramRequest> &completed)
             }
             // The terminal lifecycle event: every begun span ends
             // exactly once, here, whatever path the request took.
-            tracer_->asyncEnd("dram", requestTraceName(req), req.id,
-                              pid, req.completion);
+            tracer_->asyncEnd("dram", kSpanName[kindIndex(req.kind)],
+                              req.id, pid, req.completion);
         }
         completed.push_back(req);
         pool_.release(handle);
@@ -972,53 +911,21 @@ MemoryController::nextEventAt(Cycle now) const
     const Cycle bus_gate = busFreeAt_ > table_.maxBusLead
                                ? busFreeAt_ - table_.maxBusLead
                                : 0;
-    const auto queue_next = [&](const std::vector<QueuedRef> &queue) {
+    for (const std::vector<QueuedRef> &queue : queues_) {
         for (const QueuedRef &q : queue) {
             Cycle t = std::max(q.notBefore, banks_.readyAt[q.bank]);
             t = std::max(t, bus_gate);
             next = std::min(next, std::max(t, now + 1));
         }
-    };
-    queue_next(readQueue_);
-    queue_next(writeQueue_);
-    queue_next(scrubQueue_);
-    queue_next(mitigationQueue_);
+    }
     return next;
 }
-
-namespace
-{
-
-// Templated over the queue type: the entries are a private nested
-// type of MemoryController, which a free function can receive via
-// deduction but not name.
-template <typename Queue>
-void
-dumpQueue(std::ostream &os, const char *name, const RequestPool &pool,
-          const Queue &queue)
-{
-    os << "  " << name << " (" << queue.size() << "):\n";
-    for (const auto &q : queue) {
-        const DramRequest &r = pool.at(q.h);
-        os << "    id=" << r.id
-           << " op=" << (r.op == MemOp::Read ? "R" : "W")
-           << " addr=0x" << std::hex << r.addr << std::dec
-           << " bank=" << r.coord.bank << " row=" << r.coord.row
-           << " thread=" << static_cast<std::int64_t>(
-                  r.thread == kThreadNone ? -1 : (std::int64_t)r.thread)
-           << " arrival=" << r.arrival
-           << " notBefore=" << r.notBefore
-           << " retries=" << r.retries << "\n";
-    }
-}
-
-} // namespace
 
 void
 MemoryController::dumpState(std::ostream &os) const
 {
     os << "MemoryController[channel " << channel_ << "] scheduler="
-       << scheduler_->name() << "\n";
+       << schedulerName(scheduler_) << "\n";
     os << "  busFreeAt=" << busFreeAt_
        << " drainingWrites=" << (drainingWrites_ ? "yes" : "no")
        << " outstanding=" << outstanding() << "\n";
@@ -1030,20 +937,31 @@ MemoryController::dumpState(std::ostream &os) const
             os << " nextRefreshAt=" << banks_.nextRefreshAt[i];
         os << "\n";
     }
-    dumpQueue(os, "readQueue", pool_, readQueue_);
-    dumpQueue(os, "writeQueue", pool_, writeQueue_);
-    // Always dumped (not gated on ecc.enabled): queued scrub entries
-    // count into outstanding(), and a conservation-checker diagnosis
-    // must show every request the count covers.
-    dumpQueue(os, "scrubQueue", pool_, scrubQueue_);
-    // Same rationale as the scrub queue: mitigation entries count
-    // into outstanding(), so a conservation diagnosis must see them.
-    dumpQueue(os, "mitigationQueue", pool_, mitigationQueue_);
+    // Every queue is dumped, empty or not (and whether or not ECC or
+    // the hammer model is on): each counts into outstanding(), and a
+    // conservation-checker diagnosis must show every request the count
+    // covers.
+    for (std::size_t k = 0; k < kNumRequestKinds; ++k) {
+        os << "  " << kQueueName[k] << " (" << queues_[k].size()
+           << "):\n";
+        for (const QueuedRef &q : queues_[k]) {
+            const DramRequest &r = pool_.at(q.h);
+            os << "    id=" << r.id << " op=" << opLetter(r.kind)
+               << " addr=0x" << std::hex << r.addr << std::dec
+               << " bank=" << r.coord.bank << " row=" << r.coord.row
+               << " thread="
+               << (r.thread == kThreadNone
+                       ? std::int64_t{-1}
+                       : static_cast<std::int64_t>(r.thread))
+               << " arrival=" << r.arrival
+               << " notBefore=" << r.notBefore
+               << " retries=" << r.retries << "\n";
+        }
+    }
     os << "  inFlight (" << inFlight_.size() << "):\n";
     for (const InFlightRef &f : inFlight_) {
         const DramRequest &r = pool_.at(f.h);
-        os << "    id=" << r.id
-           << " op=" << (r.op == MemOp::Read ? "R" : "W")
+        os << "    id=" << r.id << " op=" << opLetter(r.kind)
            << " bank=" << r.coord.bank << " issued=" << r.issueTime
            << " completion=" << r.completion << "\n";
     }

@@ -3,21 +3,23 @@
  * Per-logical-channel memory controller.
  *
  * Transaction-level timing model.  Each cycle the controller may
- * launch at most one new transaction, chosen by the configured
- * scheduling policy among queued requests whose bank is free.  A
+ * launch at most one new transaction, chosen by pickCandidate() under
+ * the configured policy among queued requests whose bank is free.  A
  * transaction occupies its bank for the whole precharge/activate/
  * column sequence and the shared channel data bus only during the
  * burst, so transactions to different banks pipeline.
  *
- * Write handling implements the read-first rule globally: writes are
- * eligible only when no read is, or when the write queue passes its
- * high watermark, in which case the controller drains writes down to
- * the low watermark (they still compete under the policy's ordering).
+ * Requests wait in one queue per RequestKind.  Demand reads and
+ * rowhammer preventive refreshes always compete.  Write handling
+ * implements the read-first rule globally: writes are eligible only
+ * when nothing else is, or when the write queue passes its high
+ * watermark, in which case the controller drains writes down to the
+ * low watermark (they still compete under the policy's ordering).
  *
- * ECC patrol-scrub reads sit below both: they issue only when nothing
- * else can, except that a scrub read stale past a bounded-staleness
- * deadline is escalated to demand priority so sustained load cannot
- * stall patrol progress forever.
+ * ECC patrol-scrub reads sit below all of them: they issue only when
+ * nothing else can, except that a scrub read older than a
+ * bounded-staleness deadline competes at demand priority so sustained
+ * load cannot stall patrol progress forever.
  *
  * Data layout (see DESIGN.md section 16): command timings come from a
  * TimingTable precomputed at construction, bank state is
@@ -29,9 +31,9 @@
 #ifndef SMTDRAM_DRAM_MEMORY_CONTROLLER_HH
 #define SMTDRAM_DRAM_MEMORY_CONTROLLER_HH
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <vector>
 
 #include "common/stats.hh"
@@ -138,13 +140,13 @@ class MemoryController
     bool
     canAcceptRead() const
     {
-        return readQueue_.size() < config_.readQueueCap;
+        return queuedReads() < config_.readQueueCap;
     }
 
     bool
     canAcceptWrite() const
     {
-        return writeQueue_.size() < config_.writeQueueCap;
+        return queue(RequestKind::Write).size() < config_.writeQueueCap;
     }
 
     /** Queue a mapped request.  coord.channel must equal this one. */
@@ -158,16 +160,10 @@ class MemoryController
     void tick(Cycle now, std::vector<DramRequest> &completed);
 
     /** Queued plus in-flight transactions. */
-    size_t
-    outstanding() const
-    {
-        return readQueue_.size() + writeQueue_.size() +
-               scrubQueue_.size() + mitigationQueue_.size() +
-               inFlight_.size();
-    }
+    size_t outstanding() const { return queued() + inFlight_.size(); }
 
-    size_t queuedReads() const { return readQueue_.size(); }
-    size_t queuedScrubs() const { return scrubQueue_.size(); }
+    size_t queuedReads() const { return queue(RequestKind::Read).size(); }
+    size_t queuedScrubs() const { return queue(RequestKind::Scrub).size(); }
 
     /**
      * Hand the preventive refreshes the aggressor tracker has
@@ -217,9 +213,7 @@ class MemoryController
     idleAt(Cycle now) const
     {
         return !injector_.active() && inFlight_.empty() &&
-               readQueue_.empty() && writeQueue_.empty() &&
-               scrubQueue_.empty() && mitigationQueue_.empty() &&
-               pendingMitigations_.empty() &&
+               queued() == 0 && pendingMitigations_.empty() &&
                (!config_.refreshEnabled() || now < nextRefreshDue_);
     }
 
@@ -299,10 +293,10 @@ class MemoryController
      * A queued transaction: the pool handle plus copies of the fields
      * the per-cycle scans (candidate gathering, bank-window blame,
      * nextEventAt) filter on.  All four are immutable while the entry
-     * sits in a queue — bank/row/arrival never change, and notBefore
-     * is only written at enqueue and at retry re-queue, both of which
-     * (re)build the entry — so a scan touches the pooled request only
-     * for entries that survive the filters.
+     * sits in its kind's queue — bank/row/arrival never change, and
+     * notBefore is only written before joinQueue() builds the entry
+     * (at enqueue and at retry re-queue) — so a scan touches the
+     * pooled request only for entries that survive the filters.
      */
     struct QueuedRef {
         ReqHandle h;
@@ -312,24 +306,51 @@ class MemoryController
         Cycle notBefore;
     };
 
+    const std::vector<QueuedRef> &
+    queue(RequestKind kind) const
+    {
+        return queues_[kindIndex(kind)];
+    }
+    std::vector<QueuedRef> &
+    queue(RequestKind kind)
+    {
+        return queues_[kindIndex(kind)];
+    }
+
+    /** Requests waiting in any queue. */
+    size_t
+    queued() const
+    {
+        size_t n = 0;
+        for (const std::vector<QueuedRef> &q : queues_)
+            n += q.size();
+        return n;
+    }
+
+    /**
+     * Put pooled request @p h at the back of its kind's queue at
+     * cycle @p now (its arrival, or the retry's re-queue): account
+     * the bank and bus-gate windows already standing against it, then
+     * cache its scan fields in the entry.  Enforces no cap.
+     */
+    void joinQueue(ReqHandle h, Cycle now);
+
     /** Launch the best eligible transaction, if any. */
     void tryIssue(Cycle now);
 
-    /** Collect policy candidates from @p queue, tagged @p source. */
-    void gatherCandidates(const std::vector<QueuedRef> &queue,
-                          CandidateSource source, Cycle now,
-                          std::vector<SchedCandidate> &out) const;
-
     /**
-     * Collect scrub candidates.  With @p escalated_only, include only
-     * scrub reads stale enough to outrank demand traffic (bounded
-     * staleness keeps patrol progress under sustained demand load).
+     * Collect policy candidates from @p kind's queue.  Only entries
+     * older than @p min_age cycles qualify (0 admits all; scrub
+     * escalation passes its staleness deadline).
      */
-    void gatherScrubCandidates(Cycle now, bool escalated_only,
-                               std::vector<SchedCandidate> &out) const;
+    void gatherCandidates(RequestKind kind, Cycle now, Cycle min_age,
+                          std::vector<SchedCandidate> &out) const;
 
     /** Execute the chosen request's timing (in place in the pool). */
     void launch(ReqHandle h, Cycle now);
+
+    /** Track launched request @p h until it retires at @p completion. */
+    void addInFlight(ReqHandle h, Cycle completion);
 
     /**
      * Materialize a rank's power-state exit for a command at @p now:
@@ -373,7 +394,7 @@ class MemoryController
 
     DramConfig config_;
     std::uint32_t channel_;
-    std::unique_ptr<Scheduler> scheduler_;
+    SchedulerKind scheduler_;
     FaultInjector injector_;
     /** Disturbance model + aggressor tracker (inert when off). */
     RowHammerModel hammer_;
@@ -394,12 +415,8 @@ class MemoryController
     /** Backing store for every queued or in-flight request; the
      *  queues below hold handles (plus scan-filter fields) into it. */
     RequestPool pool_;
-    std::vector<QueuedRef> readQueue_;
-    std::vector<QueuedRef> writeQueue_;
-    /** ECC patrol-scrub reads; lowest priority unless escalated. */
-    std::vector<QueuedRef> scrubQueue_;
-    /** Rowhammer preventive refreshes; compete with demand reads. */
-    std::vector<QueuedRef> mitigationQueue_;
+    /** One queue per RequestKind, indexed by it. */
+    std::array<std::vector<QueuedRef>, kNumRequestKinds> queues_;
     /** Refreshes the tracker requested but the system has not yet
      *  materialized into queued maintenance commands. */
     std::vector<MitigationRequest> pendingMitigations_;

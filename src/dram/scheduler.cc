@@ -18,7 +18,7 @@ namespace
  */
 struct Key {
     int hitClass;       ///< 0 = row hit, 1 = idle bank, 2 = conflict
-    int readClass;      ///< 0 = read, 1 = write
+    int readClass;      ///< 0 = read (or maintenance), 1 = write
     std::int64_t threadKey;
     Cycle arrival;
     std::uint64_t id;
@@ -38,6 +38,14 @@ struct Key {
     }
 };
 
+/** Queue depth beyond which age-based serves the oldest request
+ *  first (paper: "more than eight outstanding requests"). */
+constexpr size_t kAgePressure = 8;
+
+/** Thread key of requests no thread owns (writebacks, maintenance):
+ *  they rank after every thread-owned request within their class. */
+constexpr std::int64_t kNoThreadKey = 1LL << 40;
+
 int
 hitClassOf(const SchedCandidate &c)
 {
@@ -46,12 +54,23 @@ hitClassOf(const SchedCandidate &c)
     return c.bankIdle ? 1 : 2;
 }
 
-/** Shared skeleton: build a key per candidate, take the minimum. */
-template <typename KeyFn>
-size_t
-pickByKey(const std::vector<SchedCandidate> &candidates, KeyFn key_fn)
+int
+readClassOf(const SchedCandidate &c)
 {
-    panic_if(candidates.empty(), "scheduler invoked with no candidates");
+    return c.req->kind == RequestKind::Write ? 1 : 0;
+}
+
+/**
+ * The one min-loop: build a key per candidate, return the smallest.
+ * Not inlined, so each policy's loop compiles as its own function
+ * with its key inlined; folding all seven loops into pickCandidate's
+ * switch slowed FCFS and Hit-first picks by a third or more
+ * (BM_SchedulerPick).
+ */
+template <typename KeyFn>
+[[gnu::noinline]] size_t
+minByKey(const std::vector<SchedCandidate> &candidates, KeyFn key_fn)
+{
     size_t best = 0;
     Key best_key = key_fn(candidates[0]);
     for (size_t i = 1; i < candidates.size(); ++i) {
@@ -64,162 +83,24 @@ pickByKey(const std::vector<SchedCandidate> &candidates, KeyFn key_fn)
     return best;
 }
 
-class FcfsScheduler : public Scheduler
-{
-  public:
-    SchedulerKind kind() const override { return SchedulerKind::Fcfs; }
-
-    size_t
-    pick(const std::vector<SchedCandidate> &candidates,
-         size_t /* queued */) const override
-    {
-        return pickByKey(candidates, [](const SchedCandidate &c) {
-            // Reads bypass writes (the paper's FCFS reference point);
-            // otherwise strict arrival order.
-            return Key{0, c.req->op == MemOp::Read ? 0 : 1, 0,
-                       c.req->arrival, c.req->id};
-        });
-    }
-};
-
-class HitFirstScheduler : public Scheduler
-{
-  public:
-    SchedulerKind kind() const override { return SchedulerKind::HitFirst; }
-
-    size_t
-    pick(const std::vector<SchedCandidate> &candidates,
-         size_t /* queued */) const override
-    {
-        return pickByKey(candidates, [](const SchedCandidate &c) {
-            return Key{hitClassOf(c), c.req->op == MemOp::Read ? 0 : 1,
-                       0, c.req->arrival, c.req->id};
-        });
-    }
-};
-
-class AgeBasedScheduler : public Scheduler
-{
-  public:
-    /** Queue depth beyond which age dominates (paper: "more than
-     *  eight outstanding requests"). */
-    static constexpr size_t agePressure = 8;
-
-    SchedulerKind kind() const override { return SchedulerKind::AgeBased; }
-
-    size_t
-    pick(const std::vector<SchedCandidate> &candidates,
-         size_t queued) const override
-    {
-        if (queued > agePressure) {
-            return pickByKey(candidates, [](const SchedCandidate &c) {
-                return Key{0, 0, 0, c.req->arrival, c.req->id};
-            });
-        }
-        return pickByKey(candidates, [](const SchedCandidate &c) {
-            return Key{hitClassOf(c), c.req->op == MemOp::Read ? 0 : 1,
-                       0, c.req->arrival, c.req->id};
-        });
-    }
-};
-
 /**
- * Common shape of the three thread-aware schemes: hit-first and
- * read-first lead (Section 3.2 explains why bandwidth trumps single-
- * access latency under SMT), then the thread key breaks ties.
- * Writebacks carry no thread and rank after every thread-owned
- * request within their class.
+ * The thread-aware shape: hit-first and read-first lead (Section 3.2
+ * explains why bandwidth trumps single-access latency under SMT), then
+ * @p thread_key of the owning thread's snapshot breaks ties.
  */
-class ThreadAwareScheduler : public Scheduler
+template <typename ThreadKeyFn>
+size_t
+minThreadAware(const std::vector<SchedCandidate> &candidates,
+               ThreadKeyFn thread_key)
 {
-  public:
-    size_t
-    pick(const std::vector<SchedCandidate> &candidates,
-         size_t /* queued */) const override
-    {
-        return pickByKey(candidates, [this](const SchedCandidate &c) {
-            std::int64_t tkey = (c.req->thread == kThreadNone)
-                                    ? kNoThreadKey
-                                    : threadKey(c.req->snap);
-            return Key{hitClassOf(c), c.req->op == MemOp::Read ? 0 : 1,
-                       tkey, c.req->arrival, c.req->id};
-        });
-    }
-
-  protected:
-    static constexpr std::int64_t kNoThreadKey = 1LL << 40;
-
-    /** Smaller = higher priority. */
-    virtual std::int64_t threadKey(const ThreadSnapshot &snap) const = 0;
-};
-
-class RequestBasedScheduler : public ThreadAwareScheduler
-{
-  public:
-    SchedulerKind
-    kind() const override
-    {
-        return SchedulerKind::RequestBased;
-    }
-
-  protected:
-    std::int64_t
-    threadKey(const ThreadSnapshot &snap) const override
-    {
-        // Fewest outstanding requests first.
-        return snap.outstandingRequests;
-    }
-};
-
-class RobBasedScheduler : public ThreadAwareScheduler
-{
-  public:
-    SchedulerKind kind() const override { return SchedulerKind::RobBased; }
-
-  protected:
-    std::int64_t
-    threadKey(const ThreadSnapshot &snap) const override
-    {
-        // Most ROB entries held first.
-        return -static_cast<std::int64_t>(snap.robOccupancy);
-    }
-};
-
-class CriticalityBasedScheduler : public Scheduler
-{
-  public:
-    SchedulerKind
-    kind() const override
-    {
-        return SchedulerKind::CriticalityBased;
-    }
-
-    size_t
-    pick(const std::vector<SchedCandidate> &candidates,
-         size_t /* queued */) const override
-    {
-        return pickByKey(candidates, [](const SchedCandidate &c) {
-            // Critical requests lead within their hit/read class.
-            return Key{hitClassOf(c), c.req->op == MemOp::Read ? 0 : 1,
-                       c.req->critical ? 0 : 1, c.req->arrival,
-                       c.req->id};
-        });
-    }
-};
-
-class IqBasedScheduler : public ThreadAwareScheduler
-{
-  public:
-    SchedulerKind kind() const override { return SchedulerKind::IqBased; }
-
-  protected:
-    std::int64_t
-    threadKey(const ThreadSnapshot &snap) const override
-    {
-        // Most integer issue-queue entries held first.
-        return -static_cast<std::int64_t>(snap.iqOccupancy);
-    }
-};
+    return minByKey(candidates, [thread_key](const SchedCandidate &c) {
+        const std::int64_t tkey = c.req->thread == kThreadNone
+                                      ? kNoThreadKey
+                                      : thread_key(c.req->snap);
+        return Key{hitClassOf(c), readClassOf(c), tkey, c.req->arrival,
+                   c.req->id};
+    });
+}
 
 } // namespace
 
@@ -289,24 +170,52 @@ schedulerFromName(const std::string &name)
     fatal("unknown scheduler '%s'", name.c_str());
 }
 
-std::unique_ptr<Scheduler>
-makeScheduler(SchedulerKind kind)
+size_t
+pickCandidate(SchedulerKind kind,
+              const std::vector<SchedCandidate> &candidates, size_t queued)
 {
+    panic_if(candidates.empty(), "scheduler invoked with no candidates");
     switch (kind) {
       case SchedulerKind::Fcfs:
-        return std::make_unique<FcfsScheduler>();
-      case SchedulerKind::HitFirst:
-        return std::make_unique<HitFirstScheduler>();
+        // Reads bypass writes (the paper's FCFS reference point);
+        // otherwise strict arrival order.
+        return minByKey(candidates, [](const SchedCandidate &c) {
+            return Key{0, readClassOf(c), 0, c.req->arrival, c.req->id};
+        });
       case SchedulerKind::AgeBased:
-        return std::make_unique<AgeBasedScheduler>();
+        if (queued > kAgePressure) {
+            return minByKey(candidates, [](const SchedCandidate &c) {
+                return Key{0, 0, 0, c.req->arrival, c.req->id};
+            });
+        }
+        [[fallthrough]];
+      case SchedulerKind::HitFirst:
+        return minByKey(candidates, [](const SchedCandidate &c) {
+            return Key{hitClassOf(c), readClassOf(c), 0, c.req->arrival,
+                       c.req->id};
+        });
       case SchedulerKind::RequestBased:
-        return std::make_unique<RequestBasedScheduler>();
+        // Fewest outstanding requests first.
+        return minThreadAware(candidates, [](const ThreadSnapshot &s) {
+            return static_cast<std::int64_t>(s.outstandingRequests);
+        });
       case SchedulerKind::RobBased:
-        return std::make_unique<RobBasedScheduler>();
+        // Most ROB entries held first.
+        return minThreadAware(candidates, [](const ThreadSnapshot &s) {
+            return -static_cast<std::int64_t>(s.robOccupancy);
+        });
       case SchedulerKind::IqBased:
-        return std::make_unique<IqBasedScheduler>();
+        // Most integer issue-queue entries held first.
+        return minThreadAware(candidates, [](const ThreadSnapshot &s) {
+            return -static_cast<std::int64_t>(s.iqOccupancy);
+        });
       case SchedulerKind::CriticalityBased:
-        return std::make_unique<CriticalityBasedScheduler>();
+        // Critical requests lead within their hit/read class.
+        return minByKey(candidates, [](const SchedCandidate &c) {
+            return Key{hitClassOf(c), readClassOf(c),
+                       c.req->critical ? 0 : 1, c.req->arrival,
+                       c.req->id};
+        });
     }
     panic("unknown SchedulerKind %d", static_cast<int>(kind));
 }

@@ -2,27 +2,32 @@
  * @file
  * Memory access scheduling policies (Sections 3 and 5.5).
  *
- * Single-thread-era policies:
- *  - FCFS: arrival order (reads already bypass writes at the
- *    controller level, matching the paper's reference point);
- *  - Hit-first: row-buffer hits before misses, reads before writes,
- *    then arrival order;
- *  - Age-based: hit-first, but when more than `agePressure` requests
- *    are queued, the oldest request is served first.
+ * Every policy is one ordering rule over the candidates a channel can
+ * issue this cycle, written as a lexicographic key (smaller wins):
  *
- * Thread-aware policies (the paper's contribution) keep hit-first and
- * read-first as the leading criteria, then break ties with thread
+ *  - FCFS: reads (and maintenance) before writes, then arrival order;
+ *  - Hit-first: row-buffer hits, then idle banks, then conflicts;
+ *    read-first within each; then arrival order;
+ *  - Age-based: hit-first, but when more than eight requests are
+ *    queued the oldest request is served first;
+ *  - Criticality (Section 3.1): hit-first and read-first, then
+ *    requests the processor is stalled on before the rest.
+ *
+ * The thread-aware policies (the paper's contribution) keep hit-first
+ * and read-first as the leading criteria, then break ties with thread
  * state piggybacked on each request:
  *  - Request-based: fewest outstanding memory requests first;
  *  - ROB-based: most reorder-buffer entries held first;
  *  - IQ-based: most integer issue-queue entries held first.
+ *
+ * Arrival and then the request id close every key, so the choice is
+ * total and never depends on the order the candidates were gathered.
  */
 
 #ifndef SMTDRAM_DRAM_SCHEDULER_HH
 #define SMTDRAM_DRAM_SCHEDULER_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,51 +66,26 @@ std::string schedulerName(SchedulerKind kind);
 /** Parse a scheduler name (case-insensitive); fatal()s on garbage. */
 SchedulerKind schedulerFromName(const std::string &name);
 
-/** Controller queue a candidate was gathered from. */
-enum class CandidateSource : std::uint8_t {
-    ReadQueue,
-    WriteQueue,
-    ScrubQueue,
-    /** Rowhammer preventive refreshes (maintenance commands). */
-    MitigationQueue,
-};
-
 /** View of a queued request the scheduler may rank. */
 struct SchedCandidate {
     const DramRequest *req = nullptr;
     bool rowHit = false;    ///< would hit the currently open row
     bool bankIdle = false;  ///< bank precharged, no conflict
-    /** Where the request sits, so the winner is removed by position
-     *  instead of re-scanning every queue for its id. */
-    CandidateSource source = CandidateSource::ReadQueue;
-    std::uint32_t sourceIndex = 0;  ///< index within that queue
+    /** Position in the queue of the request's kind, so the winner is
+     *  removed by position instead of re-scanning the queue. */
+    std::uint32_t queueIndex = 0;
 };
 
 /**
- * A scheduling policy: picks which eligible request the channel
- * serves next.  Stateless; all inputs arrive via the candidates.
+ * Choose which of @p candidates (never empty) policy @p kind serves
+ * next.  Stateless; all inputs arrive via the candidates.
+ * @param queued total requests queued at the channel, used by
+ *        pressure-triggered policies such as age-based.
+ * @return index into @p candidates.
  */
-class Scheduler
-{
-  public:
-    virtual ~Scheduler() = default;
-
-    virtual SchedulerKind kind() const = 0;
-
-    /**
-     * Choose among @p candidates (never empty).
-     * @param queued total requests queued at this channel, used by
-     *        pressure-triggered policies such as age-based.
-     * @return index into @p candidates.
-     */
-    virtual size_t pick(const std::vector<SchedCandidate> &candidates,
-                        size_t queued) const = 0;
-
-    std::string name() const { return schedulerName(kind()); }
-};
-
-/** Instantiate a policy. */
-std::unique_ptr<Scheduler> makeScheduler(SchedulerKind kind);
+size_t pickCandidate(SchedulerKind kind,
+                     const std::vector<SchedCandidate> &candidates,
+                     size_t queued);
 
 } // namespace smtdram
 

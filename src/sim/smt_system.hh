@@ -124,11 +124,6 @@ class SmtSystem
         return *drams_[socket];
     }
     const SocketRouter &router() const { return *router_; }
-    /** Core currently running OS thread @p tid. */
-    std::uint32_t threadCore(ThreadId tid) const
-    {
-        return threadCore_[tid];
-    }
     const SystemConfig &config() const { return config_; }
 
     /**

@@ -133,7 +133,6 @@ class SocketRouter
     std::uint64_t write(std::uint32_t core, Addr addr, Cycle now);
 
     const NumaStats &stats() const { return stats_; }
-    const Interconnect &interconnect() const { return net_; }
     /** Link queue waits as who-blocked-whom cycles (merged into the
      *  aggregated DRAM interference matrix). */
     const InterferenceMatrix &linkInterference() const { return linkInterference_; }

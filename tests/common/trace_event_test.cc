@@ -186,7 +186,7 @@ TEST(Tracer, ControllerLifecycleSpansConserve)
         if (now % 7 == 0 && mc.canAcceptRead()) {
             DramRequest req;
             req.id = id++;
-            req.op = MemOp::Read;
+            req.kind = RequestKind::Read;
             req.addr = (now * 4096 + 64 * (now % 11)) & ~63ULL;
             req.thread = static_cast<ThreadId>(now % 4);
             req.arrival = now;

@@ -49,7 +49,7 @@ readAt(const AddressMapping &mapping, std::uint64_t id, Addr addr,
 {
     DramRequest req;
     req.id = id;
-    req.op = MemOp::Read;
+    req.kind = RequestKind::Read;
     req.addr = addr;
     req.arrival = now;
     req.coord = mapping.map(addr);
@@ -382,7 +382,7 @@ TEST(Scrub, YieldsToDemandWhenBothAreEligible)
     Cycle now = 1;
     // A scrub read and a demand read to the same bank, same cycle.
     DramRequest scrub = readAt(mapping, 1, 0, now);
-    scrub.scrub = true;
+    scrub.kind = RequestKind::Scrub;
     DramRequest demand = readAt(mapping, 2, 0, now);
     mc.enqueue(scrub);
     mc.enqueue(demand);
@@ -406,7 +406,7 @@ TEST(Scrub, StaleScrubEscalatesPastDemand)
 
     Cycle now = 1;
     DramRequest scrub = readAt(mapping, 1, 0, now);
-    scrub.scrub = true;
+    scrub.kind = RequestKind::Scrub;
     mc.enqueue(scrub);
 
     // Saturate the controller with demand reads so a fresh scrub
@@ -423,7 +423,7 @@ TEST(Scrub, StaleScrubEscalatesPastDemand)
         done.clear();
         mc.tick(now, done);
         for (const DramRequest &req : done) {
-            if (req.scrub)
+            if (req.kind == RequestKind::Scrub)
                 scrub_done = true;
         }
     }

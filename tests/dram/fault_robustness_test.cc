@@ -117,7 +117,7 @@ TEST(FaultRetry, CertainErrorsExhaustBoundedRetries)
 
     DramRequest req;
     req.id = 1;
-    req.op = MemOp::Read;
+    req.kind = RequestKind::Read;
     req.addr = 0;
     req.arrival = 0;
     req.coord = mapping.map(req.addr);
@@ -149,7 +149,7 @@ TEST(FaultRetry, BackoffDelaysRelaunch)
 
     DramRequest req;
     req.id = 1;
-    req.op = MemOp::Read;
+    req.kind = RequestKind::Read;
     req.addr = 0;
     req.arrival = 0;
     req.coord = mapping.map(req.addr);
@@ -179,7 +179,7 @@ TEST(FaultEnqueueDelay, DelaysIssueNotQueueSpace)
 
     DramRequest req;
     req.id = 1;
-    req.op = MemOp::Read;
+    req.kind = RequestKind::Read;
     req.addr = 0;
     req.arrival = 0;
     req.coord = mapping.map(req.addr);
@@ -230,7 +230,7 @@ TEST(Refresh, BlocksTheBankWhileRefreshing)
 
     DramRequest req;
     req.id = 1;
-    req.op = MemOp::Read;
+    req.kind = RequestKind::Read;
     req.addr = 0;
     req.arrival = now;
     req.coord = mapping.map(req.addr);
@@ -254,7 +254,7 @@ TEST(Refresh, ClosesTheOpenRow)
     Cycle now = 0;
     DramRequest req;
     req.id = 1;
-    req.op = MemOp::Read;
+    req.kind = RequestKind::Read;
     req.addr = 0;
     req.arrival = 0;
     req.coord = mapping.map(req.addr);

@@ -25,7 +25,7 @@ makeRead(const DramConfig &config, std::uint64_t id, Addr addr,
     AddressMapping mapping(config);
     DramRequest req;
     req.id = id;
-    req.op = MemOp::Read;
+    req.kind = RequestKind::Read;
     req.addr = addr;
     req.thread = 0;
     req.arrival = arrival;
@@ -205,7 +205,7 @@ TEST(MemoryController, WritesWaitForIdleOrPressure)
 
     DramRequest wr;
     wr.id = 1;
-    wr.op = MemOp::Write;
+    wr.kind = RequestKind::Write;
     wr.addr = 4096;
     wr.arrival = 0;
     wr.coord = mapping.map(wr.addr);
@@ -233,7 +233,7 @@ TEST(MemoryController, WriteDrainTriggersAtHighWatermark)
     for (std::uint64_t i = 0; i < 5; ++i) {
         DramRequest wr;
         wr.id = 100 + i;
-        wr.op = MemOp::Write;
+        wr.kind = RequestKind::Write;
         wr.addr = (1 << 20) + i * 64;
         wr.arrival = 0;
         wr.coord = mapping.map(wr.addr);
@@ -399,7 +399,7 @@ TEST(MemoryController, WriteDrainLatchSurvivesBookedBusWindow)
     for (std::uint64_t i = 0; i < 3; ++i) {
         DramRequest wr;
         wr.id = 100 + i;
-        wr.op = MemOp::Write;
+        wr.kind = RequestKind::Write;
         wr.addr = (1 << 20) + i * 64;
         wr.arrival = 50;
         wr.coord = mapping.map(wr.addr);

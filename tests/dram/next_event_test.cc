@@ -34,7 +34,7 @@ makeRead(const DramConfig &config, std::uint64_t id, Addr addr,
     AddressMapping mapping(config);
     DramRequest req;
     req.id = id;
-    req.op = MemOp::Read;
+    req.kind = RequestKind::Read;
     req.addr = addr;
     req.thread = 0;
     req.arrival = arrival;

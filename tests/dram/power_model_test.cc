@@ -375,7 +375,7 @@ TEST(PowerRefreshInteraction, AccessAfterSelfRefreshRestartsTrefi)
     // A demand read wakes the rank out of self-refresh...
     DramRequest req;
     req.id = 1;
-    req.op = MemOp::Read;
+    req.kind = RequestKind::Read;
     req.addr = 0;
     req.coord = {0, 0, 0, 0};
     req.arrival = 5'001;

@@ -21,7 +21,7 @@ makeReq(std::uint64_t id)
 {
     DramRequest req;
     req.id = id;
-    req.op = MemOp::Read;
+    req.kind = RequestKind::Read;
     req.addr = id * 64;
     return req;
 }

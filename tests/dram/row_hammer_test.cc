@@ -211,7 +211,7 @@ coordRead(std::uint64_t id, std::uint32_t bank, std::uint32_t row,
 {
     DramRequest req;
     req.id = id;
-    req.op = MemOp::Read;
+    req.kind = RequestKind::Read;
     req.addr = static_cast<Addr>(id) << 6;  // unique, unused for coord
     req.thread = 0;
     req.arrival = arrival;
@@ -312,7 +312,7 @@ TEST(RowHammerController, DataWriteRepairsTheVictimRow)
     ASSERT_GT(mc.hammerStats().victimFlips, 0u);
 
     DramRequest wr = coordRead(1, 0, 100, now);
-    wr.op = MemOp::Write;
+    wr.kind = RequestKind::Write;
     wr.thread = kThreadNone;
     mc.enqueue(wr);
     while (mc.busy())
@@ -357,8 +357,7 @@ TEST(RowHammerController, MitigationDrivesFlipsToZero)
         for (const MitigationRequest &m : pending) {
             DramRequest req;
             req.id = 2'000'000 + issued++;
-            req.op = MemOp::Read;
-            req.mitigation = true;
+            req.kind = RequestKind::Mitigation;
             req.thread = kThreadNone;
             req.arrival = now;
             req.coord = DramCoord{0, m.bank, m.row, 0};
@@ -378,7 +377,7 @@ TEST(RowHammerController, MitigationDrivesFlipsToZero)
     std::uint64_t data_reads = 0;
     std::uint64_t maintenance = 0;
     for (const DramRequest &r : done)
-        r.mitigation ? ++maintenance : ++data_reads;
+        r.kind == RequestKind::Mitigation ? ++maintenance : ++data_reads;
     EXPECT_EQ(data_reads, 1000u);
     EXPECT_EQ(maintenance, mc.hammerStats().mitigationsIssued);
 }

@@ -81,7 +81,7 @@ TEST_P(ControllerProperty, RandomStormFullyCompletes)
                 continue;
             DramRequest req;
             req.id = next_id++;
-            req.op = is_read ? MemOp::Read : MemOp::Write;
+            req.kind = is_read ? RequestKind::Read : RequestKind::Write;
             req.addr = rng.below(1ULL << 26) & ~Addr{63};
             req.thread = static_cast<ThreadId>(rng.below(8));
             req.snap.outstandingRequests =
@@ -170,7 +170,7 @@ TEST_P(ControllerProperty, ConservationHoldsUnderInjectedFaults)
                 continue;
             DramRequest req;
             req.id = next_id++;
-            req.op = is_read ? MemOp::Read : MemOp::Write;
+            req.kind = is_read ? RequestKind::Read : RequestKind::Write;
             req.addr = rng.below(1ULL << 26) & ~Addr{63};
             req.thread = static_cast<ThreadId>(rng.below(8));
             req.snap.outstandingRequests =
@@ -223,7 +223,7 @@ TEST_P(ControllerProperty, ClosePageModeNeverHits)
     for (std::uint64_t i = 0; i < 10; ++i) {
         DramRequest req;
         req.id = i + 1;
-        req.op = MemOp::Read;
+        req.kind = RequestKind::Read;
         req.addr = i * 64;
         req.arrival = now;
         req.coord = mapping.map(req.addr);
@@ -246,6 +246,8 @@ INSTANTIATE_TEST_SUITE_P(
                        false},
         ControllerCase{SchedulerKind::RobBased, PageMode::Open, false},
         ControllerCase{SchedulerKind::IqBased, PageMode::Open, false},
+        ControllerCase{SchedulerKind::CriticalityBased, PageMode::Open,
+                       false},
         ControllerCase{SchedulerKind::Fcfs, PageMode::Close, false},
         ControllerCase{SchedulerKind::HitFirst, PageMode::Close,
                        false},

@@ -81,7 +81,7 @@ TEST_P(EccProperty, OutcomesConserveAndScrubNeverStarvesDemand)
     Watchdog watchdog(50'000, "demand read progress");
     dram.setReadCallback([&](const DramRequest &req) {
         ++delivered;
-        EXPECT_FALSE(req.scrub);
+        EXPECT_EQ(req.kind, RequestKind::Read);
         EXPECT_FALSE(req.corrected && req.poisoned)
             << "a read cannot be both fixed and poisoned";
         if (req.corrected)
@@ -202,6 +202,7 @@ INSTANTIATE_TEST_SUITE_P(
                     EccCase{SchedulerKind::RequestBased, 1},
                     EccCase{SchedulerKind::RobBased, 1},
                     EccCase{SchedulerKind::IqBased, 1},
+                    EccCase{SchedulerKind::CriticalityBased, 1},
                     EccCase{SchedulerKind::HitFirst, 2},
                     EccCase{SchedulerKind::Fcfs, 3}),
     caseName);

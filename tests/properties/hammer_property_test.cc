@@ -168,7 +168,8 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(SchedulerKind::Fcfs, SchedulerKind::HitFirst,
                     SchedulerKind::AgeBased,
                     SchedulerKind::RequestBased,
-                    SchedulerKind::RobBased, SchedulerKind::IqBased),
+                    SchedulerKind::RobBased, SchedulerKind::IqBased,
+                    SchedulerKind::CriticalityBased),
     caseName);
 
 } // namespace

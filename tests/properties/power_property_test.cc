@@ -237,6 +237,7 @@ INSTANTIATE_TEST_SUITE_P(
                     PowerCase{SchedulerKind::RequestBased, 1},
                     PowerCase{SchedulerKind::RobBased, 1},
                     PowerCase{SchedulerKind::IqBased, 1},
+                    PowerCase{SchedulerKind::CriticalityBased, 1},
                     PowerCase{SchedulerKind::HitFirst, 2},
                     PowerCase{SchedulerKind::Fcfs, 3}),
     caseName);

@@ -33,7 +33,7 @@ TEST(DumpState, MemoryControllerRendersKeyFields)
     for (std::uint64_t i = 0; i < 8; ++i) {
         DramRequest req;
         req.id = i + 1;
-        req.op = MemOp::Read;
+        req.kind = RequestKind::Read;
         req.addr = i * 4096;
         req.thread = 0;
         req.arrival = now;
