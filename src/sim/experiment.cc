@@ -1,6 +1,5 @@
 #include "sim/experiment.hh"
 
-#include <algorithm>
 #include <cstdarg>
 
 #include "common/logging.hh"
@@ -142,42 +141,6 @@ configSignature(const SystemConfig &config)
         }
     }
     return sig;
-}
-
-CpiBreakdown
-measureCpiBreakdown(const std::string &app,
-                    std::uint64_t measure_insts,
-                    std::uint64_t warmup_insts, std::uint64_t seed,
-                    const ObservabilityConfig &observe)
-{
-    auto cpi_on = [&](bool inf_l1, bool inf_l2, bool inf_l3) {
-        SystemConfig config = SystemConfig::paperDefault(1);
-        config.hierarchy.l1i.infinite = inf_l1;
-        config.hierarchy.l1d.infinite = inf_l1;
-        config.hierarchy.l2.infinite = inf_l2;
-        config.hierarchy.l3.infinite = inf_l3;
-        if (!inf_l1 && !inf_l2 && !inf_l3)
-            config.observe = observe;
-        const RunResult r = runSystem(config, {specProfile(app)},
-                                      seed, measure_insts,
-                                      warmup_insts);
-        return 1.0 / r.ipc.at(0);
-    };
-
-    // Section 4.2: CPI_overall (real), CPI_pL3 (infinite L3),
-    // CPI_pL2 (infinite L2), CPI_proc (infinite L1s).
-    const double overall = cpi_on(false, false, false);
-    const double p_l3 = cpi_on(false, false, true);
-    const double p_l2 = cpi_on(false, true, true);
-    const double proc = cpi_on(true, true, true);
-
-    CpiBreakdown b;
-    b.overall = overall;
-    b.proc = proc;
-    b.l2 = std::max(0.0, p_l2 - proc);
-    b.l3 = std::max(0.0, p_l3 - p_l2);
-    b.mem = std::max(0.0, overall - p_l3);
-    return b;
 }
 
 } // namespace smtdram

@@ -1,9 +1,9 @@
 /**
  * @file
  * High-level experiment helpers shared by the benches, examples, and
- * integration tests: one simulation run, the configuration label, and
- * the CPI-breakdown methodology of Section 4.2.  Single-thread
- * baselines and weighted speedup live in ParallelExperimentRunner.
+ * integration tests: one simulation run and the configuration label.
+ * Single-thread baselines and weighted speedup live in
+ * ParallelExperimentRunner.
  */
 
 #ifndef SMTDRAM_SIM_EXPERIMENT_HH
@@ -51,26 +51,6 @@ RunResult runSystem(const SystemConfig &config,
  * with ==.
  */
 std::string configSignature(const SystemConfig &config);
-
-/** CPI split per the Section 4.2 methodology. */
-struct CpiBreakdown {
-    double overall = 0.0;  ///< real machine
-    double proc = 0.0;     ///< infinite L1s
-    double l2 = 0.0;       ///< infinite L2 minus infinite L1
-    double l3 = 0.0;       ///< infinite L3 minus infinite L2
-    double mem = 0.0;      ///< real minus infinite L3
-};
-
-/**
- * Measure the four-system CPI breakdown of one application running
- * alone (Figure 1).  @p observe applies to the real-machine run only;
- * the three infinite-cache reference runs stay dark so they don't
- * overwrite its outputs.
- */
-CpiBreakdown measureCpiBreakdown(
-    const std::string &app, std::uint64_t measure_insts,
-    std::uint64_t warmup_insts, std::uint64_t seed,
-    const ObservabilityConfig &observe = {});
 
 /** Build per-thread profiles for a mix. */
 std::vector<AppProfile> profilesForMix(const WorkloadMix &mix);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
@@ -38,15 +37,10 @@ declareSweepFlags(Flags &flags, bool mixes)
                       "comma-separated subset of Table 2 mixes or the "
                       "figure's own (default: the figure's own set)");
     }
-    flags.declare("kernel", "",
-                  "simulation kernel: 'event' (skip to the next pending "
-                  "event, the default) or 'cycle' (tick every cycle, "
-                  "the reference it is checked against); both are "
-                  "proven byte-identical");
 
     // Observability: with no flag given a figure emits nothing extra.
     // The trace/stats files describe one run, the sweep's last planned
-    // job (see runSweep), whatever --jobs is; alone-IPC baselines
+    // cell (see planSweep), whatever --jobs is; alone-IPC baselines
     // never write (see ParallelExperimentRunner::aloneIpc).
     flags.declare("trace", "",
                   "write a Chrome trace-event / Perfetto JSON of the "
@@ -81,23 +75,6 @@ observabilityFromFlags(const Flags &flags)
     o.statsCsvPath = flags.getString("stats-csv");
     o.epoch = static_cast<Cycle>(flags.getInt("epoch"));
     return o;
-}
-
-/**
- * Export --kernel as the process-wide SMTDRAM_KERNEL override before
- * the first SmtSystem is built, so every run — including the
- * alone-IPC baselines — uses the same kernel.
- */
-void
-applyKernelFlag(const Flags &flags)
-{
-    const std::string kernel = flags.getString("kernel");
-    if (kernel.empty())
-        return;
-    fatal_if(kernel != "cycle" && kernel != "event",
-             "--kernel must be 'cycle' or 'event', got '%s'",
-             kernel.c_str());
-    setenv("SMTDRAM_KERNEL", kernel.c_str(), /*overwrite=*/1);
 }
 
 /** Worker count from --jobs, resolving 0 to hardware concurrency. */
@@ -342,8 +319,7 @@ std::vector<SweepRow>
 planSweep(const FigureSpec &spec, const Flags &flags,
           const std::vector<std::string> &keep)
 {
-    const std::vector<Cell> cells =
-        spec.cells ? spec.cells(flags) : std::vector<Cell>{};
+    const std::vector<Cell> cells = spec.cells(flags);
     std::vector<SweepRow> rows;
     for (WorkloadMix &mix : figureRows(spec, flags)) {
         SweepRow row;
@@ -382,15 +358,6 @@ runSweep(const FigureSpec &spec, const Flags &flags, unsigned jobs,
     Sweep sweep;
     sweep.rows = planSweep(spec, flags, keep);
     for (const SweepRow &row : sweep.rows) {
-        if (spec.cpiBreakdown) {
-            // Without cells the last row's CPI job is the sweep's last
-            // job, so it takes the observability paths.
-            const bool last =
-                &row == &sweep.rows.back() && row.cells.empty();
-            runner.submitCpiBreakdown(row.mix.name,
-                                      last ? observabilityFromFlags(flags)
-                                           : ObservabilityConfig{});
-        }
         for (const PlannedCell &cell : row.cells)
             runner.submitMix(cell.config, row.mix, cell.perConfigBaselines);
     }
@@ -399,8 +366,6 @@ runSweep(const FigureSpec &spec, const Flags &flags, unsigned jobs,
     // Jobs were submitted row by row, cell by cell.
     std::size_t id = 0;
     for (SweepRow &row : sweep.rows) {
-        if (spec.cpiBreakdown)
-            row.cpi = runner.cpiResult(id++);
         for (std::size_t c = 0; c < row.cells.size(); ++c)
             row.runs.push_back(runner.mixResult(id++));
     }
@@ -424,7 +389,6 @@ runFigure(const FigureSpec &spec, const std::vector<std::string> &args)
         spec.report(Sweep{}, flags);
         return 0;
     }
-    applyKernelFlag(flags);
     if (flags.getBool("quiet"))
         setLogVerbosity(LogVerbosity::Quiet);
     const unsigned jobs = jobsFromFlags(flags);

@@ -28,8 +28,8 @@ namespace smtdram
 
 /**
  * Flag groups a figure may honour beyond the flags every simulating
- * figure takes (budgets, seed, --mixes, --kernel, observability,
- * --jobs, --bench-json).  planSweep() applies each honoured group to
+ * figure takes (budgets, seed, --mixes, observability, --jobs,
+ * --bench-json).  planSweep() applies each honoured group to
  * every cell after the cell's own configuration.  All default off.
  */
 enum FlagGroup : unsigned {
@@ -61,9 +61,23 @@ struct SweepRow {
     WorkloadMix mix;
     std::vector<PlannedCell> cells;
     std::vector<MixRun> runs;
-    /** CPI-breakdown figures only: the row's app run alone. */
-    CpiBreakdown cpi;
 };
+
+/** CPI split per the Section 4.2 methodology. */
+struct CpiBreakdown {
+    double overall = 0.0;  ///< real machine
+    double proc = 0.0;     ///< infinite L1s
+    double l2 = 0.0;       ///< infinite L2 minus infinite L1
+    double l3 = 0.0;       ///< infinite L3 minus infinite L2
+    double mem = 0.0;      ///< real minus infinite L3
+};
+
+/**
+ * The CPI breakdown of a Figure 1 row: its app run alone on the four
+ * machines of fig1_cpi_breakdown's cells (infinite L1s, L2 and L3,
+ * and the real one).
+ */
+CpiBreakdown cpiBreakdown(const SweepRow &row);
 
 struct Sweep {
     std::vector<SweepRow> rows;
@@ -106,15 +120,13 @@ struct FigureSpec {
     void (*declare)(Flags &) = nullptr;
     /** Optional rows from figure-local flags, replacing --mixes. */
     std::vector<WorkloadMix> (*rows)(const Flags &) = nullptr;
-    /** Cells every row runs; null for tables and CPI breakdowns. */
+    /** Cells every row runs; null for tables. */
     std::vector<Cell> (*cells)(const Flags &) = nullptr;
-    /** Rows run the Figure 1 CPI breakdown of their one app. */
-    bool cpiBreakdown = false;
     void (*report)(const Sweep &, const Flags &) = nullptr;
     std::optional<GoldenWindow> golden{};
 
     /** Tables print from the configuration alone and take no flags. */
-    bool simulates() const { return cells != nullptr || cpiBreakdown; }
+    bool simulates() const { return cells != nullptr; }
 };
 
 /** Every table and figure, in paper order. */
@@ -162,8 +174,8 @@ Sweep runSweep(const FigureSpec &spec, const Flags &flags,
                const std::vector<std::string> &keep = {});
 
 /**
- * The `smtdram_fig` flow: parse @p args, apply --kernel and --quiet,
- * print the banner, run the sweep (serial then parallel under
+ * The `smtdram_fig` flow: parse @p args, apply --quiet, print the
+ * banner, run the sweep (serial then parallel under
  * --bench-json) and print the report.  Returns the exit code.
  */
 int runFigure(const FigureSpec &spec,

@@ -393,31 +393,57 @@ appRows(const Flags &flags)
     return rows;
 }
 
+/**
+ * Section 4.2's four machines, each running the row's app alone.  The
+ * real one is planned last, so it is the run --trace/--stats-* reach.
+ * Each cell is its own per-config baseline, so the sweep simulates
+ * nothing beyond its cells.
+ */
+std::vector<Cell>
+cpiBreakdownCells(const Flags &)
+{
+    auto infinite = [](bool l1, bool l2, bool l3) {
+        return [=](SystemConfig &c) {
+            c.hierarchy.l1i.infinite = l1;
+            c.hierarchy.l1d.infinite = l1;
+            c.hierarchy.l2.infinite = l2;
+            c.hierarchy.l3.infinite = l3;
+        };
+    };
+    return {{"infL1", infinite(true, true, true), true},
+            {"infL2", infinite(false, true, true), true},
+            {"infL3", infinite(false, false, true), true},
+            {"real", infinite(false, false, false), true}};
+}
+
 /** Applications sorted by increasing CPImem, as the paper plots them. */
 void
 reportCpiBreakdown(const Sweep &sweep, const Flags &)
 {
-    std::vector<const SweepRow *> rows;
+    struct App {
+        const std::string *name;
+        CpiBreakdown cpi;
+    };
+    std::vector<App> apps;
     for (const SweepRow &row : sweep.rows)
-        rows.push_back(&row);
-    std::sort(rows.begin(), rows.end(),
-              [](const SweepRow *a, const SweepRow *b) {
-                  return a->cpi.mem < b->cpi.mem;
-              });
+        apps.push_back({&row.mix.name, cpiBreakdown(row)});
+    std::sort(apps.begin(), apps.end(), [](const App &a, const App &b) {
+        return a.cpi.mem < b.cpi.mem;
+    });
 
     std::printf("%-10s %9s %9s %9s %9s %9s\n", "app", "CPIproc",
                 "CPI_L2", "CPI_L3", "CPI_mem", "overall");
-    for (const SweepRow *row : rows) {
-        const CpiBreakdown &b = row->cpi;
+    for (const App &app : apps) {
+        const CpiBreakdown &b = app.cpi;
         std::printf("%-10s %9.3f %9.3f %9.3f %9.3f %9.3f\n",
-                    row->mix.name.c_str(), b.proc, b.l2, b.l3, b.mem,
+                    app.name->c_str(), b.proc, b.l2, b.l3, b.mem,
                     b.overall);
     }
 
     // The figure's headline claim, checked mechanically.
-    const SweepRow &worst = *rows.back();
+    const App &worst = apps.back();
     std::printf("\nlargest CPImem: %s (%.3f) — paper: mcf\n",
-                worst.mix.name.c_str(), worst.cpi.mem);
+                worst.name->c_str(), worst.cpi.mem);
 }
 
 std::string
@@ -426,11 +452,12 @@ renderCpiBreakdown(const Sweep &sweep)
     std::string text;
     for (const SweepRow &row : sweep.rows) {
         const std::string &app = row.mix.name;
-        appendMetric(text, app + ".cpi_overall", row.cpi.overall);
-        appendMetric(text, app + ".cpi_proc", row.cpi.proc);
-        appendMetric(text, app + ".cpi_l2", row.cpi.l2);
-        appendMetric(text, app + ".cpi_l3", row.cpi.l3);
-        appendMetric(text, app + ".cpi_mem", row.cpi.mem);
+        const CpiBreakdown b = cpiBreakdown(row);
+        appendMetric(text, app + ".cpi_overall", b.overall);
+        appendMetric(text, app + ".cpi_proc", b.proc);
+        appendMetric(text, app + ".cpi_l2", b.l2);
+        appendMetric(text, app + ".cpi_l3", b.l3);
+        appendMetric(text, app + ".cpi_mem", b.mem);
     }
     return text;
 }
@@ -1223,7 +1250,7 @@ buildFigureSpecs()
                   "CPImem",
          .declare = declareApps,
          .rows = appRows,
-         .cpiBreakdown = true,
+         .cells = cpiBreakdownCells,
          .report = reportCpiBreakdown,
          .golden = GoldenWindow{"Fig1CpiBreakdown", "fig1_cpi_breakdown",
                                 {"--apps=mcf"}, {}, renderCpiBreakdown}},
@@ -1434,6 +1461,34 @@ figureSpecs()
 {
     static const std::vector<FigureSpec> specs = buildFigureSpecs();
     return specs;
+}
+
+CpiBreakdown
+cpiBreakdown(const SweepRow &row)
+{
+    // CPI of the row's app on the cpiBreakdownCells() machine @p label.
+    auto cpi = [&row](const char *label) {
+        for (std::size_t c = 0; c < row.cells.size(); ++c) {
+            if (row.cells[c].label == label)
+                return 1.0 / row.runs.at(c).run.ipc.at(0);
+        }
+        panic("row %s has no %s cell", row.mix.name.c_str(), label);
+    };
+
+    // Section 4.2: CPI_overall (real), CPI_pL3 (infinite L3),
+    // CPI_pL2 (infinite L2), CPI_proc (infinite L1s).
+    const double overall = cpi("real");
+    const double p_l3 = cpi("infL3");
+    const double p_l2 = cpi("infL2");
+    const double proc = cpi("infL1");
+
+    CpiBreakdown b;
+    b.overall = overall;
+    b.proc = proc;
+    b.l2 = std::max(0.0, p_l2 - proc);
+    b.l3 = std::max(0.0, p_l3 - p_l2);
+    b.mem = std::max(0.0, overall - p_l3);
+    return b;
 }
 
 } // namespace smtdram

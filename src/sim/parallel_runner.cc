@@ -44,22 +44,9 @@ ParallelExperimentRunner::submitMix(const SystemConfig &config,
                                     bool per_config_baselines)
 {
     auto job = std::make_unique<Job>();
-    job->kind = Job::Kind::Mix;
     job->config = config;
     job->mix = mix;
     job->perConfigBaselines = per_config_baselines;
-    jobs_queue_.push_back(std::move(job));
-    return jobs_queue_.size() - 1;
-}
-
-std::size_t
-ParallelExperimentRunner::submitCpiBreakdown(
-    const std::string &app, const ObservabilityConfig &observe)
-{
-    auto job = std::make_unique<Job>();
-    job->kind = Job::Kind::Cpi;
-    job->app = app;
-    job->observe = observe;
     jobs_queue_.push_back(std::move(job));
     return jobs_queue_.size() - 1;
 }
@@ -106,8 +93,8 @@ ParallelExperimentRunner::aloneIpc(const std::string &app,
     return fut.get();
 }
 
-void
-ParallelExperimentRunner::runMixJob(Job &job)
+MixRun
+ParallelExperimentRunner::runMix(const Job &job)
 {
     // An exception, not a fatal(), so one malformed cell fails the
     // sweep cleanly (and deterministically: run() rethrows by
@@ -126,27 +113,28 @@ ParallelExperimentRunner::runMixJob(Job &job)
                         params_.seed, params_.measureInsts,
                         params_.warmupInsts);
     const SystemConfig reference = SystemConfig::paperDefault(1);
+    const SystemConfig &baseline =
+        job.perConfigBaselines ? job.config : reference;
+    // A job whose machine, observability aside, is its own alone
+    // machine (so it runs one thread) is its own baseline: the alone
+    // run would repeat this one exactly, observability being inert.
+    SystemConfig dark = job.config;
+    dark.observe = ObservabilityConfig{};
+    const bool own_baseline = aloneConfig(baseline) == dark;
     for (size_t i = 0; i < job.mix.apps.size(); ++i) {
-        const double alone =
-            job.perConfigBaselines
-                ? aloneIpc(job.mix.apps[i], job.config)
-                : aloneIpc(job.mix.apps[i], reference);
+        const double alone = own_baseline
+                                 ? out.run.ipc[i]
+                                 : aloneIpc(job.mix.apps[i], baseline);
         out.weightedSpeedup += out.run.ipc[i] / alone;
     }
-    job.mixResult = std::move(out);
+    return out;
 }
 
 void
 ParallelExperimentRunner::execute(Job &job)
 {
     try {
-        if (job.kind == Job::Kind::Mix) {
-            runMixJob(job);
-        } else {
-            job.cpiResult = measureCpiBreakdown(
-                job.app, params_.measureInsts, params_.warmupInsts,
-                params_.seed, job.observe);
-        }
+        job.result = runMix(job);
     } catch (...) {
         job.error = std::current_exception();
     }
@@ -183,21 +171,8 @@ ParallelExperimentRunner::mixResult(std::size_t index) const
 {
     panic_if(index >= jobs_queue_.size(), "job index out of range");
     const Job &job = *jobs_queue_[index];
-    panic_if(job.kind != Job::Kind::Mix, "job %zu is not a mix run",
-             index);
     panic_if(!job.done, "job %zu not run yet (call run())", index);
-    return job.mixResult;
-}
-
-const CpiBreakdown &
-ParallelExperimentRunner::cpiResult(std::size_t index) const
-{
-    panic_if(index >= jobs_queue_.size(), "job index out of range");
-    const Job &job = *jobs_queue_[index];
-    panic_if(job.kind != Job::Kind::Cpi,
-             "job %zu is not a CPI breakdown", index);
-    panic_if(!job.done, "job %zu not run yet (call run())", index);
-    return job.cpiResult;
+    return job.result;
 }
 
 } // namespace smtdram

@@ -3,22 +3,23 @@
  * Parallel experiment orchestration.
  *
  * Every paper figure is a sweep of independent simulations — (config
- * × mix) cells plus their single-thread alone-IPC baselines and the
- * four-run CPI breakdowns of Figure 1.  The simulator itself is
- * strictly deterministic, so the sweep is embarrassingly parallel:
- * this runner executes submitted jobs on a fixed-size ThreadPool, is
- * the one place baselines are memoized and weighted speedups are
- * computed, and guarantees
+ * × mix) cells plus their single-thread alone-IPC baselines.  The
+ * simulator itself is strictly deterministic, so the sweep is
+ * embarrassingly parallel: this runner executes submitted mix runs on
+ * a fixed-size ThreadPool, is the one place baselines are memoized and
+ * weighted speedups are computed, and guarantees
  *
  *  - **submission-order results**: results are read back by the index
- *    submit*() returned, whatever order workers finished in, so bench
+ *    submitMix() returned, whatever order workers finished in, so bench
  *    output is byte-identical for every --jobs value;
  *  - **baseline dedup**: alone-IPC baselines are memoized as
  *    std::shared_futures keyed by (app, alone config), compared with
  *    == — the key is the machine that runs.  Each baseline simulates
  *    exactly once even when many mixes request it concurrently, and
  *    the first requester computes it inline (no nested pool tasks,
- *    so a full pool can never deadlock on its own futures);
+ *    so a full pool can never deadlock on its own futures).  A
+ *    one-thread job that runs on its own baseline machine is its own
+ *    baseline and simulates nothing more (Figure 1's four machines);
  *  - **first-error propagation**: run() rethrows the error of the
  *    lowest-index failed job, deterministically, regardless of which
  *    worker failed first on the wall clock.
@@ -33,7 +34,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -64,20 +64,15 @@ class ParallelExperimentRunner
     /**
      * Queue one mix run.  Its weighted speedup divides each thread's
      * IPC by the app's alone IPC on the paper's default machine, or,
-     * with @p per_config_baselines, on @p config itself (Figure 3).
+     * with @p per_config_baselines, on @p config itself (Figures 1
+     * and 3).  A one-thread run whose config, observability aside, is
+     * that alone machine is its own baseline: its weighted speedup is
+     * 1 and no baseline is simulated for it.
      * @return the job's index; pass it to mixResult() after run().
      */
     std::size_t submitMix(const SystemConfig &config,
                           const WorkloadMix &mix,
                           bool per_config_baselines = false);
-
-    /**
-     * Queue one Figure-1 CPI breakdown (see measureCpiBreakdown).
-     * @return the job's index; pass it to cpiResult() after run().
-     */
-    std::size_t
-    submitCpiBreakdown(const std::string &app,
-                       const ObservabilityConfig &observe = {});
 
     /**
      * Execute every job submitted since the last run() and block
@@ -88,7 +83,6 @@ class ParallelExperimentRunner
     void run();
 
     const MixRun &mixResult(std::size_t index) const;
-    const CpiBreakdown &cpiResult(std::size_t index) const;
 
     unsigned jobs() const { return jobs_; }
     std::size_t submitted() const { return jobs_queue_.size(); }
@@ -114,17 +108,11 @@ class ParallelExperimentRunner
 
   private:
     struct Job {
-        enum class Kind : std::uint8_t { Mix, Cpi } kind;
-        // Mix payload.
         SystemConfig config;
         WorkloadMix mix;
         bool perConfigBaselines = false;
-        // Cpi payload.
-        std::string app;
-        ObservabilityConfig observe;
         // Outcome.
-        MixRun mixResult;
-        CpiBreakdown cpiResult;
+        MixRun result;
         std::exception_ptr error;
         bool done = false;
     };
@@ -137,7 +125,7 @@ class ParallelExperimentRunner
     };
 
     void execute(Job &job);
-    void runMixJob(Job &job);
+    MixRun runMix(const Job &job);
 
     ExperimentParams params_;
     unsigned jobs_;

@@ -23,13 +23,6 @@
 namespace smtdram
 {
 
-/** Aggregate link traffic counters. */
-struct LinkStats {
-    std::uint64_t transfers = 0;
-    std::uint64_t hopCycles = 0;   ///< pure wire delay, cycles
-    std::uint64_t queueCycles = 0; ///< waits behind earlier transfers
-};
-
 /** One routed transfer's outcome. */
 struct TransferResult {
     Cycle delay = 0;     ///< total extra latency (queue + hops)
@@ -83,14 +76,8 @@ class Interconnect
             (ch.busyUntil > depart ? ch.busyUntil : depart) +
             linkOccupancy_;
         ch.lastOwner = owner;
-        ++stats_.transfers;
-        stats_.hopCycles += wire;
-        stats_.queueCycles += r.queueWait;
         return r;
     }
-
-    const LinkStats &stats() const { return stats_; }
-    void resetStats() { stats_ = LinkStats{}; }
 
   private:
     /** Directed link occupancy: who holds it and until when. */
@@ -103,7 +90,6 @@ class Interconnect
     Cycle hopLatency_;
     Cycle linkOccupancy_;
     std::vector<Channel> channels_;
-    LinkStats stats_;
 };
 
 } // namespace smtdram

@@ -128,7 +128,6 @@ SocketRouter::resetStats()
     linkInterference_ = InterferenceMatrix{};
     for (auto &per : readsToSocket_)
         per.assign(per.size(), 0);
-    net_.resetStats();
 }
 
 } // namespace smtdram

@@ -222,8 +222,9 @@ TEST(FigureSpecs, ObservabilityFilesDoNotDependOnJobs)
 {
     // Every cell would write the same paths, concurrently under
     // --jobs > 1; one designated run writes them instead, so a
-    // parallel sweep leaves the serial sweep's files.  fig1 covers the
-    // CPI-breakdown path, fig10 the mix cells.
+    // parallel sweep leaves the serial sweep's files.  fig1 covers
+    // one-thread cells that are their own baselines, fig10 mixes that
+    // share memoized baselines.
     const std::vector<std::pair<const char *, const char *>> cases = {
         {"fig1_cpi_breakdown", "--apps=mcf,gzip"},
         {"fig10_thread_aware", "--mixes=2-MEM,2-MIX"},

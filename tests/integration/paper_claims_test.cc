@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/experiment.hh"
+#include "sim/figure_spec.hh"
 #include "sim/parallel_runner.hh"
 
 namespace smtdram
@@ -42,24 +46,34 @@ runWith(const char *mix_name,
 
 // ---- Figure 1 claim -------------------------------------------------
 
+/** Figure 1's rows for @p apps, each with its CPI breakdown. */
+std::vector<std::pair<std::string, CpiBreakdown>>
+fig1Breakdowns(const std::string &apps)
+{
+    const FigureSpec &spec = *findFigure("fig1_cpi_breakdown");
+    const Sweep sweep = runSweep(
+        spec,
+        figureFlags(spec, {"--apps=" + apps, "--insts=20000",
+                           "--warmup=12000", "--seed=42"}),
+        /*jobs=*/1);
+    std::vector<std::pair<std::string, CpiBreakdown>> out;
+    for (const SweepRow &row : sweep.rows)
+        out.emplace_back(row.mix.name, cpiBreakdown(row));
+    return out;
+}
+
 TEST(PaperClaims, McfHasLargestCpiMem)
 {
-    const CpiBreakdown mcf =
-        measureCpiBreakdown("mcf", 20000, 12000, 42);
-    for (const char *app : {"gzip", "bzip2", "eon", "swim", "vpr"}) {
-        const CpiBreakdown other =
-            measureCpiBreakdown(app, 20000, 12000, 42);
-        EXPECT_GT(mcf.mem, other.mem) << app;
-    }
+    const auto rows = fig1Breakdowns("mcf,gzip,bzip2,eon,swim,vpr");
+    const CpiBreakdown &mcf = rows.at(0).second;
+    for (std::size_t i = 1; i < rows.size(); ++i)
+        EXPECT_GT(mcf.mem, rows[i].second.mem) << rows[i].first;
 }
 
 TEST(PaperClaims, IlpAppsHaveNegligibleCpiMem)
 {
-    for (const char *app : {"gzip", "eon", "sixtrack"}) {
-        const CpiBreakdown b =
-            measureCpiBreakdown(app, 20000, 12000, 42);
+    for (const auto &[app, b] : fig1Breakdowns("gzip,eon,sixtrack"))
         EXPECT_LT(b.mem, 0.25 * b.overall) << app;
-    }
 }
 
 // ---- Figure 3 claims ------------------------------------------------

@@ -15,7 +15,7 @@
  *  - kernel independence: per-cycle stepping and event skipping
  *    attribute byte-identically, both when driving a DramSystem
  *    directly through nextEventAt() and through the SmtSystem
- *    --kernel modes.
+ *    kernel modes.
  *
  * Seeds are drawn from a fixed root and logged, so any failure
  * replays exactly.
@@ -199,8 +199,8 @@ TEST(BlameProperty, ConservationAndRowSumsAcrossSchedulers)
 TEST(BlameProperty, KernelModesAttributeIdentically)
 {
     // SmtSystem-level replay of the same guarantee through the real
-    // --kernel switch, everything enabled, full stats JSON diffed
-    // (covers the v2 blame scalars/histograms and the matrix).
+    // SystemConfig::kernel switch, everything enabled, full stats JSON
+    // diffed (covers the v2 blame scalars/histograms and the matrix).
     Rng rng(77);
     const WorkloadMix &mix = mixByName("4-MEM");
     std::vector<AppProfile> apps;

@@ -209,10 +209,13 @@ TEST_P(ControllerProperty, ConservationHoldsUnderInjectedFaults)
     EXPECT_GT(mc.stats().refreshes, 0u);
 }
 
-TEST_P(ControllerProperty, ClosePageModeNeverHits)
+/** The controller properties that hold in close-page mode only. */
+class ClosePageProperty : public ControllerProperty
 {
-    if (GetParam().mode != PageMode::Close)
-        GTEST_SKIP() << "close-mode-only property";
+};
+
+TEST_P(ClosePageProperty, NeverHits)
+{
     const DramConfig c = config();
     AddressMapping mapping(c);
     MemoryController mc(c, GetParam().scheduler);
@@ -252,6 +255,16 @@ INSTANTIATE_TEST_SUITE_P(
         ControllerCase{SchedulerKind::HitFirst, PageMode::Close,
                        false},
         ControllerCase{SchedulerKind::HitFirst, PageMode::Open, true},
+        ControllerCase{SchedulerKind::RequestBased, PageMode::Close,
+                       true}),
+    caseName);
+
+INSTANTIATE_TEST_SUITE_P(
+    ClosePolicies, ClosePageProperty,
+    testing::Values(
+        ControllerCase{SchedulerKind::Fcfs, PageMode::Close, false},
+        ControllerCase{SchedulerKind::HitFirst, PageMode::Close,
+                       false},
         ControllerCase{SchedulerKind::RequestBased, PageMode::Close,
                        true}),
     caseName);

@@ -4,8 +4,11 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "sim/experiment.hh"
+#include "sim/figure_spec.hh"
 #include "sim/parallel_runner.hh"
 #include "workload/hammer_workload.hh"
 
@@ -63,9 +66,28 @@ TEST(ExperimentContext, MixRunMatchesManualComputation)
     EXPECT_NEAR(r.weightedSpeedup, manual, 1e-9);
 }
 
+/** Figure 1's breakdown of each app in @p apps (comma-separated),
+ *  from the figure's own sweep at seed 42. */
+std::vector<CpiBreakdown>
+fig1Breakdowns(const std::string &apps, int insts, int warmup)
+{
+    const FigureSpec &spec = *findFigure("fig1_cpi_breakdown");
+    const Sweep sweep = runSweep(
+        spec,
+        figureFlags(spec, {"--apps=" + apps,
+                           "--insts=" + std::to_string(insts),
+                           "--warmup=" + std::to_string(warmup),
+                           "--seed=42"}),
+        /*jobs=*/1);
+    std::vector<CpiBreakdown> out;
+    for (const SweepRow &row : sweep.rows)
+        out.push_back(cpiBreakdown(row));
+    return out;
+}
+
 TEST(CpiBreakdown, ComponentsAreNonNegativeAndSum)
 {
-    const CpiBreakdown b = measureCpiBreakdown("gzip", 4000, 2000, 42);
+    const CpiBreakdown b = fig1Breakdowns("gzip", 4000, 2000).at(0);
     EXPECT_GT(b.proc, 0.0);
     EXPECT_GE(b.l2, 0.0);
     EXPECT_GE(b.l3, 0.0);
@@ -77,10 +99,10 @@ TEST(CpiBreakdown, ComponentsAreNonNegativeAndSum)
 
 TEST(CpiBreakdown, McfIsMemoryBoundGzipIsNot)
 {
-    const CpiBreakdown mcf =
-        measureCpiBreakdown("mcf", 12000, 8000, 42);
-    const CpiBreakdown gzip =
-        measureCpiBreakdown("gzip", 12000, 8000, 42);
+    const std::vector<CpiBreakdown> b =
+        fig1Breakdowns("mcf,gzip", 12000, 8000);
+    const CpiBreakdown &mcf = b.at(0);
+    const CpiBreakdown &gzip = b.at(1);
     EXPECT_GT(mcf.mem, 1.0);
     EXPECT_GT(mcf.mem, 5.0 * gzip.mem);
     EXPECT_LT(gzip.mem, 0.5);

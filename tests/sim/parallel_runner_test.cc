@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/figure_spec.hh"
 #include "sim/parallel_runner.hh"
 
 namespace smtdram
@@ -48,13 +49,14 @@ expectIdenticalMixRuns(const MixRun &a, const MixRun &b)
 TEST(ParallelRunner, ParallelIsByteIdenticalToSerialAllSchedulers)
 {
     // The tentpole determinism claim: a --jobs 8 sweep over every
-    // Figure 10 scheduler returns exactly what --jobs 1 returns.
+    // scheduler, Criticality included, returns exactly what --jobs 1
+    // returns.
     const WorkloadMix &mix = mixByName("2-MEM");
 
     auto sweep = [&](unsigned jobs) {
         ParallelExperimentRunner runner(kSmall, jobs);
         std::vector<std::size_t> ids;
-        for (SchedulerKind kind : allSchedulerKinds()) {
+        for (SchedulerKind kind : allSchedulerKindsExtended()) {
             SystemConfig config = SystemConfig::paperDefault(2);
             config.scheduler = kind;
             ids.push_back(runner.submitMix(config, mix));
@@ -174,20 +176,49 @@ TEST(ParallelRunner, BaselineSharedAcrossThreadCounts)
     EXPECT_EQ(runner.baselineSimulations(), 4u);
 }
 
-TEST(ParallelRunner, CpiBreakdownMatchesSerialHelper)
+TEST(ParallelRunner, OneThreadRunIsItsOwnBaseline)
 {
-    const CpiBreakdown direct = measureCpiBreakdown(
-        "gzip", kSmall.measureInsts, kSmall.warmupInsts, kSmall.seed);
+    // mcf alone on its per-config infinite-L3 machine, and alone on
+    // the reference machine with an epoch set (observability is
+    // inert): each run is its own baseline, so none is simulated.
+    const WorkloadMix alone{"mcf", {"mcf"}};
+    SystemConfig reference = SystemConfig::paperDefault(1);
+    reference.observe.epoch = 1000;
 
-    ParallelExperimentRunner runner(kSmall, 3);
-    const std::size_t id = runner.submitCpiBreakdown("gzip");
+    ParallelExperimentRunner runner(kSmall, 2);
+    const std::size_t inf = runner.submitMix(
+        SystemConfig::paperDefault(1).withInfiniteL3(), alone, true);
+    const std::size_t real = runner.submitMix(reference, alone);
     runner.run();
-    const CpiBreakdown &r = runner.cpiResult(id);
-    EXPECT_EQ(r.overall, direct.overall);
-    EXPECT_EQ(r.proc, direct.proc);
-    EXPECT_EQ(r.l2, direct.l2);
-    EXPECT_EQ(r.l3, direct.l3);
-    EXPECT_EQ(r.mem, direct.mem);
+    EXPECT_EQ(runner.baselineSimulations(), 0u);
+    EXPECT_EQ(runner.mixResult(inf).weightedSpeedup, 1.0);
+    EXPECT_EQ(runner.mixResult(real).weightedSpeedup, 1.0);
+}
+
+TEST(ParallelRunner, CpiBreakdownIsIdenticalAtAnyJobs)
+{
+    // Figure 1's four machines are ordinary cells: the breakdown comes
+    // out the same from a serial and a 4-worker sweep, and the sweep
+    // simulates its 4 cells per app and nothing more.
+    const FigureSpec &spec = *findFigure("fig1_cpi_breakdown");
+    const Flags flags =
+        figureFlags(spec, {"--apps=gzip,mcf", "--insts=2000",
+                           "--warmup=500", "--seed=42"});
+    const Sweep serial = runSweep(spec, flags, 1);
+    const Sweep parallel = runSweep(spec, flags, 4);
+    EXPECT_EQ(serial.simulations, 8u);
+    EXPECT_EQ(parallel.simulations, 8u);
+    ASSERT_EQ(serial.rows.size(), parallel.rows.size());
+    for (std::size_t r = 0; r < serial.rows.size(); ++r) {
+        SCOPED_TRACE(serial.rows[r].mix.name);
+        const CpiBreakdown a = cpiBreakdown(serial.rows[r]);
+        const CpiBreakdown b = cpiBreakdown(parallel.rows[r]);
+        EXPECT_EQ(a.overall, b.overall);
+        EXPECT_EQ(a.proc, b.proc);
+        EXPECT_EQ(a.l2, b.l2);
+        EXPECT_EQ(a.l3, b.l3);
+        EXPECT_EQ(a.mem, b.mem);
+    }
 }
 
 TEST(ParallelRunner, FirstErrorPropagatesBySubmissionIndex)

