@@ -30,10 +30,8 @@ main(int argc, char **argv)
                 "default 2-channel DDR SDRAM machine");
 
     const WorkloadMix &mix = mixByName(flags.getString("mix"));
-    const auto insts =
-        static_cast<std::uint64_t>(flags.getInt("insts"));
-    const auto warmup =
-        static_cast<std::uint64_t>(flags.getInt("warmup"));
+    const auto insts = flags.getUnsigned<std::uint64_t>("insts");
+    const auto warmup = flags.getUnsigned<std::uint64_t>("warmup");
 
     SystemConfig config = SystemConfig::paperDefault(
         static_cast<std::uint32_t>(mix.apps.size()));

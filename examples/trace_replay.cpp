@@ -78,9 +78,8 @@ main(int argc, char **argv)
 
     const AppProfile &profile =
         specProfile(flags.getString("app"));
-    const auto insts = static_cast<std::uint64_t>(flags.getInt("insts"));
-    const auto warmup =
-        static_cast<std::uint64_t>(flags.getInt("warmup"));
+    const auto insts = flags.getUnsigned<std::uint64_t>("insts");
+    const auto warmup = flags.getUnsigned<std::uint64_t>("warmup");
     const std::string path = flags.getString("trace");
 
     // Pass 1: execution-driven, recording as we go.

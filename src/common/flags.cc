@@ -1,5 +1,7 @@
 #include "common/flags.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -70,10 +72,29 @@ Flags::getInt(const std::string &name) const
 {
     const std::string s = getString(name);
     char *end = nullptr;
+    errno = 0;
     long long v = std::strtoll(s.c_str(), &end, 0);
-    fatal_if(end == s.c_str() || *end != '\0',
+    fatal_if(end == s.c_str() || *end != '\0' || errno == ERANGE,
              "flag --%s expects an integer, got '%s'", name.c_str(),
              s.c_str());
+    return v;
+}
+
+std::uint64_t
+Flags::parseUnsigned(const std::string &name, const std::string &text,
+                     std::uint64_t max)
+{
+    // strtoull() also takes leading space and a sign, and wraps "-5"
+    // to 2^64 - 5: only a digit may lead.
+    const bool digit = !text.empty() &&
+                       std::isdigit(static_cast<unsigned char>(text[0]));
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v =
+        digit ? std::strtoull(text.c_str(), &end, 0) : 0;
+    fatal_if(!digit || *end != '\0' || errno == ERANGE || v > max,
+             "flag --%s expects a whole number from 0 to %llu, got '%s'",
+             name.c_str(), (unsigned long long)max, text.c_str());
     return v;
 }
 

@@ -11,6 +11,7 @@
 #define SMTDRAM_COMMON_FLAGS_HH
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -42,6 +43,25 @@ class Flags
     std::int64_t getInt(const std::string &name) const;
     double getDouble(const std::string &name) const;
     bool getBool(const std::string &name) const;
+
+    /**
+     * Integer flag @p name as unsigned type @p T; fatal()s, naming the
+     * flag, unless it is a whole number (decimal, 0x hex or 0 octal)
+     * that fits @p T, so a negative or oversized value never wraps.
+     */
+    template <class T>
+    T
+    getUnsigned(const std::string &name) const
+    {
+        return static_cast<T>(parseUnsigned(
+            name, getString(name), std::numeric_limits<T>::max()));
+    }
+
+    /** @p text checked as getUnsigned() checks flag @p name's value,
+     *  up to @p max: for the items of a list flag. */
+    static std::uint64_t parseUnsigned(
+        const std::string &name, const std::string &text,
+        std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
     /** True if the flag was explicitly given on the command line. */
     bool given(const std::string &name) const;

@@ -13,13 +13,15 @@ namespace smtdram
 static constexpr Cycle kAgeCheckPeriod = 4096;
 
 DramSystem::DramSystem(const DramConfig &config, SchedulerKind scheduler,
-                       std::uint32_t channel_base)
-    : config_(config), mapping_(config)
+                       std::uint32_t sockets)
+    : config_(config), mapping_(config), sockets_(sockets),
+      perSocket_(config.logicalChannels())
 {
     config_.validate();
-    controllers_.reserve(config_.logicalChannels());
-    for (std::uint32_t c = 0; c < config_.logicalChannels(); ++c)
-        controllers_.emplace_back(config_, scheduler, channel_base + c);
+    panic_if(sockets_ == 0, "a memory system needs at least one socket");
+    controllers_.reserve(std::size_t{sockets_} * perSocket_);
+    for (std::uint32_t c = 0; c < sockets_ * perSocket_; ++c)
+        controllers_.emplace_back(config_, scheduler, c);
     if (config_.checkerEnabled) {
         checker_ = std::make_unique<ConservationChecker>(
             config_.checkerMaxAge,
@@ -27,21 +29,23 @@ DramSystem::DramSystem(const DramConfig &config, SchedulerKind scheduler,
     }
     if (config_.ecc.enabled) {
         scrub_.resize(controllers_.size());
-        // Stagger first bursts through one interval so multi-channel
-        // systems never scrub in lockstep (same idea as refresh).
+        // Stagger each socket's first bursts through one interval so
+        // multi-channel systems never scrub in lockstep (same idea as
+        // refresh).
         const Cycle interval = config_.ecc.scrubInterval;
         for (size_t c = 0; c < scrub_.size(); ++c)
-            scrub_[c].nextAt = (c + 1) * interval / scrub_.size();
+            scrub_[c].nextAt = (c % perSocket_ + 1) * interval / perSocket_;
     }
 }
 
 void
-DramSystem::serviceScrub(Cycle now)
+DramSystem::serviceScrub(std::uint32_t socket, Cycle now)
 {
     const EccConfig &ecc = config_.ecc;
     const std::uint32_t columns = config_.columnsPerRow();
     const std::uint32_t banks = config_.banksPerChannel();
-    for (std::uint32_t c = 0; c < scrub_.size(); ++c) {
+    for (std::uint32_t c = socket * perSocket_;
+         c < (socket + 1) * perSocket_; ++c) {
         ScrubState &s = scrub_[c];
         if (now < s.nextAt)
             continue;
@@ -75,9 +79,10 @@ DramSystem::serviceScrub(Cycle now)
 }
 
 void
-DramSystem::serviceMitigations(Cycle now)
+DramSystem::serviceMitigations(std::uint32_t socket, Cycle now)
 {
-    for (std::uint32_t c = 0; c < controllers_.size(); ++c) {
+    for (std::uint32_t c = socket * perSocket_;
+         c < (socket + 1) * perSocket_; ++c) {
         MemoryController &mc = controllers_[c];
         if (!mc.hasPendingMitigations())
             continue;
@@ -96,10 +101,10 @@ DramSystem::serviceMitigations(Cycle now)
 }
 
 bool
-DramSystem::canAccept(Addr addr, MemOp op) const
+DramSystem::canAccept(std::uint32_t home, Addr addr, MemOp op) const
 {
-    const DramCoord coord = mapping_.map(addr);
-    const MemoryController &mc = controllers_[coord.channel];
+    const MemoryController &mc =
+        controllers_[home * perSocket_ + mapping_.map(addr).channel];
     return op == MemOp::Read ? mc.canAcceptRead() : mc.canAcceptWrite();
 }
 
@@ -108,11 +113,11 @@ DramSystem::enqueueRead(Addr addr, ThreadId thread,
                         const ThreadSnapshot &snap, Cycle now,
                         bool critical)
 {
-    return enqueueRead(addr, thread, snap, now, critical, 0, 0);
+    return enqueueRead(0, addr, thread, snap, now, critical, 0, 0);
 }
 
 std::uint64_t
-DramSystem::enqueueRead(Addr addr, ThreadId thread,
+DramSystem::enqueueRead(std::uint32_t home, Addr addr, ThreadId thread,
                         const ThreadSnapshot &snap, Cycle now,
                         bool critical, Cycle remote_until,
                         std::uint32_t origin)
@@ -124,6 +129,7 @@ DramSystem::enqueueRead(Addr addr, ThreadId thread,
     req.origin = origin;
     req.snap = snap;
     req.coord = mapping_.map(addr);
+    req.coord.channel += home * perSocket_;
     req.critical = critical;
     if (remote_until > now) {
         req.remoteUntil = remote_until;
@@ -140,17 +146,19 @@ DramSystem::enqueueRead(Addr addr, ThreadId thread,
 std::uint64_t
 DramSystem::enqueueWrite(Addr addr, Cycle now)
 {
-    return enqueueWrite(addr, now, 0);
+    return enqueueWrite(0, addr, now, 0);
 }
 
 std::uint64_t
-DramSystem::enqueueWrite(Addr addr, Cycle now, Cycle remote_until)
+DramSystem::enqueueWrite(std::uint32_t home, Addr addr, Cycle now,
+                         Cycle remote_until)
 {
     DramRequest req;
     req.kind = RequestKind::Write;
     req.addr = addr;
     req.thread = kThreadNone;
     req.coord = mapping_.map(addr);
+    req.coord.channel += home * perSocket_;
     if (remote_until > now) {
         req.remoteUntil = remote_until;
         req.notBefore = remote_until;
@@ -173,27 +181,35 @@ DramSystem::submit(DramRequest &req, Cycle now)
 void
 DramSystem::tick(Cycle now)
 {
-    // Idle fast-path: with nothing queued or in flight, no scrub
-    // burst due, and no controller needing its per-cycle RNG draw or
-    // refresh bookkeeping, this tick is a no-op.  Skipping it is
-    // observationally safe — the checker's amortized age scan below
-    // is trivially clean with zero outstanding requests, so deferring
-    // lastAgeCheck_ changes nothing.  Memory-bound phases never take
-    // this path; compute-bound ones take it almost every cycle.
-    if (idleAt(now))
-        return;
+    // Idle fast-path, socket by socket: with nothing queued or in
+    // flight, no scrub burst due, and no controller needing its
+    // per-cycle RNG draw or refresh bookkeeping, a socket's tick is a
+    // no-op.  Skipping it is observationally safe — the checker's
+    // amortized age scan in tickSocket() is trivially clean with zero
+    // outstanding requests, so deferring lastAgeCheck_ changes
+    // nothing.  Memory-bound phases never take this path;
+    // compute-bound ones take it almost every cycle.
+    for (std::uint32_t s = 0; s < sockets_; ++s) {
+        if (!idleAt(now, s * perSocket_, (s + 1) * perSocket_))
+            tickSocket(s, now);
+    }
+}
 
+void
+DramSystem::tickSocket(std::uint32_t socket, Cycle now)
+{
     if (!scrub_.empty())
-        serviceScrub(now);
+        serviceScrub(socket, now);
 
     // Turn tracker requests (appended during earlier launches) into
     // queued maintenance commands before the controllers issue.
     if (config_.hammer.mitigates())
-        serviceMitigations(now);
+        serviceMitigations(socket, now);
 
     completedScratch_.clear();
-    for (auto &mc : controllers_)
-        mc.tick(now, completedScratch_);
+    for (std::uint32_t c = socket * perSocket_;
+         c < (socket + 1) * perSocket_; ++c)
+        controllers_[c].tick(now, completedScratch_);
     // Retries re-enter their queue inside the controller (net zero);
     // only final completions leave the system.
     panic_if(completedScratch_.size() > outstanding_,
@@ -237,8 +253,9 @@ DramSystem::tick(Cycle now)
             readCallback_(req);
     }
 
-    // Starvation scan, amortized: the map walk is O(outstanding),
-    // far too costly per cycle but negligible every few thousand.
+    // Starvation scan over the whole machine, amortized: the map walk
+    // is O(outstanding), far too costly per cycle but negligible every
+    // few thousand.
     if (checker_ && now - lastAgeCheck_ >= kAgeCheckPeriod) {
         lastAgeCheck_ = now;
         checker_->checkAges(now);
@@ -278,18 +295,6 @@ DramSystem::nextEventAt(Cycle now) const
     return next;
 }
 
-bool
-DramSystem::busy() const
-{
-    return outstanding_ > 0;
-}
-
-size_t
-DramSystem::outstandingRequests() const
-{
-    return outstanding_;
-}
-
 std::uint32_t
 DramSystem::distinctThreadsOutstanding() const
 {
@@ -301,12 +306,6 @@ DramSystem::distinctThreadsOutstanding() const
     return n;
 }
 
-std::uint32_t
-DramSystem::channels() const
-{
-    return static_cast<std::uint32_t>(controllers_.size());
-}
-
 const MemoryController &
 DramSystem::channel(std::uint32_t c) const
 {
@@ -314,31 +313,45 @@ DramSystem::channel(std::uint32_t c) const
     return controllers_[c];
 }
 
+template <class Stats>
+Stats
+DramSystem::sum(const Stats &(MemoryController::*get)() const,
+                std::uint32_t first, std::uint32_t last) const
+{
+    Stats agg;
+    for (std::uint32_t s = first; s < last; ++s) {
+        Stats socket;
+        for (std::uint32_t c = s * perSocket_; c < (s + 1) * perSocket_;
+             ++c)
+            socket.merge((controllers_[c].*get)());
+        agg.merge(socket);
+    }
+    return agg;
+}
+
 ControllerStats
 DramSystem::aggregateStats() const
 {
-    ControllerStats agg;
-    for (const auto &mc : controllers_)
-        agg.merge(mc.stats());
-    return agg;
+    return sum(&MemoryController::stats, 0, sockets_);
+}
+
+ControllerStats
+DramSystem::socketStats(std::uint32_t s) const
+{
+    panic_if(s >= sockets_, "socket %u out of range", s);
+    return sum(&MemoryController::stats, s, s + 1);
 }
 
 FaultStats
 DramSystem::aggregateFaultStats() const
 {
-    FaultStats agg;
-    for (const auto &mc : controllers_)
-        agg.merge(mc.faultStats());
-    return agg;
+    return sum(&MemoryController::faultStats, 0, sockets_);
 }
 
 HammerStats
 DramSystem::aggregateHammerStats() const
 {
-    HammerStats agg;
-    for (const auto &mc : controllers_)
-        agg.merge(mc.hammerStats());
-    return agg;
+    return sum(&MemoryController::hammerStats, 0, sockets_);
 }
 
 std::uint64_t
@@ -353,10 +366,7 @@ DramSystem::hammerFlippedRows() const
 PowerStats
 DramSystem::aggregatePowerStats() const
 {
-    PowerStats agg;
-    for (const auto &mc : controllers_)
-        agg.merge(mc.powerStats());
-    return agg;
+    return sum(&MemoryController::powerStats, 0, sockets_);
 }
 
 void
@@ -385,7 +395,7 @@ void
 DramSystem::dumpState(std::ostream &os) const
 {
     os << "=== DramSystem state dump ===\n";
-    os << "channels=" << controllers_.size()
+    os << "channels=" << controllers_.size() << " sockets=" << sockets_
        << " outstanding=" << outstandingRequests();
     if (config_.ecc.enabled) {
         const ControllerStats agg = aggregateStats();

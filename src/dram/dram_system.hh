@@ -1,11 +1,17 @@
 /**
  * @file
- * Top-level multi-channel DRAM memory system.
+ * The machine's multi-channel DRAM memory system.
  *
  * Owns the address mapping and one MemoryController per logical
  * channel, routes requests, delivers read completions through a
  * callback, and aggregates the statistics the paper's figures need
  * (row-buffer hit rates, concurrency distributions, latencies).
+ *
+ * Channels are grouped by home socket: socket s owns channels
+ * [s * logicalChannels(), (s + 1) * logicalChannels()), each group
+ * addressed by the same mapping.  Request ids, the conservation
+ * checker and every aggregate cover the whole machine.  The
+ * MemoryPort interface addresses socket 0.
  */
 
 #ifndef SMTDRAM_DRAM_DRAM_SYSTEM_HH
@@ -35,16 +41,22 @@ class DramSystem : public MemoryPort
     using ReadCallback = MemoryPort::ReadCallback;
 
     /**
-     * @param channel_base global index of this system's first channel.
-     *        0 for the single-socket machine; socket s of a NUMA
-     *        topology passes s * logicalChannels() so trace pids,
-     *        dump labels and fault seeds stay distinct per socket.
+     * @param sockets home sockets, config.logicalChannels() channels
+     *        each; channels are numbered across the machine so trace
+     *        pids, dump labels and fault seeds stay distinct.
      */
     DramSystem(const DramConfig &config, SchedulerKind scheduler,
-               std::uint32_t channel_base = 0);
+               std::uint32_t sockets = 1);
 
     /** True if the target channel can queue another request. */
-    bool canAccept(Addr addr, MemOp op) const override;
+    bool
+    canAccept(Addr addr, MemOp op) const override
+    {
+        return canAccept(0, addr, op);
+    }
+
+    /** canAccept() on socket @p home's channels. */
+    bool canAccept(std::uint32_t home, Addr addr, MemOp op) const;
 
     /**
      * Queue a read for @p addr on behalf of @p thread.
@@ -55,44 +67,34 @@ class DramSystem : public MemoryPort
                               bool critical = true) override;
 
     /**
-     * Remote-aware overload used by the topology router: the request
-     * arrives now (latency accrues from the issuing core's clock) but
-     * may not issue before @p remote_until — the cycles in between are
-     * blamed on BlameComponent::RemoteAccess.  @p origin (the issuing
-     * core) rides on the request as DramRequest::origin.
+     * The topology router's overload: queue on socket @p home.  The
+     * request arrives now (latency accrues from the issuing core's
+     * clock) but may not issue before @p remote_until — the cycles in
+     * between are blamed on BlameComponent::RemoteAccess.  @p origin
+     * (the issuing core) rides on the request as DramRequest::origin.
      */
-    std::uint64_t enqueueRead(Addr addr, ThreadId thread,
-                              const ThreadSnapshot &snap, Cycle now,
-                              bool critical, Cycle remote_until,
+    std::uint64_t enqueueRead(std::uint32_t home, Addr addr,
+                              ThreadId thread, const ThreadSnapshot &snap,
+                              Cycle now, bool critical, Cycle remote_until,
                               std::uint32_t origin);
 
     /** Queue a (writeback) write; completes silently. */
     std::uint64_t enqueueWrite(Addr addr, Cycle now) override;
 
-    /** Remote-aware overload (see the read counterpart). */
-    std::uint64_t enqueueWrite(Addr addr, Cycle now, Cycle remote_until);
+    /** Socket @p home's overload (see the read counterpart). */
+    std::uint64_t enqueueWrite(std::uint32_t home, Addr addr, Cycle now,
+                               Cycle remote_until);
 
-    /** Advance all channels to cycle @p now; fires read callbacks. */
+    /** Advance all channels to cycle @p now, socket by socket; fires
+     *  read callbacks, each socket's in completion order. */
     void tick(Cycle now);
 
     /**
      * True when tick(@p now) would do no work: every controller idle
      * (see MemoryController::idleAt) and no scrub burst due.  Lets
-     * tick() return immediately during compute-bound phases.
+     * tick() skip an idle socket during compute-bound phases.
      */
-    bool
-    idleAt(Cycle now) const
-    {
-        for (const ScrubState &s : scrub_) {
-            if (now >= s.nextAt)
-                return false;
-        }
-        for (const MemoryController &mc : controllers_) {
-            if (!mc.idleAt(now))
-                return false;
-        }
-        return true;
-    }
+    bool idleAt(Cycle now) const { return idleAt(now, 0, channels()); }
 
     /**
      * Earliest cycle > @p now at which tick() could do anything: the
@@ -111,10 +113,10 @@ class DramSystem : public MemoryPort
         readCallback_ = std::move(cb);
     }
 
-    bool busy() const;
+    bool busy() const { return outstanding_ > 0; }
 
     /** Queued + in-flight requests across all channels. */
-    size_t outstandingRequests() const;
+    size_t outstandingRequests() const { return outstanding_; }
 
     /** Outstanding thread-owned (read) requests per thread id. */
     const std::vector<std::uint32_t> &
@@ -127,13 +129,19 @@ class DramSystem : public MemoryPort
     std::uint32_t distinctThreadsOutstanding() const;
 
     const DramConfig &config() const { return config_; }
-    std::uint32_t channels() const;
+    std::uint32_t channels() const { return sockets_ * perSocket_; }
+    std::uint32_t sockets() const { return sockets_; }
+    /** Home socket of channel @p c. */
+    std::uint32_t socketOf(std::uint32_t c) const { return c / perSocket_; }
 
     /** One channel's controller: its stats, queues and power ranks. */
     const MemoryController &channel(std::uint32_t c) const;
 
     /** Sum of all per-channel stats. */
     ControllerStats aggregateStats() const;
+
+    /** Sum of socket @p s's per-channel stats. */
+    ControllerStats socketStats(std::uint32_t s) const;
 
     /** Sum of all per-channel injected-fault stats. */
     FaultStats aggregateFaultStats() const;
@@ -178,6 +186,27 @@ class DramSystem : public MemoryPort
     void dumpState(std::ostream &os) const;
 
   private:
+    /** idleAt() of channels [first, last) alone. */
+    bool
+    idleAt(Cycle now, std::uint32_t first, std::uint32_t last) const
+    {
+        for (std::uint32_t c = first; c < last; ++c) {
+            if ((!scrub_.empty() && now >= scrub_[c].nextAt) ||
+                !controllers_[c].idleAt(now))
+                return false;
+        }
+        return true;
+    }
+
+    /** tick() of socket @p s's channels. */
+    void tickSocket(std::uint32_t s, Cycle now);
+
+    /** Sum of @p get over sockets [first, last)'s channels, one
+     *  socket's sum at a time (floating-point totals add per socket). */
+    template <class Stats>
+    Stats sum(const Stats &(MemoryController::*get)() const,
+              std::uint32_t first, std::uint32_t last) const;
+
     /**
      * The one admission path, for demand and maintenance traffic
      * alike: give @p req (kind, coordinates and payload already set)
@@ -188,18 +217,18 @@ class DramSystem : public MemoryPort
     std::uint64_t submit(DramRequest &req, Cycle now);
 
     /**
-     * Inject due patrol-scrub reads.  Generation lives here, not in
-     * the controller, so scrub requests enter through submit() like
-     * demand traffic and conservation covers them.
+     * Inject socket @p s's due patrol-scrub reads.  Generation lives
+     * here, not in the controller, so scrub requests enter through
+     * submit() like demand traffic and conservation covers them.
      */
-    void serviceScrub(Cycle now);
+    void serviceScrub(std::uint32_t s, Cycle now);
 
     /**
-     * Materialize preventive refreshes the aggressor trackers have
-     * requested.  Like scrub, generation lives here so mitigation
-     * commands enter through submit() like demand traffic.
+     * Materialize the preventive refreshes socket @p s's aggressor
+     * trackers have requested.  Like scrub, generation lives here so
+     * mitigation commands enter through submit() like demand traffic.
      */
-    void serviceMitigations(Cycle now);
+    void serviceMitigations(std::uint32_t s, Cycle now);
 
     /** Per-channel patrol-scrub pacing and address cursor. */
     struct ScrubState {
@@ -211,6 +240,9 @@ class DramSystem : public MemoryPort
 
     DramConfig config_;
     AddressMapping mapping_;
+    std::uint32_t sockets_;
+    /** config_.logicalChannels(); socket s's channels follow s - 1's. */
+    std::uint32_t perSocket_;
     std::vector<MemoryController> controllers_;
     ReadCallback readCallback_;
     std::uint64_t nextId_ = 1;

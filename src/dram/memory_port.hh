@@ -6,13 +6,13 @@
  * Hierarchy only ever needs four operations from the memory system:
  * admission control, read/write enqueue, and the completion callback.
  * Pulling them into an abstract port lets a topology layer interpose a
- * router between a core's hierarchy and N per-socket DramSystems
- * without the hierarchy knowing — a remote access looks exactly like a
- * slow local one.  SmtSystem plugs every core into a SocketPort that
- * forwards to the SocketRouter, the 1x1 machine included, so a miss
- * pays one virtual dispatch (never one per cycle).  DramSystem also
- * implements the port, so unit tests can wire a hierarchy straight to
- * one.
+ * router between a core's hierarchy and the home socket's channels of
+ * the machine's DramSystem without the hierarchy knowing — a remote
+ * access looks exactly like a slow local one.  SmtSystem plugs every
+ * core into a SocketPort that forwards to the SocketRouter, the 1x1
+ * machine included, so a miss pays one virtual dispatch (never one per
+ * cycle).  DramSystem also implements the port, addressing socket 0,
+ * so unit tests can wire a hierarchy straight to one.
  */
 
 #ifndef SMTDRAM_DRAM_MEMORY_PORT_HH

@@ -73,7 +73,7 @@ observabilityFromFlags(const Flags &flags)
     o.tracePath = flags.getString("trace");
     o.statsJsonPath = flags.getString("stats-json");
     o.statsCsvPath = flags.getString("stats-csv");
-    o.epoch = static_cast<Cycle>(flags.getInt("epoch"));
+    o.epoch = flags.getUnsigned<Cycle>("epoch");
     return o;
 }
 
@@ -81,10 +81,8 @@ observabilityFromFlags(const Flags &flags)
 unsigned
 jobsFromFlags(const Flags &flags)
 {
-    const std::int64_t v = flags.getInt("jobs");
-    fatal_if(v < 0, "--jobs must be >= 0");
-    return v == 0 ? ThreadPool::defaultWorkers()
-                  : static_cast<unsigned>(v);
+    const auto v = flags.getUnsigned<unsigned>("jobs");
+    return v == 0 ? ThreadPool::defaultWorkers() : v;
 }
 
 /**
@@ -130,45 +128,40 @@ applyFlagGroups(const Flags &flags, unsigned groups, SystemConfig &config)
         if (flags.getBool("faults")) {
             FaultConfig &f = dram.faults;
             f.enabled = true;
-            f.seed = static_cast<std::uint64_t>(flags.getInt("fault-seed"));
+            f.seed = flags.getUnsigned<std::uint64_t>("fault-seed");
             f.busStallProbability = flags.getDouble("bus-stall-prob");
-            f.busStallCycles =
-                static_cast<Cycle>(flags.getInt("bus-stall-cycles"));
+            f.busStallCycles = flags.getUnsigned<Cycle>("bus-stall-cycles");
             f.readErrorProbability = flags.getDouble("read-error-prob");
             f.enqueueDelayProbability =
                 flags.getDouble("enqueue-delay-prob");
-            f.enqueueDelayMax =
-                static_cast<Cycle>(flags.getInt("enqueue-delay-max"));
+            f.enqueueDelayMax = flags.getUnsigned<Cycle>("enqueue-delay-max");
         }
         if (flags.getBool("ecc")) {
             dram.withEcc(flags.getDouble("ecc-correctable-prob"),
                          flags.getDouble("ecc-uncorrectable-prob"),
-                         static_cast<Cycle>(flags.getInt("scrub-interval")));
+                         flags.getUnsigned<Cycle>("scrub-interval"));
             dram.ecc.checkOverheadCycles =
-                static_cast<Cycle>(flags.getInt("ecc-overhead"));
+                flags.getUnsigned<Cycle>("ecc-overhead");
             dram.ecc.scrubBurst =
-                static_cast<std::uint32_t>(flags.getInt("scrub-burst"));
+                flags.getUnsigned<std::uint32_t>("scrub-burst");
         }
     }
     if ((groups & kPowerFlags) && flags.getBool("power")) {
         dram.withPowerManagement(
-            static_cast<Cycle>(flags.getInt("power-pd-idle")),
-            static_cast<Cycle>(flags.getInt("power-slow-idle")),
-            static_cast<Cycle>(flags.getInt("power-sr-idle")));
+            flags.getUnsigned<Cycle>("power-pd-idle"),
+            flags.getUnsigned<Cycle>("power-slow-idle"),
+            flags.getUnsigned<Cycle>("power-sr-idle"));
     }
     if ((groups & kHammerFlags) && flags.getBool("hammer")) {
         dram.withHammer(
-            static_cast<std::uint64_t>(flags.getInt("hammer-threshold")),
+            flags.getUnsigned<std::uint64_t>("hammer-threshold"),
             flags.getDouble("hammer-flip-prob"),
-            static_cast<std::uint32_t>(flags.getInt("hammer-blast")));
-        dram.hammer.seed =
-            static_cast<std::uint64_t>(flags.getInt("hammer-seed"));
+            flags.getUnsigned<std::uint32_t>("hammer-blast"));
+        dram.hammer.seed = flags.getUnsigned<std::uint64_t>("hammer-seed");
         if (flags.getBool("hammer-mitigate")) {
             dram.withHammerMitigation(
-                static_cast<std::uint32_t>(
-                    flags.getInt("hammer-tracker-capacity")),
-                static_cast<std::uint64_t>(
-                    flags.getInt("hammer-mitigate-threshold")));
+                flags.getUnsigned<std::uint32_t>("hammer-tracker-capacity"),
+                flags.getUnsigned<std::uint64_t>("hammer-mitigate-threshold"));
         }
     }
 }
@@ -350,9 +343,12 @@ runSweep(const FigureSpec &spec, const Flags &flags, unsigned jobs,
          const std::vector<std::string> &keep)
 {
     ExperimentParams params;
-    params.measureInsts = static_cast<std::uint64_t>(flags.getInt("insts"));
-    params.warmupInsts = static_cast<std::uint64_t>(flags.getInt("warmup"));
-    params.seed = static_cast<std::uint64_t>(flags.getInt("seed"));
+    params.measureInsts = flags.getUnsigned<std::uint64_t>("insts");
+    fatal_if(params.measureInsts == 0,
+             "flag --insts must be at least 1 (a zero budget measures "
+             "nothing)");
+    params.warmupInsts = flags.getUnsigned<std::uint64_t>("warmup");
+    params.seed = flags.getUnsigned<std::uint64_t>("seed");
     ParallelExperimentRunner runner(params, jobs);
 
     Sweep sweep;

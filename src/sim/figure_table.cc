@@ -683,7 +683,7 @@ declareChips(Flags &flags)
 std::vector<Cell>
 rdramMappingCells(const Flags &flags)
 {
-    const auto chips = static_cast<std::uint32_t>(flags.getInt("chips"));
+    const auto chips = flags.getUnsigned<std::uint32_t>("chips");
     const std::pair<const char *, MappingScheme> schemes[] = {
         {"rdram-page", MappingScheme::PageInterleave},
         {"rdram-xor", MappingScheme::XorPermute}};
@@ -828,16 +828,15 @@ hammerCells(const Flags &flags)
 {
     std::vector<std::uint64_t> thresholds;
     for (const std::string &t : splitList(flags.getString("thresholds")))
-        thresholds.push_back(static_cast<std::uint64_t>(std::stoull(t)));
+        thresholds.push_back(Flags::parseUnsigned("thresholds", t));
     fatal_if(thresholds.empty(), "--thresholds must name at least one");
 
     const bool keep_xor = flags.getBool("xor");
     const double flip_prob = flags.getDouble("hammer-flip-prob");
-    const auto blast =
-        static_cast<std::uint32_t>(flags.getInt("hammer-blast"));
-    const auto seed = static_cast<std::uint64_t>(flags.getInt("hammer-seed"));
-    const auto capacity = static_cast<std::uint32_t>(
-        flags.getInt("hammer-tracker-capacity"));
+    const auto blast = flags.getUnsigned<std::uint32_t>("hammer-blast");
+    const auto seed = flags.getUnsigned<std::uint64_t>("hammer-seed");
+    const auto capacity =
+        flags.getUnsigned<std::uint32_t>("hammer-tracker-capacity");
 
     std::vector<Cell> cells;
     for (std::uint64_t threshold : thresholds) {
@@ -924,10 +923,8 @@ blameShare(const ControllerStats &dram, std::size_t c)
                          : 0.0;
 }
 
-/** Fixed CSV width: the widest default mix has four threads. */
-constexpr std::uint32_t kCsvThreadCols = 4;
-
-/** mix,scheduler,blocked,system,t0..t3,total — one row per thread. */
+/** mix,scheduler,blocked,system,t0..t<w-1>,total — one row per
+ *  thread, w the widest mix in the sweep. */
 void
 writeMatrixCsv(const std::string &path, const Sweep &sweep)
 {
@@ -936,9 +933,12 @@ writeMatrixCsv(const std::string &path, const Sweep &sweep)
         warn("cannot write --matrix-csv file '%s'", path.c_str());
         return;
     }
+    std::size_t width = 0;
+    for (const SweepRow &row : sweep.rows)
+        width = std::max(width, row.mix.apps.size());
     std::fprintf(f, "mix,scheduler,blocked_thread,system");
-    for (std::uint32_t j = 0; j < kCsvThreadCols; ++j)
-        std::fprintf(f, ",t%u", j);
+    for (std::size_t j = 0; j < width; ++j)
+        std::fprintf(f, ",t%zu", j);
     std::fprintf(f, ",total\n");
     for (const SweepRow &row : sweep.rows) {
         for (std::size_t s = 0; s < row.runs.size(); ++s) {
@@ -948,7 +948,7 @@ writeMatrixCsv(const std::string &path, const Sweep &sweep)
                 std::fprintf(f, "%s,%s,%u,%llu", row.mix.name.c_str(),
                              row.cells[s].label.c_str(), i,
                              (unsigned long long)m.at(blocked, kThreadNone));
-                for (std::uint32_t j = 0; j < kCsvThreadCols; ++j) {
+                for (std::size_t j = 0; j < width; ++j) {
                     std::fprintf(f, ",%llu",
                                  (unsigned long long)m.at(
                                      blocked, static_cast<ThreadId>(j)));
@@ -1091,14 +1091,13 @@ placementCells(const Flags &flags)
 {
     TopologyConfig machine;
     machine.enabled = true;
-    machine.sockets = static_cast<std::uint32_t>(flags.getInt("sockets"));
+    machine.sockets = flags.getUnsigned<std::uint32_t>("sockets");
     machine.coresPerSocket =
-        static_cast<std::uint32_t>(flags.getInt("cores-per-socket"));
-    machine.smtWays = static_cast<std::uint32_t>(flags.getInt("smt-ways"));
+        flags.getUnsigned<std::uint32_t>("cores-per-socket");
+    machine.smtWays = flags.getUnsigned<std::uint32_t>("smt-ways");
     machine.home = homeFromName(flags.getString("home"));
-    machine.hopLatency = static_cast<Cycle>(flags.getInt("hop-latency"));
-    machine.linkOccupancy =
-        static_cast<Cycle>(flags.getInt("link-occupancy"));
+    machine.hopLatency = flags.getUnsigned<Cycle>("hop-latency");
+    machine.linkOccupancy = flags.getUnsigned<Cycle>("link-occupancy");
 
     const std::string csv = flags.getString("placement");
     std::vector<Cell> cells;
@@ -1109,9 +1108,8 @@ placementCells(const Flags &flags)
         TopologyConfig t = machine;
         t.placement = placementFromName(placement);
         if (t.placement == PlacementPolicy::Migrate) {
-            t.migrationEpoch =
-                static_cast<Cycle>(flags.getInt("migrate-epoch"));
-            t.migrationCost = static_cast<Cycle>(flags.getInt("migrate-cost"));
+            t.migrationEpoch = flags.getUnsigned<Cycle>("migrate-epoch");
+            t.migrationCost = flags.getUnsigned<Cycle>("migrate-cost");
         }
         cells.push_back(
             {placement, [t](SystemConfig &c) { c.topology = t; }});

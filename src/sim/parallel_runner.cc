@@ -148,12 +148,15 @@ ParallelExperimentRunner::run()
     const std::size_t end = jobs_queue_.size();
     firstPending_ = end;
 
-    if (jobs_ <= 1) {
+    // No more workers than pending jobs: a worker with no job to take
+    // would only be started and joined.
+    const std::size_t workers = std::min<std::size_t>(jobs_, end - begin);
+    if (workers <= 1) {
         // Serial: no threads, submission order.
         for (std::size_t i = begin; i < end; ++i)
             execute(*jobs_queue_[i]);
     } else {
-        ThreadPool pool(jobs_);
+        ThreadPool pool(static_cast<unsigned>(workers));
         for (std::size_t i = begin; i < end; ++i)
             pool.submit([this, i] { execute(*jobs_queue_[i]); });
         pool.wait();

@@ -24,9 +24,11 @@
  *    lowest-index failed job, deterministically, regardless of which
  *    worker failed first on the wall clock.
  *
- * With jobs == 1 no threads are created at all: run() executes
- * everything inline in submission order, so single-threaded callers
- * (the quickstart example, tests) use the same memo and arithmetic.
+ * run() starts no more workers than it has pending jobs.  With
+ * jobs == 1, or one pending job, no threads are created at all: run()
+ * executes everything inline in submission order, so single-threaded
+ * callers (the quickstart example, tests) use the same memo and
+ * arithmetic.
  */
 
 #ifndef SMTDRAM_SIM_PARALLEL_RUNNER_HH

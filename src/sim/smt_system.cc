@@ -100,16 +100,9 @@ SmtSystem::SmtSystem(const SystemConfig &config,
                                 config_.topology.coresPerSocket);
     });
 
-    drams_.reserve(topo.sockets);
-    std::vector<DramSystem *> dram_ptrs;
-    for (std::uint32_t s = 0; s < topo.sockets; ++s) {
-        drams_.push_back(std::make_unique<DramSystem>(
-            config_.dram, config_.scheduler,
-            s * config_.dram.logicalChannels()));
-        dram_ptrs.push_back(drams_.back().get());
-    }
-    router_ = std::make_unique<SocketRouter>(topo, dram_ptrs, *alloc_,
-                                             n);
+    dram_ = std::make_unique<DramSystem>(config_.dram, config_.scheduler,
+                                         topo.sockets);
+    router_ = std::make_unique<SocketRouter>(topo, *dram_, *alloc_, n);
 
     ports_.reserve(cores);
     hierarchies_.reserve(cores);
@@ -137,8 +130,7 @@ SmtSystem::SmtSystem(const SystemConfig &config,
 
     if (config_.observe.traceEnabled()) {
         tracer_ = std::make_unique<Tracer>(config_.observe.tracePath);
-        for (auto &d : drams_)
-            d->setTracer(tracer_.get());
+        dram_->setTracer(tracer_.get());
         for (auto &c : cores_)
             c->setTracer(tracer_.get());
     }
@@ -147,7 +139,7 @@ SmtSystem::SmtSystem(const SystemConfig &config,
             [this](StatsSample &out) { emitStats(out); });
         registry_->setMeta("config", configSignature(config_));
         registry_->setMeta("threads", std::to_string(n));
-        registry_->setMeta("channels", std::to_string(totalChannels()));
+        registry_->setMeta("channels", std::to_string(dram_->channels()));
         if (topo.nontrivial()) {
             registry_->setMeta("sockets", std::to_string(topo.sockets));
             registry_->setMeta("cores", std::to_string(cores));
@@ -168,8 +160,7 @@ SmtSystem::~SmtSystem()
 {
     clearPanicHook(panicHook_);
     if (tracer_) {
-        for (auto &d : drams_)
-            d->setTracer(nullptr);
+        dram_->setTracer(nullptr);
         for (auto &c : cores_)
             c->setTracer(nullptr);
     }
@@ -178,46 +169,11 @@ SmtSystem::~SmtSystem()
 ControllerStats
 SmtSystem::aggDramStats() const
 {
-    // Socket 0's aggregate is the starting point, so a one-socket
-    // machine aggregates exactly once, like a lone DramSystem.
-    ControllerStats agg = drams_[0]->aggregateStats();
-    for (std::size_t s = 1; s < drams_.size(); ++s)
-        agg.merge(drams_[s]->aggregateStats());
+    ControllerStats agg = dram_->aggregateStats();
     // Interconnect queue waits join the who-stalled-whom picture; on
     // one socket the link matrix is empty and this is a no-op.
     agg.interference.merge(router_->linkInterference());
     return agg;
-}
-
-PowerStats
-SmtSystem::aggPowerStats() const
-{
-    PowerStats agg;
-    for (const auto &d : drams_)
-        agg.merge(d->aggregatePowerStats());
-    return agg;
-}
-
-HammerStats
-SmtSystem::aggHammerStats() const
-{
-    HammerStats agg;
-    for (const auto &d : drams_)
-        agg.merge(d->aggregateHammerStats());
-    return agg;
-}
-
-std::uint32_t
-SmtSystem::totalChannels() const
-{
-    return config_.topology.sockets * drams_[0]->channels();
-}
-
-const MemoryController &
-SmtSystem::globalChannel(std::uint32_t global) const
-{
-    const std::uint32_t per = drams_[0]->channels();
-    return drams_[global / per]->channel(global % per);
 }
 
 std::uint64_t
@@ -238,54 +194,13 @@ SmtSystem::grandCommitted() const
     return total;
 }
 
-bool
-SmtSystem::dramBusy() const
-{
-    for (const auto &d : drams_) {
-        if (d->busy())
-            return true;
-    }
-    return false;
-}
-
-std::size_t
-SmtSystem::dramOutstanding() const
-{
-    std::size_t total = 0;
-    for (const auto &d : drams_)
-        total += d->outstandingRequests();
-    return total;
-}
-
-std::uint32_t
-SmtSystem::distinctThreadsOutstanding() const
-{
-    const std::uint32_t n = config_.core.numThreads;
-    std::uint32_t distinct = 0;
-    for (std::uint32_t t = 0; t < n; ++t) {
-        std::uint32_t outstanding = 0;
-        for (const auto &d : drams_) {
-            const auto &per = d->outstandingPerThread();
-            if (t < per.size())
-                outstanding += per[t];
-        }
-        if (outstanding > 0)
-            ++distinct;
-    }
-    return distinct;
-}
-
 std::vector<std::uint64_t>
 SmtSystem::perThreadReads() const
 {
-    std::vector<std::uint64_t> total(config_.core.numThreads, 0);
-    for (const auto &d : drams_) {
-        const auto &per = d->perThreadReads();
-        for (std::size_t t = 0;
-             t < per.size() && t < total.size(); ++t)
-            total[t] += per[t];
-    }
-    return total;
+    // One entry per thread, whether or not it completed a read.
+    std::vector<std::uint64_t> reads = dram_->perThreadReads();
+    reads.resize(config_.core.numThreads, 0);
+    return reads;
 }
 
 void
@@ -296,11 +211,11 @@ SmtSystem::emitStats(StatsSample &out) const
     // (sampleEpoch, exportObservability) syncPower() first, so the
     // lazy background accounting is current here.
     const ControllerStats dram = aggDramStats();
-    const PowerStats power = aggPowerStats();
-    const HammerStats hammer = aggHammerStats();
+    const PowerStats power = dram_->aggregatePowerStats();
+    const HammerStats hammer = dram_->aggregateHammerStats();
     const std::vector<std::uint64_t> reads = perThreadReads();
     const std::uint32_t n = config_.core.numThreads;
-    const std::uint32_t channels = totalChannels();
+    const std::uint32_t channels = dram_->channels();
 
     out.scalar("dram.reads", dram.reads);
     out.scalar("dram.writes", dram.writes);
@@ -308,9 +223,9 @@ SmtSystem::emitStats(StatsSample &out) const
     out.scalar("dram.row_conflicts", dram.rowConflicts);
     out.scalar("dram.row_miss_rate", dram.rowMissRate());
     out.scalar("dram.refreshes", dram.refreshes);
-    out.scalar("dram.outstanding", dramOutstanding());
+    out.scalar("dram.outstanding", dram_->outstandingRequests());
     for (std::uint32_t c = 0; c < channels; ++c) {
-        const MemoryController &mc = globalChannel(c);
+        const MemoryController &mc = dram_->channel(c);
         const std::string ch = "dram.ch" + std::to_string(c) + ".";
         out.scalar(ch + "queued_reads", mc.queuedReads());
         out.scalar(ch + "reads", mc.stats().reads);
@@ -340,7 +255,7 @@ SmtSystem::emitStats(StatsSample &out) const
     out.scalar("dram.power.self_refresh_cycles", power.selfRefreshCycles);
     out.histogram("dram.power.low_power_span", power.lowPowerSpanHist);
     for (std::uint32_t c = 0; c < channels; ++c) {
-        const MemoryController &mc = globalChannel(c);
+        const MemoryController &mc = dram_->channel(c);
         const std::string ch = "dram.ch" + std::to_string(c) + ".";
         out.scalar(ch + "energy_nj", mc.powerStats().totalEnergy);
         for (std::uint32_t k = 0; k < mc.powerRanks(); ++k) {
@@ -354,7 +269,7 @@ SmtSystem::emitStats(StatsSample &out) const
     // injection is off (all zeros): sweeps comparing faulty vs clean
     // configs then diff identical column sets.
     for (std::uint32_t c = 0; c < channels; ++c) {
-        const FaultStats &f = globalChannel(c).faultStats();
+        const FaultStats &f = dram_->channel(c).faultStats();
         const std::string p = "dram.ch" + std::to_string(c) + ".faults.";
         out.scalar(p + "bus_stalls", f.busStalls);
         out.scalar(p + "bus_stall_cycles", f.busStallCycles);
@@ -382,7 +297,7 @@ SmtSystem::emitStats(StatsSample &out) const
     out.scalar("dram.hammer.mitigation_cycles", hammer.mitigationCycles);
     out.scalar("dram.hammer.tracker_evictions", hammer.trackerEvictions);
     for (std::uint32_t c = 0; c < channels; ++c) {
-        const HammerStats &h = globalChannel(c).hammerStats();
+        const HammerStats &h = dram_->channel(c).hammerStats();
         const std::string ch = "dram.ch" + std::to_string(c) + ".";
         out.scalar(ch + "hammer.victim_flips", h.victimFlips);
         out.scalar(ch + "hammer.mitigations_issued", h.mitigationsIssued);
@@ -447,7 +362,7 @@ SmtSystem::emitStats(StatsSample &out) const
     // scalars so sampleEpoch() turns them into epoch time series
     // alongside the aggregate residency counters above.
     for (std::uint32_t c = 0; c < channels; ++c) {
-        const MemoryController &mc = globalChannel(c);
+        const MemoryController &mc = dram_->channel(c);
         const PowerStats &p = mc.powerStats();
         const std::string ch = "dram.ch" + std::to_string(c) + ".";
         out.scalar(ch + "power.active_cycles", p.activeCycles);
@@ -484,7 +399,7 @@ SmtSystem::emitStats(StatsSample &out) const
     out.scalar("numa.migrations", numa.migrations);
     out.scalar("numa.migration_stall_cycles", numa.migrationStallCycles);
     for (std::uint32_t s = 0; s < config_.topology.sockets; ++s) {
-        const ControllerStats socket = drams_[s]->aggregateStats();
+        const ControllerStats socket = dram_->socketStats(s);
         const std::string p = "numa.s" + std::to_string(s) + ".";
         out.scalar(p + "reads", socket.reads);
         out.scalar(p + "writes", socket.writes);
@@ -508,18 +423,17 @@ SmtSystem::sampleEpoch()
 {
     // Energy accounting is lazy; bring it current so the epoch's
     // power scalars describe [resetAt, now] and not a stale horizon.
-    for (auto &d : drams_)
-        d->syncPower(now_);
+    dram_->syncPower(now_);
     if (registry_)
         registry_->sampleEpoch(now_);
     if (tracer_) {
         // Counter tracks: live queue depth per channel, ROB occupancy
         // summed over threads — render as stacked area charts in
         // Perfetto.
-        for (std::uint32_t c = 0; c < totalChannels(); ++c) {
+        for (std::uint32_t c = 0; c < dram_->channels(); ++c) {
             tracer_->counter(
                 tracePidChannel(c), "queued_reads", now_,
-                static_cast<double>(globalChannel(c).queuedReads()));
+                static_cast<double>(dram_->channel(c).queuedReads()));
         }
         double rob_total = 0.0;
         for (std::uint32_t t = 0; t < config_.core.numThreads; ++t) {
@@ -539,8 +453,8 @@ SmtSystem::sampleEpoch()
             "blame_fault_retry",   "blame_ecc_overhead",
             "blame_power_exit",    "blame_hammer_mitigation",
             "blame_remote_access", "blame_intrinsic"};
-        for (std::uint32_t c = 0; c < totalChannels(); ++c) {
-            const MemoryController &mc = globalChannel(c);
+        for (std::uint32_t c = 0; c < dram_->channels(); ++c) {
+            const MemoryController &mc = dram_->channel(c);
             const int pid = tracePidChannel(c);
             const ControllerStats &s = mc.stats();
             for (std::size_t k = 0; k < kNumBlameComponents; ++k) {
@@ -572,8 +486,7 @@ SmtSystem::sampleEpoch()
 void
 SmtSystem::exportObservability()
 {
-    for (auto &d : drams_)
-        d->syncPower(now_);
+    dram_->syncPower(now_);
     if (registry_) {
         if (!config_.observe.statsJsonPath.empty()) {
             std::ofstream os(config_.observe.statsJsonPath);
@@ -673,8 +586,7 @@ SmtSystem::stepCycle()
 {
     ++now_;
     events_.runUntil(now_);
-    for (auto &d : drams_)
-        d->tick(now_);
+    dram_->tick(now_);
     for (auto &h : hierarchies_)
         h->tick(now_);
     for (auto &c : cores_)
@@ -705,8 +617,7 @@ SmtSystem::skipToNextEvent(Cycle clamp)
     next = std::min(next, events_.nextEventAt());
     if (next <= now_ + 1)
         return 0;
-    for (const auto &d : drams_)
-        next = std::min(next, d->nextEventAt(now_));
+    next = std::min(next, dram_->nextEventAt(now_));
     if (next <= now_ + 1)
         return 0;
     if (next == kCycleNever && clamp == kCycleNever) {
@@ -848,6 +759,10 @@ SmtSystem::serviceMigrations()
 RunResult
 SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
 {
+    // A zero budget closes the window at once: every IPC is 0 / 0.
+    fatal_if(measure_insts == 0,
+             "a run needs a measurement budget of at least one "
+             "instruction per thread");
     const std::uint32_t n = config_.core.numThreads;
     const bool migrating =
         config_.topology.placement == PlacementPolicy::Migrate &&
@@ -927,8 +842,7 @@ SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
     // ---- Reset statistics at the measurement boundary ----
     for (auto &h : hierarchies_)
         h->resetStats();
-    for (auto &d : drams_)
-        d->resetStats(now_);
+    dram_->resetStats(now_);
     for (auto &c : cores_)
         c->resetHighWater();
     router_->resetStats();
@@ -972,16 +886,16 @@ SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
                                  lastEpochAt_ + config_.observe.epoch);
             }
             const std::uint64_t skipped = skipToNextEvent(clamp);
-            if (skipped > 0 && dramBusy()) {
+            if (skipped > 0 && dram_->busy()) {
                 // Interval-weighted Figure 4/5 sampling: the DRAM
                 // state is frozen across the skipped window, so the
                 // per-cycle kernel would have recorded these exact
                 // values once per skipped cycle.
-                const size_t outstanding = dramOutstanding();
+                const size_t outstanding = dram_->outstandingRequests();
                 res.outstandingHist.sample(outstanding, skipped);
                 if (outstanding >= 2) {
                     res.threadsHist.sample(
-                        distinctThreadsOutstanding(), skipped);
+                        dram_->distinctThreadsOutstanding(), skipped);
                 }
             }
         }
@@ -996,11 +910,11 @@ SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
         }
 
         // Figures 4 and 5: sample while the DRAM system is busy.
-        if (dramBusy()) {
-            const size_t outstanding = dramOutstanding();
+        if (dram_->busy()) {
+            const size_t outstanding = dram_->outstandingRequests();
             res.outstandingHist.sample(outstanding);
             if (outstanding >= 2)
-                res.threadsHist.sample(distinctThreadsOutstanding());
+                res.threadsHist.sample(dram_->distinctThreadsOutstanding());
         }
 
         // Per-thread finish times only move on a cycle where some
@@ -1033,10 +947,9 @@ SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
     }
 
     res.dram = aggDramStats();
-    for (auto &d : drams_)
-        d->syncPower(now_);
-    res.power = aggPowerStats();
-    res.hammer = aggHammerStats();
+    dram_->syncPower(now_);
+    res.power = dram_->aggregatePowerStats();
+    res.hammer = dram_->aggregateHammerStats();
     if (config_.topology.nontrivial())
         res.numa = router_->stats();
     const std::uint64_t row_total =
@@ -1083,10 +996,7 @@ SmtSystem::dumpState(std::ostream &os) const
         os << "  thread " << t << ": committed=" << committedOf(t)
            << " core=" << threadCore_[t] << "\n";
     }
-    for (std::uint32_t s = 0; s < config_.topology.sockets; ++s) {
-        os << "  --- socket " << s << " ---\n";
-        drams_[s]->dumpState(os);
-    }
+    dram_->dumpState(os);
     os << "=== end SmtSystem state dump ===\n";
 }
 

@@ -1,19 +1,19 @@
 /**
  * @file
  * The complete simulated machine — N sockets x M SMT cores, each
- * core with its own cache hierarchy, each socket with its own DRAM
- * system, a ring interconnect between sockets and an OS layer that
- * places (and optionally migrates) threads — plus the run loop, the
- * samplers behind Figures 4 and 5, and the stats document's one
- * source, emitStats().  A config without an active topology builds
- * the paper's machine: one socket, one core.
+ * core with its own cache hierarchy, one DRAM system whose channels
+ * are grouped by home socket, a ring interconnect between sockets and
+ * an OS layer that places (and optionally migrates) threads — plus
+ * the run loop, the samplers behind Figures 4 and 5, and the stats
+ * document's one source, emitStats().  A config without an active
+ * topology builds the paper's machine: one socket, one core.
  *
  * Structure per core: SmtCore -> Hierarchy -> SocketPort, where the
  * SocketPort routes through the SocketRouter to the home socket's
- * DramSystem.  One PageTables is shared by every hierarchy (with the
- * NUMA frame allocator as its frame source) so a migrated thread
- * keeps its physical pages — which is precisely what makes migration
- * interesting: the pages stay put, the thread moves.
+ * channels of the one DramSystem.  One PageTables is shared by every
+ * hierarchy (with the NUMA frame allocator as its frame source) so a
+ * migrated thread keeps its physical pages — which is precisely what
+ * makes migration interesting: the pages stay put, the thread moves.
  *
  * Every core is built with a context slot per OS thread (thread ids
  * are global); the per-core SMT-way limit is an OS *policy* capacity
@@ -118,18 +118,14 @@ class SmtSystem
     {
         return *hierarchies_[c];
     }
-    const DramSystem &
-    dram(std::uint32_t socket = 0) const
-    {
-        return *drams_[socket];
-    }
+    const DramSystem &dram() const { return *dram_; }
     const SocketRouter &router() const { return *router_; }
     const SystemConfig &config() const { return config_; }
 
     /**
      * Dump per-thread placement and commit counts and the full
-     * DRAM-side state of every socket — the diagnostic payload
-     * printed when the forward-progress watchdog fires.
+     * DRAM-side state — the diagnostic payload printed when the
+     * forward-progress watchdog fires.
      */
     void dumpState(std::ostream &os) const;
 
@@ -178,18 +174,11 @@ class SmtSystem
     /** Structural cache warm-up (see .cc for the methodology). */
     void prewarmCaches(const std::vector<AppProfile> &apps);
 
-    // --- cross-socket aggregation (the single-socket stat surface) --
+    /** The DRAM controller stats plus the interconnect's queue waits
+     *  in the interference matrix. */
     ControllerStats aggDramStats() const;
-    PowerStats aggPowerStats() const;
-    HammerStats aggHammerStats() const;
-    std::uint32_t totalChannels() const;
-    /** Global channel @p global: socket global / channels-per-socket. */
-    const MemoryController &globalChannel(std::uint32_t global) const;
     std::uint64_t committedOf(ThreadId tid) const;
     std::uint64_t grandCommitted() const;
-    bool dramBusy() const;
-    std::size_t dramOutstanding() const;
-    std::uint32_t distinctThreadsOutstanding() const;
     std::vector<std::uint64_t> perThreadReads() const;
 
     // --- OS scheduler: epoch migration engine ----------------------
@@ -208,7 +197,7 @@ class SmtSystem
     EventQueue events_;
     std::unique_ptr<NumaFrameAllocator> alloc_;
     std::unique_ptr<PageTables> pageTables_;
-    std::vector<std::unique_ptr<DramSystem>> drams_;
+    std::unique_ptr<DramSystem> dram_;
     std::unique_ptr<SocketRouter> router_;
     std::vector<std::unique_ptr<SocketPort>> ports_;
     std::vector<std::unique_ptr<Hierarchy>> hierarchies_;

@@ -5,11 +5,10 @@
 namespace smtdram
 {
 
-SocketRouter::SocketRouter(const TopologyConfig &topo,
-                           std::vector<DramSystem *> drams,
+SocketRouter::SocketRouter(const TopologyConfig &topo, DramSystem &dram,
                            NumaFrameAllocator &alloc,
                            std::uint32_t num_threads)
-    : topo_(topo), drams_(std::move(drams)), alloc_(alloc),
+    : topo_(topo), dram_(dram), alloc_(alloc),
       net_(topo.sockets, topo.hopLatency, topo.linkOccupancy),
       deliver_(topo.totalCores()),
       readsToSocket_(num_threads,
@@ -17,18 +16,19 @@ SocketRouter::SocketRouter(const TopologyConfig &topo,
 {
     stats_.perThreadRemoteReads.assign(num_threads, 0);
     stats_.perThreadReturnCycles.assign(num_threads, 0);
-    for (std::uint32_t s = 0; s < topo_.sockets; ++s) {
-        drams_[s]->setReadCallback(
-            [this, s](const DramRequest &req) { onComplete(s, req); });
-    }
+    panic_if(dram_.sockets() != topo_.sockets,
+             "memory system has %u sockets, topology %u", dram_.sockets(),
+             topo_.sockets);
+    dram_.setReadCallback(
+        [this](const DramRequest &req) { onComplete(req); });
 }
 
 bool
 SocketRouter::canAccept(std::uint32_t core, Addr addr, MemOp op) const
 {
     (void)core;
-    const std::uint32_t home = alloc_.homeOfAddr(addr);
-    return drams_[home]->canAccept(alloc_.stripHome(addr), op);
+    return dram_.canAccept(alloc_.homeOfAddr(addr), alloc_.stripHome(addr),
+                           op);
 }
 
 std::uint64_t
@@ -58,8 +58,8 @@ SocketRouter::read(std::uint32_t core, Addr addr, ThreadId thread,
     if (thread != kThreadNone && thread < readsToSocket_.size())
         ++readsToSocket_[thread][home];
 
-    return drams_[home]->enqueueRead(local, thread, snap, now, critical,
-                                     remote_until, core);
+    return dram_.enqueueRead(home, local, thread, snap, now, critical,
+                             remote_until, core);
 }
 
 std::uint64_t
@@ -83,12 +83,13 @@ SocketRouter::write(std::uint32_t core, Addr addr, Cycle now)
     } else {
         ++stats_.localWrites;
     }
-    return drams_[home]->enqueueWrite(local, now, remote_until);
+    return dram_.enqueueWrite(home, local, now, remote_until);
 }
 
 void
-SocketRouter::onComplete(std::uint32_t home, const DramRequest &req)
+SocketRouter::onComplete(const DramRequest &req)
 {
+    const std::uint32_t home = dram_.socketOf(req.coord.channel);
     // A phantom or duplicated reply for a real core still dies in
     // its Hierarchy ("fill for unknown line").
     const std::uint32_t core = req.origin;

@@ -1,7 +1,7 @@
 /**
  * @file
- * The glue between per-core cache hierarchies and per-socket DRAM
- * systems:
+ * The glue between per-core cache hierarchies and the machine's
+ * DramSystem, whose channels are grouped by home socket:
  *
  *  - NumaFrameAllocator hands out physical frames tagged with their
  *    home socket in the high address bits (the shared PageTables'
@@ -12,15 +12,17 @@
  *  - SocketPort is the MemoryPort each core's Hierarchy talks to; it
  *    forwards to the SocketRouter with the issuing core attached.
  *
- *  - SocketRouter strips the home tag, crosses the interconnect when
- *    the home socket differs from the issuing core's socket (the
- *    embargo is carried as DramRequest::remoteUntil and blamed on
+ *  - SocketRouter strips the home tag, queues the request on the home
+ *    socket's channels, crosses the interconnect when the home socket
+ *    differs from the issuing core's socket (the embargo is carried
+ *    as DramRequest::remoteUntil and blamed on
  *    BlameComponent::RemoteAccess by the controller), and on
- *    completion routes the reply back to the issuing core, which
- *    rides on the request as DramRequest::origin — adding the
- *    return-hop delay to both the completion time and the request's
- *    blame vector, so per-request conservation (blame sum ==
- *    completion - arrival) holds at the delivery boundary.
+ *    completion reads the home socket from the reply's channel and
+ *    routes the reply back to the issuing core, which rides on the
+ *    request as DramRequest::origin — adding the return-hop delay to
+ *    both the completion time and the request's blame vector, so
+ *    per-request conservation (blame sum == completion - arrival)
+ *    holds at the delivery boundary.
  *
  * On the default 1x1 machine every access is local, the allocator
  * degenerates to a sequential frame counter, and every method is a
@@ -109,14 +111,15 @@ class NumaFrameAllocator
     std::uint32_t interleaveNext_ = 0;
 };
 
-/** Routes per-core memory traffic to per-socket DRAM and back. */
+/** Routes per-core memory traffic to its home socket's DRAM and back. */
 class SocketRouter
 {
   public:
     using Delivery = std::function<void(const DramRequest &)>;
 
-    SocketRouter(const TopologyConfig &topo,
-                 std::vector<DramSystem *> drams,
+    /** @param dram one channel group per socket of @p topo; the
+     *         router takes its read callback. */
+    SocketRouter(const TopologyConfig &topo, DramSystem &dram,
                  NumaFrameAllocator &alloc, std::uint32_t num_threads);
 
     /** Install core @p core's completion callback (its Hierarchy's). */
@@ -163,7 +166,7 @@ class SocketRouter
 
   private:
     const TopologyConfig &topo_;
-    std::vector<DramSystem *> drams_;
+    DramSystem &dram_;
     NumaFrameAllocator &alloc_;
     Interconnect net_;
     std::vector<Delivery> deliver_;
@@ -171,7 +174,7 @@ class SocketRouter
     InterferenceMatrix linkInterference_;
     std::vector<std::vector<std::uint64_t>> readsToSocket_;
 
-    void onComplete(std::uint32_t home, const DramRequest &req);
+    void onComplete(const DramRequest &req);
 };
 
 /** The MemoryPort one core's Hierarchy plugs into. */

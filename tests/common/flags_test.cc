@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+
 #include "common/flags.hh"
 
 namespace smtdram
@@ -110,6 +114,51 @@ TEST(FlagsDeathTest, NonIntegerIsFatal)
     f.parse(args.argc(), args.argv(), "doc");
     EXPECT_EXIT((void)f.getInt("count"), testing::ExitedWithCode(1),
                 "expects an integer");
+}
+
+TEST(FlagsDeathTest, OutOfRangeIntegerIsFatal)
+{
+    // strtoll() saturates to INT64_MAX instead of failing.
+    Flags f = makeFlags();
+    ArgvBuilder args({"--count=99999999999999999999"});
+    f.parse(args.argc(), args.argv(), "doc");
+    EXPECT_EXIT((void)f.getInt("count"), testing::ExitedWithCode(1),
+                "flag --count expects an integer, got "
+                "'99999999999999999999'");
+}
+
+TEST(Flags, UnsignedTakesTheWholeRangeOfItsType)
+{
+    Flags f = makeFlags();
+    ArgvBuilder args({"--count=4294967295", "--name=0x10"});
+    f.parse(args.argc(), args.argv(), "doc");
+    EXPECT_EQ(f.getUnsigned<std::uint32_t>("count"), 4294967295u);
+    EXPECT_EQ(f.getUnsigned<std::uint8_t>("name"), 16u);
+    EXPECT_EQ(Flags::parseUnsigned("list", "18446744073709551615"),
+              ~std::uint64_t{0});
+    EXPECT_EQ(Flags::parseUnsigned("list", "0", 0), 0u);
+}
+
+TEST(FlagsDeathTest, UnsignedNeverWraps)
+{
+    // Each would wrap or be cut short by a plain cast of getInt().
+    // Second: the value as a regular expression.
+    const std::pair<const char *, const char *> bad[] = {
+        {"-1", "-1"},  {"4294967296", "4294967296"},
+        {"99999999999999999999999", "99999999999999999999999"},
+        {"+5", "\\+5"}, {" 5", " 5"}, {"5x", "5x"}, {"", ""},
+    };
+    for (const auto &[value, pattern] : bad) {
+        SCOPED_TRACE(value);
+        Flags f = makeFlags();
+        ArgvBuilder args({std::string("--count=") + value});
+        f.parse(args.argc(), args.argv(), "doc");
+        EXPECT_EXIT((void)f.getUnsigned<std::uint32_t>("count"),
+                    testing::ExitedWithCode(1),
+                    std::string("fatal: flag --count expects a whole "
+                                "number from 0 to 4294967295, got '") +
+                        pattern + "'");
+    }
 }
 
 TEST(SplitList, Basics)

@@ -91,45 +91,106 @@ drawConfig(Rng &rng, std::uint32_t num_threads)
     return config;
 }
 
+/** @p n apps drawn from @p rng, their names appended to @p names. */
+std::vector<AppProfile>
+drawApps(Rng &rng, std::uint32_t n, std::string &names)
+{
+    const std::vector<AppProfile> &profiles = spec2000Profiles();
+    std::vector<AppProfile> apps;
+    for (std::uint32_t t = 0; t < n; ++t) {
+        const AppProfile &app = profiles[rng.below(profiles.size())];
+        apps.push_back(app);
+        names += app.name + " ";
+    }
+    return apps;
+}
+
+/** Run both kernels and diff the metrics, the stats JSON and
+ *  dumpState(). */
+void
+expectKernelsAgree(const SystemConfig &config,
+                   const std::vector<AppProfile> &apps, std::uint64_t seed)
+{
+    const Snapshot cyc =
+        runKernel(config, apps, seed, KernelMode::PerCycle, 1'200, 400);
+    const Snapshot evt =
+        runKernel(config, apps, seed, KernelMode::EventDriven, 1'200, 400);
+
+    EXPECT_EQ(cyc.r.measuredCycles, evt.r.measuredCycles);
+    EXPECT_EQ(cyc.r.committed, evt.r.committed);
+    EXPECT_EQ(cyc.r.ipc, evt.r.ipc);
+    EXPECT_EQ(cyc.r.perThreadReads, evt.r.perThreadReads);
+    EXPECT_EQ(cyc.r.outstandingHist.total(), evt.r.outstandingHist.total());
+    EXPECT_EQ(cyc.r.threadsHist.total(), evt.r.threadsHist.total());
+    EXPECT_EQ(cyc.r.power.totalEnergy, evt.r.power.totalEnergy);
+    EXPECT_EQ(cyc.r.numa, evt.r.numa);
+    EXPECT_EQ(cyc.statsJson, evt.statsJson);
+    EXPECT_EQ(cyc.dump, evt.dump);
+}
+
 TEST(KernelEquivalenceProperty, RandomConfigsAreByteIdentical)
 {
     Rng rng(20'260'808);
-    const std::vector<AppProfile> &profiles = spec2000Profiles();
     for (int trial = 0; trial < 8; ++trial) {
         const std::uint32_t num_threads =
             1u << rng.below(3);  // 1, 2 or 4
         const std::uint64_t workload_seed = rng.below(10'000) + 1;
         SystemConfig config = drawConfig(rng, num_threads);
-        std::vector<AppProfile> apps;
         std::string app_names;
-        for (std::uint32_t t = 0; t < num_threads; ++t) {
-            const AppProfile &app =
-                profiles[rng.below(profiles.size())];
-            apps.push_back(app);
-            app_names += app.name + " ";
-        }
+        const auto apps = drawApps(rng, num_threads, app_names);
         SCOPED_TRACE(testing::Message()
                      << "trial=" << trial << " threads=" << num_threads
                      << " seed=" << workload_seed << " apps=["
                      << app_names << "] scheduler="
                      << schedulerName(config.scheduler));
+        expectKernelsAgree(config, apps, workload_seed);
+    }
+}
 
-        const Snapshot cyc = runKernel(config, apps, workload_seed,
-                                       KernelMode::PerCycle, 1'200, 400);
-        const Snapshot evt =
-            runKernel(config, apps, workload_seed,
-                      KernelMode::EventDriven, 1'200, 400);
-
-        EXPECT_EQ(cyc.r.measuredCycles, evt.r.measuredCycles);
-        EXPECT_EQ(cyc.r.committed, evt.r.committed);
-        EXPECT_EQ(cyc.r.ipc, evt.r.ipc);
-        EXPECT_EQ(cyc.r.perThreadReads, evt.r.perThreadReads);
-        EXPECT_EQ(cyc.r.outstandingHist.total(),
-                  evt.r.outstandingHist.total());
-        EXPECT_EQ(cyc.r.threadsHist.total(), evt.r.threadsHist.total());
-        EXPECT_EQ(cyc.r.power.totalEnergy, evt.r.power.totalEnergy);
-        EXPECT_EQ(cyc.statsJson, evt.statsJson);
-        EXPECT_EQ(cyc.dump, evt.dump);
+/**
+ * The same property on multi-socket machines: each trial takes
+ * drawConfig()'s DRAM features on 2-3 sockets x 1-2 cores, with a
+ * drawn home policy, enough SMT ways for the threads and a placement
+ * (migration on a short epoch); trials cycle through the placements
+ * so each runs twice.  Its own seed leaves the single-socket trials'
+ * draws untouched.
+ */
+TEST(KernelEquivalenceProperty, RandomMultiSocketMachinesAreByteIdentical)
+{
+    Rng rng(20'261'020);
+    static const PlacementPolicy kPlacements[] = {
+        PlacementPolicy::Packed, PlacementPolicy::RoundRobin,
+        PlacementPolicy::MemoryAware, PlacementPolicy::Migrate};
+    static const HomePolicy kHomes[] = {
+        HomePolicy::Local, HomePolicy::Loader, HomePolicy::Interleave};
+    for (int trial = 0; trial < 8; ++trial) {
+        const std::uint32_t num_threads = 2 + rng.below(3);  // 2..4
+        const std::uint64_t workload_seed = rng.below(10'000) + 1;
+        SystemConfig config = drawConfig(rng, num_threads);
+        TopologyConfig &topo = config.topology;
+        topo.enabled = true;
+        topo.sockets = 2 + rng.below(2);
+        topo.coresPerSocket = 1 + rng.below(2);
+        topo.home = kHomes[rng.below(3)];
+        topo.placement = kPlacements[trial % 4];
+        if (topo.placement == PlacementPolicy::Migrate) {
+            topo.migrationEpoch = 300 + rng.below(1'200);
+            topo.migrationCost = 50 + rng.below(200);
+        }
+        const std::uint32_t cores = topo.totalCores();
+        topo.smtWays = (num_threads + cores - 1) / cores + rng.below(2);
+        std::string app_names;
+        const auto apps = drawApps(rng, num_threads, app_names);
+        SCOPED_TRACE(testing::Message()
+                     << "trial=" << trial << " threads=" << num_threads
+                     << " seed=" << workload_seed << " apps=["
+                     << app_names << "] scheduler="
+                     << schedulerName(config.scheduler) << " topology="
+                     << topo.sockets << "x" << topo.coresPerSocket
+                     << " ways=" << topo.smtWays << " home="
+                     << homePolicyName(topo.home) << " placement="
+                     << placementPolicyName(topo.placement));
+        expectKernelsAgree(config, apps, workload_seed);
     }
 }
 

@@ -19,6 +19,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/experiment.hh"
@@ -217,73 +218,93 @@ TEST(Observability, ExportsSchemaVersionedStatsAndEpochCsv)
     EXPECT_GE(rows, 2u);
 }
 
+/**
+ * Every DRAM request span begins once and ends at most once, on the
+ * paper's machine and on a two-socket machine with interleaved homes,
+ * whose sockets serve requests side by side: request ids are unique
+ * per machine, not per socket.
+ */
 TEST(Observability, TraceLifecyclesConserve)
 {
-    TempPaths tmp;
-    SystemConfig config = SystemConfig::paperDefault(2);
-    config.observe.tracePath = tmp.trace;
-    SmtSystem system(config, mixProfiles("2-MEM"), 42);
-    system.run(5000, 2000);
+    SystemConfig two_socket = SystemConfig::paperDefault(4);
+    two_socket.topology.enabled = true;
+    two_socket.topology.sockets = 2;
+    two_socket.topology.smtWays = 2;
+    two_socket.topology.placement = PlacementPolicy::RoundRobin;
+    two_socket.topology.home = HomePolicy::Interleave;
+    const std::pair<SystemConfig, const char *> machines[] = {
+        {SystemConfig::paperDefault(2), "2-MEM"},
+        {two_socket, "4-MEM"},
+    };
+    for (const auto &[machine, mix] : machines) {
+        SCOPED_TRACE(mix);
+        TempPaths tmp;
+        SystemConfig config = machine;
+        config.observe.tracePath = tmp.trace;
+        SmtSystem system(config, mixProfiles(mix), 42);
+        system.run(5000, 2000);
 
-    const std::string doc = slurp(tmp.trace);
-    ASSERT_FALSE(doc.empty());
+        const std::string doc = slurp(tmp.trace);
+        ASSERT_FALSE(doc.empty());
 
-    // Line-based scan: each event is one line; spans are keyed by
-    // the request id.  Every terminal event must match exactly one
-    // open; opens without a terminal are only the requests still in
-    // flight when the run ended.
-    std::map<std::string, int> begins, ends;
-    std::uint64_t prev_ts = 0;
-    bool monotonic = true;
-    std::istringstream ss(doc);
-    std::string line;
-    size_t events = 0;
-    while (std::getline(ss, line)) {
-        const size_t ph = line.find("\"ph\":\"");
-        if (ph == std::string::npos)
-            continue;
-        ++events;
-        const char kind = line[ph + 6];
-        const size_t ts_at = line.find("\"ts\":");
-        if (ts_at != std::string::npos) {
-            const std::uint64_t ts = std::strtoull(
-                line.c_str() + ts_at + 5, nullptr, 10);
-            monotonic = monotonic && ts >= prev_ts;
-            prev_ts = ts;
+        // Line-based scan: each event is one line; spans are keyed by
+        // the request id.  Every terminal event must match exactly one
+        // open; opens without a terminal are only the requests still
+        // in flight when the run ended.
+        std::map<std::string, int> begins, ends;
+        std::uint64_t prev_ts = 0;
+        bool monotonic = true;
+        std::istringstream ss(doc);
+        std::string line;
+        size_t events = 0;
+        while (std::getline(ss, line)) {
+            const size_t ph = line.find("\"ph\":\"");
+            if (ph == std::string::npos)
+                continue;
+            ++events;
+            const char kind = line[ph + 6];
+            const size_t ts_at = line.find("\"ts\":");
+            if (ts_at != std::string::npos) {
+                const std::uint64_t ts = std::strtoull(
+                    line.c_str() + ts_at + 5, nullptr, 10);
+                monotonic = monotonic && ts >= prev_ts;
+                prev_ts = ts;
+            }
+            // Only DRAM request spans have once-per-id lifecycles; CPU
+            // fetch-stall spans reuse the thread id across windows.
+            if (line.find("\"cat\":\"dram\"") == std::string::npos)
+                continue;
+            const size_t id_at = line.find("\"id\":\"");
+            if (id_at == std::string::npos)
+                continue;
+            const size_t id_end = line.find('"', id_at + 6);
+            const std::string id =
+                line.substr(id_at + 6, id_end - id_at - 6);
+            if (kind == 'b')
+                ++begins[id];
+            else if (kind == 'e')
+                ++ends[id];
         }
-        // Only DRAM request spans have once-per-id lifecycles; CPU
-        // fetch-stall spans reuse the thread id across windows.
-        if (line.find("\"cat\":\"dram\"") == std::string::npos)
-            continue;
-        const size_t id_at = line.find("\"id\":\"");
-        if (id_at == std::string::npos)
-            continue;
-        const size_t id_end = line.find('"', id_at + 6);
-        const std::string id =
-            line.substr(id_at + 6, id_end - id_at - 6);
-        if (kind == 'b')
-            ++begins[id];
-        else if (kind == 'e')
-            ++ends[id];
-    }
-    ASSERT_GT(events, 0u);
-    EXPECT_TRUE(monotonic);
-    ASSERT_FALSE(begins.empty());
+        ASSERT_GT(events, 0u);
+        EXPECT_TRUE(monotonic);
+        ASSERT_FALSE(begins.empty());
 
-    for (const auto &[id, n] : ends) {
-        EXPECT_EQ(n, 1) << "duplicate terminal event for id " << id;
-        EXPECT_EQ(begins.count(id), 1u)
-            << "terminal event without open for id " << id;
+        size_t reused = 0, unterminated = 0;
+        for (const auto &[id, n] : begins) {
+            reused += n != 1;
+            unterminated += ends.count(id) == 0;
+        }
+        EXPECT_EQ(reused, 0u) << "request ids begun more than once";
+        for (const auto &[id, n] : ends) {
+            EXPECT_EQ(n, 1) << "duplicate terminal event for id " << id;
+            EXPECT_EQ(begins.count(id), 1u)
+                << "terminal event without open for id " << id;
+        }
+        // In-flight DRAM requests at run-end may legitimately stay
+        // open; anything more than a handful means lost terminal
+        // events.
+        EXPECT_LE(unterminated, 64u);
     }
-    size_t unterminated = 0;
-    for (const auto &[id, n] : begins) {
-        if (ends.count(id) == 0)
-            ++unterminated;
-    }
-    // In-flight DRAM requests and open fetch-stall windows at
-    // run-end may legitimately stay open; anything more than a
-    // handful means lost terminal events.
-    EXPECT_LE(unterminated, 64u);
 }
 
 /**

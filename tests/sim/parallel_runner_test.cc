@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <fstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/figure_spec.hh"
@@ -262,6 +267,51 @@ TEST(ParallelRunner, ZeroJobsClampsToSerial)
 {
     ParallelExperimentRunner runner(kSmall, 0);
     EXPECT_EQ(runner.jobs(), 1u);
+}
+
+/** This process's thread count, from /proc/self/status (0 if absent). */
+unsigned
+processThreads()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("Threads:", 0) == 0)
+            return static_cast<unsigned>(std::stoul(line.substr(8)));
+    }
+    return 0;
+}
+
+TEST(ParallelRunner, PoolNoLargerThanPendingJobs)
+{
+    // Eight workers asked for, two jobs pending: a sampler thread
+    // polls the process's thread count while run() executes.
+    ParallelExperimentRunner runner(kSmall, 8);
+    for (SchedulerKind kind : {SchedulerKind::Fcfs, SchedulerKind::HitFirst}) {
+        SystemConfig config = SystemConfig::paperDefault(2);
+        config.scheduler = kind;
+        runner.submitMix(config, mixByName("2-MEM"));
+    }
+
+    std::atomic<bool> running{true};
+    std::atomic<unsigned> peak{0};
+    std::thread sampler([&] {
+        while (running.load()) {
+            peak.store(std::max(peak.load(), processThreads()));
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+    });
+    while (peak.load() == 0)
+        std::this_thread::yield();
+    // This thread and the sampler.
+    const unsigned before = processThreads();
+    ASSERT_GT(before, 0u) << "no Threads: line in /proc/self/status";
+    runner.run();
+    running = false;
+    sampler.join();
+
+    EXPECT_GT(peak.load(), before) << "the sampler never saw the pool";
+    EXPECT_LE(peak.load() - before, 2u);
 }
 
 } // namespace

@@ -61,6 +61,14 @@ TEST(SmtSystemDeathTest, ProfileCountMustMatchThreads)
                 testing::ExitedWithCode(1), "profiles");
 }
 
+TEST(SmtSystemDeathTest, ZeroBudgetIsFatal)
+{
+    SmtSystem system(SystemConfig::paperDefault(1), {specProfile("gzip")},
+                     42);
+    EXPECT_EXIT(system.run(0, 100), testing::ExitedWithCode(1),
+                "fatal: a run needs a measurement budget");
+}
+
 TEST(SmtSystem, MemMixKeepsDramBusy)
 {
     SystemConfig config = SystemConfig::paperDefault(2);

@@ -242,12 +242,10 @@ TEST(SocketRouterTest, RemoteBlameConservesPerRequest)
     topo.coresPerSocket = 1;
     topo.home = HomePolicy::Loader;
 
-    const DramConfig dcfg = DramConfig::ddrSdram(2);
-    DramSystem d0(dcfg, SchedulerKind::HitFirst, 0);
-    DramSystem d1(dcfg, SchedulerKind::HitFirst,
-                  dcfg.logicalChannels());
+    DramSystem dram(DramConfig::ddrSdram(2), SchedulerKind::HitFirst,
+                    topo.sockets);
     NumaFrameAllocator alloc(topo, 12);
-    SocketRouter router(topo, {&d0, &d1}, alloc, 2);
+    SocketRouter router(topo, dram, alloc, 2);
 
     std::vector<DramRequest> delivered;
     router.setDelivery(
@@ -258,14 +256,16 @@ TEST(SocketRouterTest, RemoteBlameConservesPerRequest)
     const ThreadSnapshot snap{};
     // Core 0 -> socket 1 (remote), core 0 -> socket 0 (local),
     // core 1 -> socket 0 (remote).
-    router.read(0, alloc.tagHome(0x40, 1), 0, snap, 10, true);
-    router.read(0, alloc.tagHome(0x1080, 0), 0, snap, 10, false);
-    router.read(1, alloc.tagHome(0x2100, 0), 1, snap, 12, false);
+    std::vector<std::uint64_t> ids = {
+        router.read(0, alloc.tagHome(0x40, 1), 0, snap, 10, true),
+        router.read(0, alloc.tagHome(0x1080, 0), 0, snap, 10, false),
+        router.read(1, alloc.tagHome(0x2100, 0), 1, snap, 12, false)};
+    // Ids are unique across the machine, not per socket.
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());
 
-    for (Cycle c = 11; c < 100'000 && delivered.size() < 3; ++c) {
-        d0.tick(c);
-        d1.tick(c);
-    }
+    for (Cycle c = 11; c < 100'000 && delivered.size() < 3; ++c)
+        dram.tick(c);
     ASSERT_EQ(delivered.size(), 3u);
 
     std::uint64_t remote_blame = 0;
@@ -280,6 +280,8 @@ TEST(SocketRouterTest, RemoteBlameConservesPerRequest)
         // carries the home tag, so remoteness is recoverable and
         // blamed iff home differs from the issuer's socket.
         const bool remote = alloc.homeOfAddr(r.addr) != r.thread;
+        // The reply came from a channel of its home socket.
+        EXPECT_EQ(dram.socketOf(r.coord.channel), alloc.homeOfAddr(r.addr));
         if (remote)
             EXPECT_GT(r.blame[BlameComponent::RemoteAccess], 0u);
         else
@@ -304,10 +306,9 @@ TEST(SocketRouterTest, DeliversEachReplyToItsIssuingCore)
     topo.enabled = true;
     topo.coresPerSocket = 2;
 
-    const DramConfig dcfg = DramConfig::ddrSdram(2);
-    DramSystem dram(dcfg, SchedulerKind::HitFirst, 0);
+    DramSystem dram(DramConfig::ddrSdram(2), SchedulerKind::HitFirst);
     NumaFrameAllocator alloc(topo, 12);
-    SocketRouter router(topo, {&dram}, alloc, 2);
+    SocketRouter router(topo, dram, alloc, 2);
 
     std::vector<std::uint64_t> got[2];
     for (std::uint32_t core = 0; core < 2; ++core) {
@@ -341,16 +342,15 @@ TEST(SocketRouterDeathTest, OutOfRangeOriginPanicsOnDelivery)
     topo.enabled = true;
     topo.coresPerSocket = 2;
 
-    const DramConfig dcfg = DramConfig::ddrSdram(2);
-    DramSystem dram(dcfg, SchedulerKind::HitFirst, 0);
+    DramSystem dram(DramConfig::ddrSdram(2), SchedulerKind::HitFirst);
     NumaFrameAllocator alloc(topo, 12);
-    SocketRouter router(topo, {&dram}, alloc, 1);
+    SocketRouter router(topo, dram, alloc, 1);
     router.setDelivery(0, [](const DramRequest &) {});
     router.setDelivery(1, [](const DramRequest &) {});
 
     // A read whose origin names no core (this machine has two) must
     // die at delivery instead of vanishing or landing on a stranger.
-    dram.enqueueRead(0x40, 0, ThreadSnapshot{}, 10, true, 0, 2);
+    dram.enqueueRead(0, 0x40, 0, ThreadSnapshot{}, 10, true, 0, 2);
     EXPECT_DEATH(
         {
             for (Cycle c = 11; c < 100'000; ++c)
