@@ -96,8 +96,7 @@ MemoryController::MemoryController(const DramConfig &config,
               std::numeric_limits<std::uint32_t>::max()),
       table_(TimingTable::build(config)),
       banks_(config.banksPerChannel()),
-      power_(config),
-      rankPower_(config, channel)
+      power_(config, channel)
 {
     config_.validate();
     if (config_.refreshEnabled()) {
@@ -141,8 +140,8 @@ MemoryController::setTracer(Tracer *tracer)
         tracer_->nameThread(pid, traceTidBank(b),
                             "bank" + std::to_string(b));
     }
-    if (rankPower_.machineActive()) {
-        for (std::uint32_t r = 0; r < rankPower_.ranks(); ++r) {
+    if (power_.machineActive()) {
+        for (std::uint32_t r = 0; r < power_.ranks(); ++r) {
             tracer_->nameThread(pid, traceTidRankPower(r),
                                 "rank" + std::to_string(r) + ".power");
         }
@@ -390,32 +389,31 @@ MemoryController::tryIssue(Cycle now)
 Cycle
 MemoryController::wakeRank(std::uint32_t rank, Cycle now)
 {
-    if (!rankPower_.machineActive())
+    if (!power_.machineActive())
         return 0;
-    const WakeResult w = rankPower_.wake(rank, now, power_, tracer_);
+    const std::uint32_t lo = rank * config_.banksPerChip;
+    const std::uint32_t hi = lo + config_.banksPerChip;
+    std::uint32_t open_rows = 0;
+    for (std::uint32_t b = lo; b < hi; ++b)
+        open_rows += banks_.idle(b) ? 0 : 1;
+    const WakeResult w = power_.wake(rank, now, open_rows, tracer_);
     if (w.from == PowerState::Active)
         return 0;
-    // Precharge-powerdown entry precharged the whole rank: close its
-    // rows (ending any row-hit runs) and meter those precharges.
-    std::uint32_t closed = 0;
-    const std::uint32_t lo = rank * config_.banksPerChip;
-    for (std::uint32_t b = lo; b < lo + config_.banksPerChip; ++b) {
-        if (!banks_.idle(b)) {
-            banks_.openRow[b] = BankStateSoA::kNoRow;
-            ++closed;
-        }
+    // Precharge-powerdown entry precharged the whole rank (the wake
+    // metered it): close its rows, ending any row-hit runs.
+    for (std::uint32_t b = lo; b < hi; ++b) {
+        banks_.openRow[b] = BankStateSoA::kNoRow;
         std::uint32_t &run = banks_.hitRun[b];
         if (run > 0) {
             stats_.rowHitRunHist.sample(run);
             run = 0;
         }
     }
-    power_.meterEntryPrecharges(rank, closed);
     if (w.from == PowerState::SelfRefresh && config_.refreshEnabled()) {
         // Self-refresh kept the cells fresh internally; tREFI restarts
         // at the exit.  nextRefreshDue_ may briefly understate the new
         // deadlines, which only costs a few no-op refresh scans.
-        for (std::uint32_t b = lo; b < lo + config_.banksPerChip; ++b)
+        for (std::uint32_t b = lo; b < hi; ++b)
             banks_.nextRefreshAt[b] = now + table_.refreshInterval;
     }
     return w.penalty;
@@ -428,7 +426,7 @@ MemoryController::launch(ReqHandle handle, Cycle now)
     const std::uint32_t bank = req.coord.bank;
     panic_if(banks_.readyAt[bank] > now, "launching into a busy bank");
 
-    const std::uint32_t rank = rankPower_.rankOf(bank);
+    const std::uint32_t rank = power_.rankOf(bank);
     // Wake before classifying the access: powerdown entry precharged
     // the rank, so what the scheduler saw as a row hit lands on an
     // empty row buffer after an exit.
@@ -470,8 +468,7 @@ MemoryController::launch(ReqHandle handle, Cycle now)
         HammerStats &hs = hammer_.stats();
         ++hs.mitigationsIssued;
         hs.mitigationCycles += lat;
-        power_.meterPreventiveRefresh(rank);
-        rankPower_.noteBusyUntil(rank, banks_.readyAt[bank]);
+        power_.meterPreventiveRefresh(rank, banks_.readyAt[bank]);
 
         if (tracer_) {
             const int pid = tracePidChannel(channel_);
@@ -578,8 +575,7 @@ MemoryController::launch(ReqHandle handle, Cycle now)
 
     // Energy: the commands this access issued, attributed to its rank.
     power_.meterAccess(rank, req.kind == RequestKind::Write, scrub, hit,
-                       idle);
-    rankPower_.noteBusyUntil(rank, banks_.readyAt[bank]);
+                       idle, banks_.readyAt[bank]);
 
     if (tracer_) {
         const int pid = tracePidChannel(channel_);
@@ -647,10 +643,8 @@ MemoryController::serviceRefresh(Cycle now)
     Cycle next_due = kCycleNever;
     for (std::uint32_t bank_index = 0; bank_index < n; ++bank_index) {
         if (now >= banks_.nextRefreshAt[bank_index]) {
-            const std::uint32_t rank = rankPower_.rankOf(bank_index);
-            if (rankPower_.machineActive() &&
-                rankPower_.stateAt(rank, now) ==
-                    PowerState::SelfRefresh) {
+            const std::uint32_t rank = power_.rankOf(bank_index);
+            if (power_.stateAt(rank, now) == PowerState::SelfRefresh) {
                 // The device refreshes itself in self-refresh; the
                 // controller absorbs the deadline instead of waking
                 // the rank just to refresh it.
@@ -699,9 +693,7 @@ MemoryController::serviceRefresh(Cycle now)
                     banks_.nextRefreshAt[bank_index] = now + interval;
                 ++stats_.refreshes;
                 stats_.refreshBlockedCycles += exit_lat + duration;
-                power_.meterRefresh(rank);
-                rankPower_.noteBusyUntil(rank,
-                                         banks_.readyAt[bank_index]);
+                power_.meterRefresh(rank, banks_.readyAt[bank_index]);
                 if (hammer_.active())
                     hammer_.onBankRefresh(bank_index);
             }
@@ -1016,7 +1008,7 @@ MemoryController::dumpState(std::ostream &os) const
     }
     const PowerStats &p = power_.stats();
     os << "  power: machine="
-       << (rankPower_.machineActive() ? "on" : "off")
+       << (power_.machineActive() ? "on" : "off")
        << " totalNj=" << p.totalEnergy
        << " bgNj=" << p.backgroundEnergy
        << " actNj=" << p.activateEnergy
@@ -1028,9 +1020,9 @@ MemoryController::dumpState(std::ostream &os) const
        << " srEntries=" << p.selfRefreshEntries
        << " exitPenaltyCycles=" << p.exitPenaltyCycles
        << " refreshesSuppressed=" << p.refreshesSuppressed << "\n";
-    for (std::uint32_t r = 0; r < rankPower_.ranks(); ++r) {
+    for (std::uint32_t r = 0; r < power_.ranks(); ++r) {
         os << "    rank[" << r << "] energyNj=" << power_.rankEnergy(r)
-           << " busyUntil=" << rankPower_.busyUntil(r) << "\n";
+           << " busyUntil=" << power_.busyUntil(r) << "\n";
     }
 }
 

@@ -43,7 +43,6 @@
 #include "dram/dram_types.hh"
 #include "dram/fault_injector.hh"
 #include "dram/power_model.hh"
-#include "dram/power_state.hh"
 #include "dram/request_pool.hh"
 #include "dram/row_hammer.hh"
 #include "dram/scheduler.hh"
@@ -228,8 +227,7 @@ class MemoryController
         stats_ = ControllerStats();
         injector_.resetStats();
         hammer_.resetStats();
-        power_.reset();
-        rankPower_.resetAccounting(now);
+        power_.reset(now);
     }
 
     /** Faults actually injected into this channel so far. */
@@ -258,7 +256,7 @@ class MemoryController
     PowerState
     rankPowerState(std::uint32_t rank, Cycle now) const
     {
-        return rankPower_.stateAt(rank, now);
+        return power_.stateAt(rank, now);
     }
 
     /**
@@ -266,7 +264,7 @@ class MemoryController
      * to cycle @p now.  Pure bookkeeping: never changes timing, safe
      * to call at any cadence (epoch sampling, run end, post-mortem).
      */
-    void syncPower(Cycle now) { rankPower_.sync(now, power_); }
+    void syncPower(Cycle now) { power_.sync(now); }
 
     /**
      * Attach a request-lifecycle tracer (not owned; nullptr detaches).
@@ -432,10 +430,9 @@ class MemoryController
      *  without scanning banks every cycle. */
     Cycle nextRefreshDue_ = kCycleNever;
 
-    /** Always-on energy meter (timing-neutral accounting). */
+    /** Always-on energy meter (timing-neutral) and per-rank
+     *  low-power state machine (inert unless enabled). */
     PowerModel power_;
-    /** Per-rank low-power state machine; inert unless enabled. */
-    RankPowerManager rankPower_;
 
     ControllerStats stats_;
 };

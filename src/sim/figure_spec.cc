@@ -338,9 +338,12 @@ planSweep(const FigureSpec &spec, const Flags &flags,
     return rows;
 }
 
-Sweep
-runSweep(const FigureSpec &spec, const Flags &flags, unsigned jobs,
-         const std::vector<std::string> &keep)
+namespace
+{
+
+/** The measurement budgets and seed every simulating figure takes. */
+ExperimentParams
+paramsFromFlags(const Flags &flags)
 {
     ExperimentParams params;
     params.measureInsts = flags.getUnsigned<std::uint64_t>("insts");
@@ -349,10 +352,15 @@ runSweep(const FigureSpec &spec, const Flags &flags, unsigned jobs,
              "nothing)");
     params.warmupInsts = flags.getUnsigned<std::uint64_t>("warmup");
     params.seed = flags.getUnsigned<std::uint64_t>("seed");
-    ParallelExperimentRunner runner(params, jobs);
+    return params;
+}
 
-    Sweep sweep;
-    sweep.rows = planSweep(spec, flags, keep);
+/** Run every planned cell of @p sweep on @p jobs workers, replacing
+ *  any runs a previous call left. */
+void
+runPlanned(Sweep &sweep, const ExperimentParams &params, unsigned jobs)
+{
+    ParallelExperimentRunner runner(params, jobs);
     for (const SweepRow &row : sweep.rows) {
         for (const PlannedCell &cell : row.cells)
             runner.submitMix(cell.config, row.mix, cell.perConfigBaselines);
@@ -362,10 +370,32 @@ runSweep(const FigureSpec &spec, const Flags &flags, unsigned jobs,
     // Jobs were submitted row by row, cell by cell.
     std::size_t id = 0;
     for (SweepRow &row : sweep.rows) {
+        row.runs.clear();
         for (std::size_t c = 0; c < row.cells.size(); ++c)
             row.runs.push_back(runner.mixResult(id++));
     }
     sweep.simulations = runner.submitted() + runner.baselineSimulations();
+}
+
+void
+printBanner(const FigureSpec &spec, const std::string &mix)
+{
+    std::printf("== %s ==\n", title(spec, mix).c_str());
+    if (!spec.claim.empty())
+        std::printf("paper: %s\n", spec.claim.c_str());
+    std::printf("\n");
+}
+
+} // namespace
+
+Sweep
+runSweep(const FigureSpec &spec, const Flags &flags, unsigned jobs,
+         const std::vector<std::string> &keep)
+{
+    const ExperimentParams params = paramsFromFlags(flags);
+    Sweep sweep;
+    sweep.rows = planSweep(spec, flags, keep);
+    runPlanned(sweep, params, jobs);
     return sweep;
 }
 
@@ -373,34 +403,32 @@ int
 runFigure(const FigureSpec &spec, const std::vector<std::string> &args)
 {
     const Flags flags = figureFlags(spec, args);
-    const std::vector<WorkloadMix> rows =
-        spec.simulates() ? figureRows(spec, flags)
-                         : std::vector<WorkloadMix>{};
-    std::printf("== %s ==\n",
-                title(spec, rows.empty() ? "" : rows[0].name).c_str());
-    if (!spec.claim.empty())
-        std::printf("paper: %s\n", spec.claim.c_str());
-    std::printf("\n");
     if (!spec.simulates()) {
+        printBanner(spec, "");
         spec.report(Sweep{}, flags);
         return 0;
     }
     if (flags.getBool("quiet"))
         setLogVerbosity(LogVerbosity::Quiet);
+    // Read every flag, the cells' own included, before the banner: a
+    // bad value then dies with nothing on stdout.
     const unsigned jobs = jobsFromFlags(flags);
+    const ExperimentParams params = paramsFromFlags(flags);
+    Sweep sweep;
+    sweep.rows = planSweep(spec, flags);
+    printBanner(spec, sweep.rows.empty() ? "" : sweep.rows[0].mix.name);
 
     // With --bench-json the same sweep runs twice, serial then
     // parallel, and the wall-clock ratio lands in the JSON.  The
-    // report comes from the last sweep; results are byte-identical
+    // report comes from the last run; results are byte-identical
     // either way.
-    Sweep sweep;
     const std::string bench_json = flags.getString("bench-json");
     if (!bench_json.empty()) {
         using clock = std::chrono::steady_clock;
         const auto s0 = clock::now();
-        sweep = runSweep(spec, flags, 1);
+        runPlanned(sweep, params, 1);
         const auto s1 = clock::now();
-        sweep = runSweep(spec, flags, jobs);
+        runPlanned(sweep, params, jobs);
         const auto s2 = clock::now();
         const std::chrono::duration<double> serial = s1 - s0;
         const std::chrono::duration<double> parallel = s2 - s1;
@@ -408,7 +436,7 @@ runFigure(const FigureSpec &spec, const std::vector<std::string> &args)
                             sweep.simulations, serial.count(),
                             parallel.count());
     } else {
-        sweep = runSweep(spec, flags, jobs);
+        runPlanned(sweep, params, jobs);
     }
     spec.report(sweep, flags);
     return 0;

@@ -174,9 +174,10 @@ Sweep runSweep(const FigureSpec &spec, const Flags &flags,
                const std::vector<std::string> &keep = {});
 
 /**
- * The `smtdram_fig` flow: parse @p args, apply --quiet, print the
- * banner, run the sweep (serial then parallel under
- * --bench-json) and print the report.  Returns the exit code.
+ * The `smtdram_fig` flow: parse @p args, apply --quiet, read every
+ * flag and plan the sweep, print the banner, run the sweep (serial
+ * then parallel under --bench-json) and print the report.  A bad flag
+ * value dies before anything reaches stdout.  Returns the exit code.
  */
 int runFigure(const FigureSpec &spec,
               const std::vector<std::string> &args);

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the Chrome trace-event writer: document structure,
- * timestamp monotonicity, lifecycle-span conservation, and the
- * bounded-buffer drop accounting.
+ * timestamp monotonicity, lifecycle-span conservation, the
+ * controller's rank<r>.power tracks, and the bounded-buffer drop
+ * accounting.
  */
 
 #include <gtest/gtest.h>
@@ -229,6 +230,160 @@ TEST(Tracer, ControllerLifecycleSpansConserve)
         ASSERT_EQ(end_ts.count(rid), 1u) << "unterminated span " << rid;
         EXPECT_LE(ts, end_ts[rid]);
     }
+}
+
+/** Value of a string JSON field on one event line, e.g. "name". */
+std::string
+stringField(const std::string &line, const std::string &field)
+{
+    const std::string needle = "\"" + field + "\":\"";
+    const size_t at = line.find(needle);
+    EXPECT_NE(at, std::string::npos) << field << " in " << line;
+    if (at == std::string::npos)
+        return "";
+    const size_t from = at + needle.size();
+    return line.substr(from, line.find('"', from) - from);
+}
+
+/** Serve one read of bank 0, row @p row, arriving at @p arrival. */
+DramRequest
+readToCompletion(MemoryController &mc, std::uint64_t id,
+                 std::uint32_t row, Cycle arrival)
+{
+    DramRequest req;
+    req.id = id;
+    req.kind = RequestKind::Read;
+    req.coord = {0, 0, row, 0};
+    req.arrival = arrival;
+    mc.enqueue(req);
+    std::vector<DramRequest> done;
+    for (Cycle now = arrival; done.empty(); ++now)
+        mc.tick(now, done);
+    return done.front();
+}
+
+/** The rank0.power track of one traced idle-then-wake run. */
+struct RankPowerTrack {
+    /** Cycle the first read released its rank; idling starts here. */
+    Cycle busyUntil = 0;
+    /** Cycle the second read's launch woke the rank. */
+    Cycle wake = 0;
+    std::vector<std::string> slices;   ///< "ph":"X" lines, ts order
+    std::vector<std::string> instants; ///< "ph":"i" lines, ts order
+    bool named = false;                ///< thread named "rank0.power"
+};
+
+/**
+ * A one-channel controller with the power machine on serves a read,
+ * idles @p idle cycles past the rank's release, then serves a second
+ * read to another row of the same bank.
+ */
+RankPowerTrack
+traceIdleThenWake(const DramConfig &config, Cycle idle)
+{
+    TempFile tmp("rank_power");
+    MemoryController mc(config, SchedulerKind::HitFirst, 0);
+    Tracer tracer(tmp.path());
+    mc.setTracer(&tracer);
+
+    RankPowerTrack t;
+    const DramRequest first = readToCompletion(mc, 1, 0, 1);
+    // Open page: the bank, and with it the rank, frees as the burst
+    // ends, a controller overhead before the read completes.
+    t.busyUntil = first.completion - config.timing.controllerOverhead;
+    const DramRequest second =
+        readToCompletion(mc, 2, 1, t.busyUntil + idle);
+    t.wake = second.issueTime;
+    tracer.flush();
+
+    const std::string track =
+        "\"pid\":" + std::to_string(tracePidChannel(0)) +
+        ",\"tid\":" + std::to_string(traceTidRankPower(0)) + ",";
+    for (const std::string &line : linesContaining(tmp.contents(), track)) {
+        if (line.find("\"ph\":\"X\"") != std::string::npos)
+            t.slices.push_back(line);
+        else if (line.find("\"ph\":\"i\"") != std::string::npos)
+            t.instants.push_back(line);
+        else if (line.find("\"thread_name\"") != std::string::npos)
+            t.named = line.find("\"rank0.power\"") != std::string::npos;
+    }
+    return t;
+}
+
+DramConfig
+powerManagedConfig()
+{
+    DramConfig c = DramConfig::ddrSdram(1);
+    c.power.enabled = true;
+    c.validate();
+    return c;
+}
+
+/**
+ * The rank<r>.power track README documents: a wake out of
+ * self-refresh emits, retroactively, one slice per low-power state
+ * the idle window crossed, each starting where its idle threshold
+ * fell, the deepest ending at the wake, plus one exit instant that
+ * carries the exit latency.
+ */
+TEST(Tracer, RankPowerTrackShowsEveryStateCrossed)
+{
+    const DramConfig c = powerManagedConfig();
+    const PowerConfig &p = c.power;
+    const RankPowerTrack t =
+        traceIdleThenWake(c, p.selfRefreshIdle + 100);
+    EXPECT_TRUE(t.named);
+    EXPECT_GE(t.wake, t.busyUntil + p.selfRefreshIdle + 100);
+
+    ASSERT_EQ(t.slices.size(), 3u);
+    const char *names[] = {"powerdown-fast", "powerdown-slow",
+                           "self-refresh"};
+    const Cycle starts[] = {t.busyUntil + p.powerdownIdle,
+                            t.busyUntil + p.slowExitIdle,
+                            t.busyUntil + p.selfRefreshIdle};
+    const Cycle ends[] = {starts[1], starts[2], t.wake};
+    for (int i = 0; i < 3; ++i) {
+        SCOPED_TRACE(names[i]);
+        EXPECT_EQ(stringField(t.slices[i], "name"), names[i]);
+        EXPECT_EQ(numericField(t.slices[i], "ts"), starts[i]);
+        EXPECT_EQ(numericField(t.slices[i], "ts") +
+                      numericField(t.slices[i], "dur"),
+                  ends[i]);
+    }
+
+    ASSERT_EQ(t.instants.size(), 1u);
+    EXPECT_EQ(stringField(t.instants[0], "name"), "sr-exit");
+    EXPECT_EQ(numericField(t.instants[0], "ts"), t.wake);
+    EXPECT_NE(t.instants[0].find("\"args\":{\"penalty\":" +
+                                 std::to_string(p.exitSelfRefresh) + "}"),
+              std::string::npos)
+        << t.instants[0];
+    EXPECT_EQ(p.exitSelfRefresh, 540u);  // tXSNR at the core clock
+}
+
+/** A wake inside fast powerdown shows that state and its exit only. */
+TEST(Tracer, RankPowerTrackShowsFastPowerdownWake)
+{
+    const DramConfig c = powerManagedConfig();
+    const PowerConfig &p = c.power;
+    const RankPowerTrack t = traceIdleThenWake(c, p.powerdownIdle + 10);
+    EXPECT_TRUE(t.named);
+
+    ASSERT_EQ(t.slices.size(), 1u);
+    EXPECT_EQ(stringField(t.slices[0], "name"), "powerdown-fast");
+    EXPECT_EQ(numericField(t.slices[0], "ts"),
+              t.busyUntil + p.powerdownIdle);
+    EXPECT_EQ(numericField(t.slices[0], "ts") +
+                  numericField(t.slices[0], "dur"),
+              t.wake);
+
+    ASSERT_EQ(t.instants.size(), 1u);
+    EXPECT_EQ(stringField(t.instants[0], "name"), "pd-exit");
+    EXPECT_EQ(numericField(t.instants[0], "ts"), t.wake);
+    EXPECT_NE(t.instants[0].find("\"args\":{\"penalty\":" +
+                                 std::to_string(p.exitFast) + "}"),
+              std::string::npos)
+        << t.instants[0];
 }
 
 } // namespace

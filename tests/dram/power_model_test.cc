@@ -13,7 +13,6 @@
 #include "dram/dram_config.hh"
 #include "dram/memory_controller.hh"
 #include "dram/power_model.hh"
-#include "dram/power_state.hh"
 
 namespace smtdram
 {
@@ -46,7 +45,8 @@ TEST(PowerModel, RowHitReadCostsOnlyTheBurst)
     const DramConfig c = DramConfig::ddrSdram(1);
     PowerModel m(c);
     m.meterAccess(0, /*is_write=*/false, /*scrub=*/false,
-                  /*row_hit=*/true, /*bank_was_idle=*/false);
+                  /*row_hit=*/true, /*bank_was_idle=*/false,
+                  /*busy_until=*/0);
     const PowerStats &s = m.stats();
     const double expect = m.energyPerCycleNj(c.power.idd4r -
                                              c.power.idd3n) *
@@ -62,7 +62,7 @@ TEST(PowerModel, RowEmptyAddsActivateButNoPrecharge)
     const DramConfig c = DramConfig::ddrSdram(1);
     PowerModel m(c);
     m.meterAccess(0, false, false, /*row_hit=*/false,
-                  /*bank_was_idle=*/true);
+                  /*bank_was_idle=*/true, /*busy_until=*/0);
     const double act = m.energyPerCycleNj(c.power.idd0 -
                                           c.power.idd3n) *
                        c.timing.rowAccess;
@@ -74,7 +74,7 @@ TEST(PowerModel, RowConflictAddsActivateAndPrecharge)
     const DramConfig c = DramConfig::ddrSdram(1);
     PowerModel m(c);
     m.meterAccess(0, false, false, /*row_hit=*/false,
-                  /*bank_was_idle=*/false);
+                  /*bank_was_idle=*/false, /*busy_until=*/0);
     const double act = m.energyPerCycleNj(c.power.idd0 -
                                           c.power.idd3n) *
                        c.timing.rowAccess;
@@ -89,13 +89,13 @@ TEST(PowerModel, WritesAndScrubsAttributeToTheirComponents)
     const DramConfig c = DramConfig::ddrSdram(1);
     PowerModel m(c);
     m.meterAccess(0, /*is_write=*/true, /*scrub=*/false,
-                  /*row_hit=*/true, false);
+                  /*row_hit=*/true, false, /*busy_until=*/0);
     EXPECT_GT(m.stats().writeEnergy, 0.0);
     EXPECT_DOUBLE_EQ(m.stats().readEnergy, 0.0);
 
     const double before = m.stats().totalEnergy;
     m.meterAccess(0, false, /*scrub=*/true, /*row_hit=*/false,
-                  /*bank_was_idle=*/false);
+                  /*bank_was_idle=*/false, /*busy_until=*/0);
     // Scrub traffic books its ACT/PRE and burst under scrubEnergy so
     // demand components keep their meaning.
     EXPECT_GT(m.stats().scrubEnergy, 0.0);
@@ -110,7 +110,7 @@ TEST(PowerModel, RefreshEnergyUsesTrfc)
 {
     DramConfig c = DramConfig::ddrSdram(1).withRefresh();
     PowerModel m(c);
-    m.meterRefresh(0);
+    m.meterRefresh(0, /*busy_until=*/0);
     const double expect = m.energyPerCycleNj(c.power.idd5 -
                                              c.power.idd3n) *
                           c.timing.refreshCycles;
@@ -119,31 +119,42 @@ TEST(PowerModel, RefreshEnergyUsesTrfc)
 
 TEST(PowerModel, BackgroundEnergyOrdersByStateDepth)
 {
-    const DramConfig c = DramConfig::ddrSdram(1);
-    PowerModel active(c), pdf(c), pds(c), sr(c);
-    active.meterBackground(0, PowerState::Active, 1000);
-    pdf.meterBackground(0, PowerState::PowerdownFast, 1000);
-    pds.meterBackground(0, PowerState::PowerdownSlow, 1000);
-    sr.meterBackground(0, PowerState::SelfRefresh, 1000);
-    EXPECT_GT(active.stats().backgroundEnergy,
-              pdf.stats().backgroundEnergy);
-    EXPECT_GT(pdf.stats().backgroundEnergy,
-              pds.stats().backgroundEnergy);
-    EXPECT_GT(pds.stats().backgroundEnergy,
-              sr.stats().backgroundEnergy);
-    EXPECT_EQ(sr.stats().selfRefreshCycles, 1000u);
+    // An idle rank slides down the whole ladder; syncing at each
+    // threshold isolates the background energy of one state.
+    const DramConfig c = powerConfig();
+    const PowerConfig &p = c.power;
+    PowerModel m(c);
+    ASSERT_EQ(m.ranks(), 1u);
+    auto per_kcycle = [&m](Cycle from, Cycle to) {
+        const double before = m.stats().backgroundEnergy;
+        m.sync(to);
+        return (m.stats().backgroundEnergy - before) * 1000.0 /
+               static_cast<double>(to - from);
+    };
+    const double active = per_kcycle(0, p.powerdownIdle);
+    const double pdf = per_kcycle(p.powerdownIdle, p.slowExitIdle);
+    const double pds = per_kcycle(p.slowExitIdle, p.selfRefreshIdle);
+    const double sr =
+        per_kcycle(p.selfRefreshIdle, p.selfRefreshIdle + 1000);
+    EXPECT_GT(active, pdf);
+    EXPECT_GT(pdf, pds);
+    EXPECT_GT(pds, sr);
+    EXPECT_EQ(m.stats().selfRefreshCycles, 1000u);
 }
 
 TEST(PowerModel, ResetZeroesEverything)
 {
     const DramConfig c = DramConfig::ddrSdram(1);
     PowerModel m(c);
-    m.meterAccess(0, false, false, false, false);
-    m.meterBackground(0, PowerState::Active, 10);
-    m.reset();
+    m.meterAccess(0, false, false, false, false, /*busy_until=*/10);
+    m.sync(10);
+    m.reset(10);
     EXPECT_DOUBLE_EQ(m.stats().totalEnergy, 0.0);
     EXPECT_DOUBLE_EQ(m.rankEnergy(0), 0.0);
     EXPECT_EQ(m.stats().activeCycles, 0u);
+    // Accounting restarts at the boundary, not at cycle 0.
+    m.sync(25);
+    EXPECT_EQ(m.stats().activeCycles, 15u * m.ranks());
 }
 
 // --- PowerConfig validation ------------------------------------------
@@ -203,17 +214,17 @@ TEST(PowerConfigDeathTest, ElectricalKnobsValidateEvenWhenDisabled)
 TEST(RankPowerManager, StateFollowsIdleThresholds)
 {
     const DramConfig c = powerConfig();
-    RankPowerManager rp(c, 0);
-    rp.noteBusyUntil(0, 100);
+    PowerModel m(c);
+    m.meterRefresh(0, /*busy_until=*/100);
 
-    EXPECT_EQ(rp.stateAt(0, 50), PowerState::Active);  // still busy
-    EXPECT_EQ(rp.stateAt(0, 100 + c.power.powerdownIdle - 1),
+    EXPECT_EQ(m.stateAt(0, 50), PowerState::Active);  // still busy
+    EXPECT_EQ(m.stateAt(0, 100 + c.power.powerdownIdle - 1),
               PowerState::Active);
-    EXPECT_EQ(rp.stateAt(0, 100 + c.power.powerdownIdle),
+    EXPECT_EQ(m.stateAt(0, 100 + c.power.powerdownIdle),
               PowerState::PowerdownFast);
-    EXPECT_EQ(rp.stateAt(0, 100 + c.power.slowExitIdle),
+    EXPECT_EQ(m.stateAt(0, 100 + c.power.slowExitIdle),
               PowerState::PowerdownSlow);
-    EXPECT_EQ(rp.stateAt(0, 100 + c.power.selfRefreshIdle),
+    EXPECT_EQ(m.stateAt(0, 100 + c.power.selfRefreshIdle),
               PowerState::SelfRefresh);
 }
 
@@ -221,10 +232,9 @@ TEST(RankPowerManager, DisabledMachineNeverLeavesActive)
 {
     DramConfig c = DramConfig::ddrSdram(1);
     ASSERT_FALSE(c.power.active());
-    RankPowerManager rp(c, 0);
     PowerModel m(c);
-    EXPECT_EQ(rp.stateAt(0, 1'000'000), PowerState::Active);
-    const WakeResult w = rp.wake(0, 1'000'000, m, nullptr);
+    EXPECT_EQ(m.stateAt(0, 1'000'000), PowerState::Active);
+    const WakeResult w = m.wake(0, 1'000'000, /*open_rows=*/0, nullptr);
     EXPECT_EQ(w.penalty, 0u);
     EXPECT_EQ(w.from, PowerState::Active);
     EXPECT_EQ(m.stats().powerdownEntries, 0u);
@@ -234,22 +244,21 @@ TEST(RankPowerManager, WakePenaltiesMatchTheStateLeft)
 {
     const DramConfig c = powerConfig();
     PowerModel m(c);
-    RankPowerManager rp(c, 0);
 
     // Wake out of fast powerdown.
-    WakeResult w =
-        rp.wake(0, c.power.powerdownIdle + 10, m, nullptr);
+    WakeResult w = m.wake(0, c.power.powerdownIdle + 10,
+                          /*open_rows=*/0, nullptr);
     EXPECT_EQ(w.from, PowerState::PowerdownFast);
     EXPECT_EQ(w.penalty, c.power.exitFast);
 
     // The wake re-anchored busyUntil; idle long enough for SR now.
-    const Cycle busy = rp.busyUntil(0);
-    w = rp.wake(0, busy + c.power.selfRefreshIdle + 5, m, nullptr);
+    const Cycle busy = m.busyUntil(0);
+    w = m.wake(0, busy + c.power.selfRefreshIdle + 5, /*open_rows=*/0,
+               nullptr);
     EXPECT_EQ(w.from, PowerState::SelfRefresh);
     EXPECT_EQ(w.penalty, c.power.exitSelfRefresh);
 
     EXPECT_EQ(m.stats().powerdownEntries, 2u);
-    EXPECT_EQ(m.stats().powerdownExits, 2u);
     EXPECT_EQ(m.stats().selfRefreshEntries, 1u);
     EXPECT_EQ(m.stats().exitPenaltyCycles,
               c.power.exitFast + c.power.exitSelfRefresh);
@@ -260,16 +269,15 @@ TEST(RankPowerManager, ResidencyConservesElapsedRankCycles)
 {
     const DramConfig c = powerConfig();
     PowerModel m(c);
-    RankPowerManager rp(c, 0);
-    ASSERT_EQ(rp.ranks(), 1u);
+    ASSERT_EQ(m.ranks(), 1u);
 
     // One long idle window crossing every threshold, split across
     // several syncs: the pieces must tile the window exactly.
     const Cycle horizon = c.power.selfRefreshIdle + 10'000;
-    rp.sync(100, m);
-    rp.sync(c.power.slowExitIdle / 2, m);
-    rp.sync(c.power.selfRefreshIdle + 1, m);
-    rp.sync(horizon, m);
+    m.sync(100);
+    m.sync(c.power.slowExitIdle / 2);
+    m.sync(c.power.selfRefreshIdle + 1);
+    m.sync(horizon);
 
     const PowerStats &s = m.stats();
     EXPECT_EQ(s.activeCycles + s.powerdownFastCycles +
@@ -291,14 +299,12 @@ TEST(RankPowerManager, SyncIsSplitInvariant)
     const Cycle horizon = c.power.selfRefreshIdle + 4321;
 
     PowerModel one_shot(c);
-    RankPowerManager rp1(c, 0);
-    rp1.sync(horizon, one_shot);
+    one_shot.sync(horizon);
 
     PowerModel pieces(c);
-    RankPowerManager rp2(c, 0);
     for (Cycle at = 97; at < horizon; at += 997)
-        rp2.sync(at, pieces);
-    rp2.sync(horizon, pieces);
+        pieces.sync(at);
+    pieces.sync(horizon);
 
     // Piecewise double summation is not ULP-identical; the invariant
     // is that the split changes nothing material.
@@ -385,7 +391,7 @@ TEST(PowerRefreshInteraction, AccessAfterSelfRefreshRestartsTrefi)
     while (done.empty())
         mc.tick(++now, done);
 
-    EXPECT_EQ(mc.powerStats().selfRefreshExits, 1u);
+    EXPECT_EQ(mc.powerStats().selfRefreshEntries, 1u);
     // ...and pays tXSNR: a cold read normally takes row + column +
     // burst + overhead; this one took at least exitSelfRefresh more.
     const Cycle plain = c.timing.rowAccess + c.timing.columnAccess +

@@ -150,8 +150,6 @@ TEST_P(PowerProperty, EnergyConservesUnderHostileTraffic)
     EXPECT_GT(s.refreshEnergy, 0.0);
     EXPECT_GT(s.scrubEnergy, 0.0);
     EXPECT_GT(s.powerdownEntries, 0u);
-    EXPECT_EQ(s.powerdownEntries, s.powerdownExits);
-    EXPECT_EQ(s.selfRefreshEntries, s.selfRefreshExits);
     EXPECT_EQ(s.lowPowerSpanHist.total(), s.powerdownEntries);
 
     // Exactly-once delivery survived the power machine.

@@ -1,8 +1,8 @@
 /**
  * @file
  * The `smtdram_fig` flow end to end: bad integer flags die with a
- * fatal() that names the flag, and fig13's --matrix-csv keeps one
- * column per thread of the widest mix.
+ * fatal() that names the flag before anything reaches stdout, and
+ * fig13's --matrix-csv keeps one column per thread of the widest mix.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -95,6 +96,44 @@ TEST(FigureFlagsDeathTest, WrappedSocketCountDiesAtParse)
                 "4294967295, got '-1'");
     EXPECT_EXIT(planSweep(spec, figureFlags(spec, {"--sockets=4294967296"})),
                 testing::ExitedWithCode(1), "fatal: flag --sockets");
+}
+
+TEST(FigureFlagsDeathTest, BadFlagPrintsNothingToStdout)
+{
+    // Every flag is read, the cells' own included, before the banner
+    // and the paper claim print.
+    struct Case {
+        const char *figure;
+        std::vector<std::string> args;
+        const char *flag;
+    };
+    const std::vector<Case> cases = {
+        {"fig10_thread_aware", {"--mixes=2-MEM", "--insts=-5"}, "insts"},
+        {"fig10_thread_aware", {"--mixes=2-MEM", "--jobs=-1"}, "jobs"},
+        {"fig10_thread_aware", {"--mixes=2-MEM", "--epoch=-3"}, "epoch"},
+        {"fig9_mapping_rdram", {"--chips=-1"}, "chips"},
+        {"fig12_rowhammer", {"--thresholds=abc"}, "thresholds"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(c.figure) + " --" + c.flag);
+        const std::string out = testArtifactPath("stdout.txt");
+        std::remove(out.c_str());
+        EXPECT_EXIT(
+            {
+                alarm(60);
+                if (!std::freopen(out.c_str(), "w", stdout))
+                    std::abort();
+                runFig(c.figure, c.args);
+            },
+            testing::ExitedWithCode(1),
+            std::string("fatal: flag --") + c.flag + " expects");
+        std::ifstream in(out);
+        ASSERT_TRUE(in.good()) << "the child never opened " << out;
+        std::stringstream printed;
+        printed << in.rdbuf();
+        std::remove(out.c_str());
+        EXPECT_EQ(printed.str(), "");
+    }
 }
 
 /** The CSV's cells, one vector per line. */
