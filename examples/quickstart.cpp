@@ -75,10 +75,10 @@ main(int argc, char **argv)
                 result.run.dram.readLatency.mean());
 
     std::printf("\n  outstanding requests while DRAM busy:\n");
-    const Histogram &h = result.run.outstandingHist;
-    for (size_t b = 0; b < h.numBuckets(); ++b) {
-        std::printf("    %-6s %5.1f%%\n", h.bucketLabel(b).c_str(),
-                    100.0 * h.bucketFraction(b));
+    for (const HistogramBin &bin :
+         binFractions(result.run.outstandingHist, {1, 4, 8, 16})) {
+        std::printf("    %-6s %5.1f%%\n", bin.label.c_str(),
+                    100.0 * bin.fraction);
     }
     return 0;
 }

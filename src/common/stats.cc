@@ -1,106 +1,13 @@
 #include "common/stats.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "common/logging.hh"
+#include "common/types.hh"
 
 namespace smtdram
 {
-
-Histogram::Histogram(std::vector<std::uint64_t> upper_bounds)
-    : bounds_(std::move(upper_bounds)),
-      counts_(bounds_.size() + 1, 0),
-      raw_(rawCap_, 0)
-{
-    panic_if(bounds_.empty(), "Histogram needs at least one bound");
-    for (size_t i = 1; i < bounds_.size(); ++i) {
-        panic_if(bounds_[i] <= bounds_[i - 1],
-                 "Histogram bounds must be strictly increasing");
-    }
-}
-
-void
-Histogram::sample(std::uint64_t v)
-{
-    size_t i = 0;
-    while (i < bounds_.size() && v > bounds_[i])
-        ++i;
-    ++counts_[i];
-    ++total_;
-    if (v < raw_.size())
-        ++raw_[v];
-}
-
-void
-Histogram::sample(std::uint64_t v, std::uint64_t count)
-{
-    if (count == 0)
-        return;
-    size_t i = 0;
-    while (i < bounds_.size() && v > bounds_[i])
-        ++i;
-    counts_[i] += count;
-    total_ += count;
-    if (v < raw_.size())
-        raw_[v] += count;
-}
-
-void
-Histogram::reset()
-{
-    std::fill(counts_.begin(), counts_.end(), 0);
-    std::fill(raw_.begin(), raw_.end(), 0);
-    total_ = 0;
-}
-
-double
-Histogram::bucketFraction(size_t i) const
-{
-    if (total_ == 0)
-        return 0.0;
-    return static_cast<double>(counts_.at(i)) / total_;
-}
-
-std::string
-Histogram::bucketLabel(size_t i) const
-{
-    char buf[48];
-    if (i == bounds_.size()) {
-        std::snprintf(buf, sizeof(buf), ">%llu",
-                      (unsigned long long)bounds_.back());
-    } else {
-        const std::uint64_t hi = bounds_[i];
-        const std::uint64_t lo = (i == 0) ? 0 : bounds_[i - 1] + 1;
-        if (lo == hi) {
-            std::snprintf(buf, sizeof(buf), "%llu",
-                          (unsigned long long)hi);
-        } else {
-            std::snprintf(buf, sizeof(buf), "%llu-%llu",
-                          (unsigned long long)lo, (unsigned long long)hi);
-        }
-    }
-    return buf;
-}
-
-// --------------------------------------------------------------------
-// LogHistogram
-// --------------------------------------------------------------------
-
-namespace
-{
-
-/** floor(log2(v)) for v >= 1. */
-inline unsigned
-floorLog2(std::uint64_t v)
-{
-    unsigned o = 0;
-    while (v >>= 1)
-        ++o;
-    return o;
-}
-
-} // namespace
 
 LogHistogram::LogHistogram()
     // 32 exact slots + 4 sub-buckets for each octave 2^5 .. 2^63.
@@ -133,11 +40,13 @@ LogHistogram::bucketLowerBound(size_t i)
 }
 
 void
-LogHistogram::sample(std::uint64_t v)
+LogHistogram::sample(std::uint64_t v, std::uint64_t count)
 {
-    ++counts_[bucketIndex(v)];
-    ++total_;
-    sum_ += v;
+    if (count == 0)
+        return;
+    counts_[bucketIndex(v)] += count;
+    total_ += count;
+    sum_ += v * count;
     min_ = std::min(min_, v);
     max_ = std::max(max_, v);
 }
@@ -196,21 +105,49 @@ LogHistogram::percentile(double p) const
 }
 
 double
-Histogram::fractionAbove(std::uint64_t threshold) const
+LogHistogram::fractionAbove(std::uint64_t v) const
 {
+    panic_if(v >= kLinearMax,
+             "fractionAbove(%llu) is inexact: values from %llu share "
+             "buckets", (unsigned long long)v,
+             (unsigned long long)kLinearMax);
     if (total_ == 0)
         return 0.0;
-    std::uint64_t above = 0;
-    // Exact accounting for values we tracked raw; bucketed tail is
-    // handled by summing whole buckets beyond the threshold.
-    for (std::uint64_t v = threshold + 1; v < raw_.size(); ++v)
-        above += raw_[v];
-    // Values >= rawCap_ are certainly above any threshold < rawCap_.
-    std::uint64_t raw_total = 0;
-    for (auto c : raw_)
-        raw_total += c;
-    above += total_ - raw_total;
-    return static_cast<double>(above) / total_;
+    std::uint64_t at_most = 0;
+    for (std::uint64_t i = 0; i <= v; ++i)
+        at_most += counts_[i];
+    return static_cast<double>(total_ - at_most) / total_;
+}
+
+std::vector<HistogramBin>
+binFractions(const LogHistogram &h, const std::vector<std::uint64_t> &bounds)
+{
+    panic_if(bounds.empty(), "binFractions needs at least one bound");
+    const auto share = [&h](std::uint64_t n) {
+        return h.total() ? static_cast<double>(n) / h.total() : 0.0;
+    };
+    std::vector<HistogramBin> bins;
+    std::uint64_t lo = 0;
+    std::uint64_t binned = 0;
+    for (const std::uint64_t hi : bounds) {
+        panic_if(hi < lo, "bin bounds must be strictly increasing");
+        panic_if(hi >= LogHistogram::kLinearMax,
+                 "bin bound %llu is inexact: values from %llu share "
+                 "buckets", (unsigned long long)hi,
+                 (unsigned long long)LogHistogram::kLinearMax);
+        std::uint64_t n = 0;
+        for (std::uint64_t v = lo; v <= hi; ++v)
+            n += h.bucketCount(v);
+        bins.push_back({lo == hi ? std::to_string(hi)
+                                 : std::to_string(lo) + "-" +
+                                       std::to_string(hi),
+                        share(n)});
+        binned += n;
+        lo = hi + 1;
+    }
+    bins.push_back({">" + std::to_string(bounds.back()),
+                    share(h.total() - binned)});
+    return bins;
 }
 
 } // namespace smtdram

@@ -10,7 +10,6 @@
 #ifndef SMTDRAM_COMMON_STATS_HH
 #define SMTDRAM_COMMON_STATS_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -19,101 +18,9 @@
 namespace smtdram
 {
 
-/** Running scalar distribution: count / sum / min / max / mean. */
-class Distribution
-{
-  public:
-    void
-    sample(double v)
-    {
-        ++count_;
-        sum_ += v;
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-
-    void
-    reset()
-    {
-        *this = Distribution();
-    }
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-
-    friend Distribution mergeDistributions(const Distribution &a,
-                                           const Distribution &b);
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/** Exact union of two running distributions. */
-inline Distribution
-mergeDistributions(const Distribution &a, const Distribution &b)
-{
-    Distribution m;
-    m.count_ = a.count_ + b.count_;
-    m.sum_ = a.sum_ + b.sum_;
-    m.min_ = std::min(a.min_, b.min_);
-    m.max_ = std::max(a.max_, b.max_);
-    return m;
-}
-
 /**
- * Histogram over explicit integer bucket upper bounds.
- *
- * Built with the bucket boundaries used by the paper's figures, e.g.
- * {1, 4, 8, 16} yields buckets [0,1], [2,4], [5,8], [9,16], [17,inf).
- */
-class Histogram
-{
-  public:
-    explicit Histogram(std::vector<std::uint64_t> upper_bounds);
-
-    /** Record one observation of value @p v. */
-    void sample(std::uint64_t v);
-
-    /**
-     * Record @p count observations of value @p v at once — the
-     * interval-weighted form used by the event-driven kernel, which
-     * accounts a whole skipped window of identical per-cycle samples
-     * in one call.  Exactly equivalent to calling sample(v) @p count
-     * times.
-     */
-    void sample(std::uint64_t v, std::uint64_t count);
-
-    void reset();
-
-    std::uint64_t total() const { return total_; }
-    size_t numBuckets() const { return counts_.size(); }
-    std::uint64_t bucketCount(size_t i) const { return counts_.at(i); }
-
-    /** Fraction of samples in bucket @p i (0 if no samples). */
-    double bucketFraction(size_t i) const;
-
-    /** Human-readable bucket label, e.g. "2-4" or ">16". */
-    std::string bucketLabel(size_t i) const;
-
-    /** Fraction of samples strictly above @p threshold. */
-    double fractionAbove(std::uint64_t threshold) const;
-
-  private:
-    std::vector<std::uint64_t> bounds_;
-    std::vector<std::uint64_t> counts_;  // bounds_.size() + 1 buckets
-    std::vector<std::uint64_t> raw_;     // exact counts up to rawCap_
-    static constexpr size_t rawCap_ = 129;
-    std::uint64_t total_ = 0;
-};
-
-/**
- * Log-bucketed histogram with percentile queries.
+ * Log-bucketed histogram with percentile queries: the one
+ * distribution type.
  *
  * Values 0..31 are counted exactly; larger values fall into
  * power-of-two octaves split into four linear sub-buckets each
@@ -122,15 +29,27 @@ class Histogram
  * bit operations and one array increment, cheap enough to leave on in
  * every build — the paper's latency/queue-depth figures are
  * distribution statements, and count/sum/min/max alone cannot answer
- * them.
+ * them.  Count, sum, min and max are kept exactly, as integers.
  */
 class LogHistogram
 {
   public:
+    /** Every value below this has a bucket of its own. */
+    static constexpr std::uint64_t kLinearMax = 32;
+
     LogHistogram();
 
     /** Record one observation of value @p v. */
-    void sample(std::uint64_t v);
+    void sample(std::uint64_t v) { sample(v, 1); }
+
+    /**
+     * Record @p count observations of value @p v at once — the
+     * interval-weighted form the event-driven kernel uses for a
+     * skipped window of identical per-cycle samples.  Exactly
+     * equivalent to calling sample(v) @p count times; a zero count
+     * records nothing.
+     */
+    void sample(std::uint64_t v, std::uint64_t count);
 
     /** Fold @p other into this histogram (exact union). */
     void merge(const LogHistogram &other);
@@ -138,6 +57,7 @@ class LogHistogram
     void reset();
 
     std::uint64_t total() const { return total_; }
+    std::uint64_t sum() const { return sum_; }
     std::uint64_t min() const { return total_ ? min_ : 0; }
     std::uint64_t max() const { return total_ ? max_ : 0; }
     double mean() const
@@ -157,6 +77,13 @@ class LogHistogram
     double p99() const { return percentile(99.0); }
     double p999() const { return percentile(99.9); }
 
+    /**
+     * Fraction of samples strictly above @p v (0 if none).  Exact;
+     * panics unless @p v < kLinearMax, above which values share
+     * buckets.
+     */
+    double fractionAbove(std::uint64_t v) const;
+
     // --- bucket iteration (for exporters) --------------------------
     size_t numBuckets() const { return counts_.size(); }
     std::uint64_t bucketCount(size_t i) const { return counts_[i]; }
@@ -167,7 +94,6 @@ class LogHistogram
     static size_t bucketIndex(std::uint64_t v);
 
   private:
-    static constexpr std::uint64_t kLinearMax = 32;  ///< exact 0..31
     static constexpr unsigned kSubBuckets = 4;
     static constexpr unsigned kFirstOctave = 5;      ///< 2^5 == 32
 
@@ -177,6 +103,21 @@ class LogHistogram
     std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t max_ = 0;
 };
+
+/** One bin of a report-time view of a LogHistogram. */
+struct HistogramBin {
+    std::string label;  ///< "0-1", "2-4", "3", ">16"
+    double fraction;    ///< share of all samples (0 if none)
+};
+
+/**
+ * @p h cut into the bins that @p bounds, strictly increasing
+ * inclusive upper bounds, delimit: {1, 4, 8, 16} gives "0-1", "2-4",
+ * "5-8", "9-16" and ">16".  Exact; panics unless every bound is
+ * below LogHistogram::kLinearMax.
+ */
+std::vector<HistogramBin> binFractions(
+    const LogHistogram &h, const std::vector<std::uint64_t> &bounds);
 
 /** Hit/miss style ratio counter. */
 class RatioStat

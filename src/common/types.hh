@@ -11,6 +11,7 @@
 #ifndef SMTDRAM_COMMON_TYPES_HH
 #define SMTDRAM_COMMON_TYPES_HH
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -46,16 +47,11 @@ isPowerOfTwo(std::uint64_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
-/** Integer log2 of a power of two. */
+/** floor(log2(v)): the integer log2 of a power of two; 0 for v <= 1. */
 constexpr unsigned
 floorLog2(std::uint64_t v)
 {
-    unsigned l = 0;
-    while (v > 1) {
-        v >>= 1;
-        ++l;
-    }
-    return l;
+    return static_cast<unsigned>(std::bit_width(v | 1)) - 1;
 }
 
 } // namespace smtdram

@@ -26,6 +26,8 @@ ControllerStats::merge(const ControllerStats &s)
     correctedErrors += s.correctedErrors;
     uncorrectableErrors += s.uncorrectableErrors;
     eccCheckCycles += s.eccCheckCycles;
+    readLatency.merge(s.readLatency);
+    readQueueing.merge(s.readQueueing);
     readLatencyHist.merge(s.readLatencyHist);
     queueDepthHist.merge(s.queueDepthHist);
     rowHitRunHist.merge(s.rowHitRunHist);
@@ -37,10 +39,6 @@ ControllerStats::merge(const ControllerStats &s)
     for (std::size_t t = 0; t < s.perThreadBlame.size(); ++t)
         perThreadBlame[t].merge(s.perThreadBlame[t]);
     interference.merge(s.interference);
-    if (s.readLatency.count() > 0) {
-        readLatency = mergeDistributions(readLatency, s.readLatency);
-        readQueueing = mergeDistributions(readQueueing, s.readQueueing);
-    }
 }
 
 namespace
@@ -605,9 +603,8 @@ MemoryController::launch(ReqHandle handle, Cycle now)
         ++stats_.scrubReads;
     } else if (req.kind == RequestKind::Read) {
         ++stats_.reads;
-        stats_.readQueueing.sample(static_cast<double>(now - req.arrival));
-        stats_.readLatency.sample(
-            static_cast<double>(req.completion - req.arrival));
+        stats_.readQueueing.sample(now - req.arrival);
+        stats_.readLatency.sample(req.completion - req.arrival);
         stats_.readLatencyHist.sample(req.completion - req.arrival);
         // Sampled in lockstep with readLatency, whose sample equals
         // req.blame.sum() here, so Σ blameTotals == readLatency.sum()

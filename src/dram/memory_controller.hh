@@ -58,8 +58,8 @@ struct ControllerStats {
     std::uint64_t rowHits = 0;
     std::uint64_t rowEmpty = 0;     ///< bank idle (precharged) accesses
     std::uint64_t rowConflicts = 0; ///< open row had to be precharged
-    Distribution readLatency;       ///< arrival to data return, cycles
-    Distribution readQueueing;      ///< arrival to issue, cycles
+    LogHistogram readLatency;       ///< arrival to data return, cycles
+    LogHistogram readQueueing;      ///< arrival to issue, cycles
     std::uint64_t busBusyCycles = 0;
     std::uint64_t refreshes = 0;    ///< per-bank refresh commands issued
     /** Cycles banks spent unavailable inside refresh (tRFC each). */
@@ -84,7 +84,8 @@ struct ControllerStats {
 
     // --- Distribution views (Figures 4-10 are distribution claims;
     //     count/sum/min/max alone cannot answer them) ---
-    /** Read latency (arrival to data return) with percentiles. */
+    /** The same samples as readLatency, under the name perfbench
+     *  merges (ROADMAP item 1 folds the two). */
     LogHistogram readLatencyHist;
     /** Read-queue depth observed at each enqueue. */
     LogHistogram queueDepthHist;

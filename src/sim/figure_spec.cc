@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <thread>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "sim/parallel_runner.hh"
 
 namespace smtdram
@@ -82,7 +82,7 @@ unsigned
 jobsFromFlags(const Flags &flags)
 {
     const auto v = flags.getUnsigned<unsigned>("jobs");
-    return v == 0 ? ThreadPool::defaultWorkers() : v;
+    return v == 0 ? std::max(1u, std::thread::hardware_concurrency()) : v;
 }
 
 /**
@@ -325,6 +325,11 @@ planSweep(const FigureSpec &spec, const Flags &flags,
                 static_cast<std::uint32_t>(row.mix.apps.size()));
             cell.configure(config);
             applyFlagGroups(flags, spec.groups, config);
+            // A bad cell dies here, on the calling thread, before any
+            // banner or worker, not once per worker that builds it.
+            config.dram.validate();
+            if (config.topology.active())
+                config.topology.validate(config.core.numThreads);
             row.cells.push_back({cell.label, config, cell.perConfigBaselines});
         }
         rows.push_back(std::move(row));

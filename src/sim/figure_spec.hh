@@ -155,7 +155,8 @@ std::vector<WorkloadMix> figureRows(const FigureSpec &spec,
                                     const Flags &flags);
 
 /**
- * Every row with its cell configurations, flag groups applied.  Only
+ * Every row with its cell configurations, flag groups applied; a cell
+ * whose DRAM or topology fails validate() is fatal here.  Only
  * the last cell of the last row carries the --trace/--stats-* paths,
  * so the files come from one run whatever the worker count.
  * @p keep, when non-empty, drops the cells whose label it omits.

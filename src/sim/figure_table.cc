@@ -559,17 +559,23 @@ defaultMachineCell(const Flags &)
     return {{"default", [](SystemConfig &) {}}};
 }
 
-/** Percent per histogram bucket, one row per mix. */
+/** Figure 4's bins of outstanding requests: 0-1, 2-4, 5-8, 9-16, >16. */
+const std::vector<std::uint64_t> kOutstandingBins = {1, 4, 8, 16};
+/** Figure 5's bins of contributing threads: 0-1, 2, ..., 7, >7. */
+const std::vector<std::uint64_t> kThreadBins = {1, 2, 3, 4, 5, 6, 7};
+
+/** Percent per histogram bin, one row per mix. */
 void
 reportHistogram(const Sweep &sweep, std::vector<std::string> columns,
-                Histogram RunResult::*hist, bool above8)
+                LogHistogram RunResult::*hist,
+                const std::vector<std::uint64_t> &bins, bool above8)
 {
     ResultTable table(std::move(columns));
     for (const SweepRow &row : sweep.rows) {
-        const Histogram &h = row.runs[0].run.*hist;
+        const LogHistogram &h = row.runs[0].run.*hist;
         std::vector<double> values;
-        for (size_t b = 0; b < h.numBuckets(); ++b)
-            values.push_back(100.0 * h.bucketFraction(b));
+        for (const HistogramBin &bin : binFractions(h, bins))
+            values.push_back(100.0 * bin.fraction);
         if (above8)
             values.push_back(100.0 * h.fractionAbove(8));
         table.addRow(row.mix.name, values);
@@ -581,14 +587,14 @@ void
 reportOutstanding(const Sweep &sweep, const Flags &)
 {
     reportHistogram(sweep, {"1", "2-4", "5-8", "9-16", ">16", ">8frac"},
-                    &RunResult::outstandingHist, true);
+                    &RunResult::outstandingHist, kOutstandingBins, true);
 }
 
 void
 reportThreadDistribution(const Sweep &sweep, const Flags &)
 {
     reportHistogram(sweep, {"1", "2", "3", "4", "5", "6", "7", "8"},
-                    &RunResult::threadsHist, false);
+                    &RunResult::threadsHist, kThreadBins, false);
 }
 
 /** Both histograms of the one sweep Figures 4 and 5 share. */
@@ -598,19 +604,17 @@ renderConcurrency(const Sweep &sweep)
     std::string text;
     for (const SweepRow &row : sweep.rows) {
         const std::string &mix = row.mix.name;
-        const Histogram &outstanding = row.runs[0].run.outstandingHist;
-        for (size_t b = 0; b < outstanding.numBuckets(); ++b) {
-            appendMetric(text,
-                         mix + ".outstanding." + outstanding.bucketLabel(b),
-                         outstanding.bucketFraction(b));
+        const RunResult &run = row.runs[0].run;
+        for (const HistogramBin &bin :
+             binFractions(run.outstandingHist, kOutstandingBins)) {
+            appendMetric(text, mix + ".outstanding." + bin.label,
+                         bin.fraction);
         }
         appendMetric(text, mix + ".outstanding.frac_above8",
-                     outstanding.fractionAbove(8));
-        const Histogram &threads = row.runs[0].run.threadsHist;
-        for (size_t b = 0; b < threads.numBuckets(); ++b) {
-            appendMetric(text, mix + ".threads." + threads.bucketLabel(b),
-                         threads.bucketFraction(b));
-        }
+                     run.outstandingHist.fractionAbove(8));
+        for (const HistogramBin &bin :
+             binFractions(run.threadsHist, kThreadBins))
+            appendMetric(text, mix + ".threads." + bin.label, bin.fraction);
     }
     return text;
 }
@@ -918,7 +922,7 @@ declareMatrixCsv(Flags &flags)
 double
 blameShare(const ControllerStats &dram, std::size_t c)
 {
-    const double lat_sum = dram.readLatency.sum();
+    const double lat_sum = static_cast<double>(dram.readLatency.sum());
     return lat_sum > 0.0 ? 100.0 * dram.blameTotals.cycles[c] / lat_sum
                          : 0.0;
 }
@@ -969,13 +973,12 @@ reportBlame(const Sweep &sweep, const Flags &flags)
     for (const SweepRow &row : sweep.rows) {
         for (const MixRun &r : row.runs) {
             const ControllerStats &dram = r.run.dram;
-            fatal_if(static_cast<double>(dram.blameTotals.sum()) !=
-                         dram.readLatency.sum(),
+            fatal_if(dram.blameTotals.sum() != dram.readLatency.sum(),
                      "blame does not reconcile with readLatency for "
-                     "%s (sum %llu vs %.0f)",
+                     "%s (sum %llu vs %llu)",
                      row.mix.name.c_str(),
                      (unsigned long long)dram.blameTotals.sum(),
-                     dram.readLatency.sum());
+                     (unsigned long long)dram.readLatency.sum());
         }
         // Progress chatter; --quiet output is exactly the tables.
         if (logVerbosity() != LogVerbosity::Quiet) {
@@ -1021,7 +1024,7 @@ renderBlame(const Sweep &sweep)
         }
         appendMetric(out, label + ".reconcile",
                      static_cast<double>(dram.blameTotals.sum()) -
-                         dram.readLatency.sum());
+                         static_cast<double>(dram.readLatency.sum()));
         for (std::size_t t = 0; t < r.run.ipc.size(); ++t) {
             appendMetric(out, label + ".interference.t" + std::to_string(t),
                          static_cast<double>(dram.interference.rowSum(

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 
 namespace smtdram
 {
@@ -72,7 +72,7 @@ ParallelExperimentRunner::aloneIpc(const std::string &app,
         } else {
             // First requester: claim the key, then simulate outside
             // the lock.  Waiters block on the shared_future, never on
-            // a queued pool task, so a saturated pool cannot deadlock.
+            // a queued job, so busy workers cannot deadlock.
             fut = mine.get_future().share();
             baselines_.push_back({app, alone, fut});
             compute = true;
@@ -156,10 +156,18 @@ ParallelExperimentRunner::run()
         for (std::size_t i = begin; i < end; ++i)
             execute(*jobs_queue_[i]);
     } else {
-        ThreadPool pool(static_cast<unsigned>(workers));
-        for (std::size_t i = begin; i < end; ++i)
-            pool.submit([this, i] { execute(*jobs_queue_[i]); });
-        pool.wait();
+        // Workers take job indices in submission order from one
+        // counter; execute() catches every error, and the threads
+        // join when the vector goes out of scope — the barrier.
+        std::atomic<std::size_t> next{begin};
+        std::vector<std::jthread> threads;
+        threads.reserve(workers);
+        for (std::size_t w = 0; w < workers; ++w) {
+            threads.emplace_back([this, &next, end] {
+                for (std::size_t i = next++; i < end; i = next++)
+                    execute(*jobs_queue_[i]);
+            });
+        }
     }
 
     // First-error propagation: by submission index, not wall clock.

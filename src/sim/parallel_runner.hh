@@ -6,8 +6,8 @@
  * × mix) cells plus their single-thread alone-IPC baselines.  The
  * simulator itself is strictly deterministic, so the sweep is
  * embarrassingly parallel: this runner executes submitted mix runs on
- * a fixed-size ThreadPool, is the one place baselines are memoized and
- * weighted speedups are computed, and guarantees
+ * worker threads it starts itself, is the one place baselines are
+ * memoized and weighted speedups are computed, and guarantees
  *
  *  - **submission-order results**: results are read back by the index
  *    submitMix() returned, whatever order workers finished in, so bench
@@ -16,8 +16,8 @@
  *    std::shared_futures keyed by (app, alone config), compared with
  *    == — the key is the machine that runs.  Each baseline simulates
  *    exactly once even when many mixes request it concurrently, and
- *    the first requester computes it inline (no nested pool tasks,
- *    so a full pool can never deadlock on its own futures).  A
+ *    the first requester computes it inline (no nested jobs, so
+ *    busy workers can never deadlock on their own futures).  A
  *    one-thread job that runs on its own baseline machine is its own
  *    baseline and simulates nothing more (Figure 1's four machines);
  *  - **first-error propagation**: run() rethrows the error of the
@@ -47,7 +47,7 @@
 namespace smtdram
 {
 
-/** Executes independent experiment jobs on a worker pool. */
+/** Executes independent experiment jobs on worker threads. */
 class ParallelExperimentRunner
 {
   public:

@@ -643,6 +643,17 @@ SmtSystem::skipToNextEvent(Cycle clamp)
 }
 
 void
+SmtSystem::sampleConcurrency(RunResult &res, std::uint64_t cycles) const
+{
+    if (cycles == 0 || !dram_->busy())
+        return;
+    const size_t outstanding = dram_->outstandingRequests();
+    res.outstandingHist.sample(outstanding, cycles);
+    if (outstanding >= 2)
+        res.threadsHist.sample(dram_->distinctThreadsOutstanding(), cycles);
+}
+
+void
 SmtSystem::considerMigration()
 {
     // Refresh the per-epoch baselines whatever we decide, so the
@@ -885,19 +896,9 @@ SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
                 clamp = std::min(clamp,
                                  lastEpochAt_ + config_.observe.epoch);
             }
-            const std::uint64_t skipped = skipToNextEvent(clamp);
-            if (skipped > 0 && dram_->busy()) {
-                // Interval-weighted Figure 4/5 sampling: the DRAM
-                // state is frozen across the skipped window, so the
-                // per-cycle kernel would have recorded these exact
-                // values once per skipped cycle.
-                const size_t outstanding = dram_->outstandingRequests();
-                res.outstandingHist.sample(outstanding, skipped);
-                if (outstanding >= 2) {
-                    res.threadsHist.sample(
-                        dram_->distinctThreadsOutstanding(), skipped);
-                }
-            }
+            // Figures 4 and 5 over the skipped window, whose DRAM
+            // state the per-cycle kernel would sample once per cycle.
+            sampleConcurrency(res, skipToNextEvent(clamp));
         }
         stepCycle();
         os_tick();
@@ -909,13 +910,8 @@ SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
             sampleEpoch();
         }
 
-        // Figures 4 and 5: sample while the DRAM system is busy.
-        if (dram_->busy()) {
-            const size_t outstanding = dram_->outstandingRequests();
-            res.outstandingHist.sample(outstanding);
-            if (outstanding >= 2)
-                res.threadsHist.sample(dram_->distinctThreadsOutstanding());
-        }
+        // Figures 4 and 5: this cycle's DRAM concurrency.
+        sampleConcurrency(res, 1);
 
         // Per-thread finish times only move on a cycle where some
         // thread committed, i.e. when the grand total moved — exact,

@@ -65,10 +65,11 @@ struct RunResult {
     double rowMissRate = 0.0;
     /** Main-memory accesses (reads) per 100 committed instructions. */
     double memAccessPer100 = 0.0;
-    /** Figure 4: outstanding requests while the DRAM is busy. */
-    Histogram outstandingHist{{1, 4, 8, 16}};
+    /** Figure 4: outstanding requests, one sample per cycle the DRAM
+     *  is busy (the figure's bins are cut at report time). */
+    LogHistogram outstandingHist;
     /** Figure 5: threads contributing when >=2 requests pending. */
-    Histogram threadsHist{{1, 2, 3, 4, 5, 6, 7}};
+    LogHistogram threadsHist;
     /** Fraction of cycles issuing at least one integer instruction. */
     double intIssueActiveFrac = 0.0;
     double branchMispredictRate = 0.0;
@@ -160,6 +161,14 @@ class SmtSystem
      * cycle itself normally.
      */
     std::uint64_t skipToNextEvent(Cycle clamp);
+
+    /**
+     * Figures 4 and 5: record the DRAM's current concurrency once per
+     * cycle of a @p cycles-long window, if the DRAM is busy.  The
+     * event kernel passes a whole skipped window, across which the
+     * DRAM state is frozen; a zero-cycle window costs nothing.
+     */
+    void sampleConcurrency(RunResult &res, std::uint64_t cycles) const;
 
     /**
      * The stats registry's one source: every scalar and histogram of

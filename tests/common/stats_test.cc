@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/stats.hh"
 
 namespace smtdram
@@ -9,65 +12,82 @@ namespace smtdram
 namespace
 {
 
+// The read-latency and read-queueing distributions are LogHistograms:
+// count, sum, min and max are exact integers.
+
 TEST(Distribution, EmptyIsZero)
 {
-    Distribution d;
-    EXPECT_EQ(d.count(), 0u);
+    LogHistogram d;
+    EXPECT_EQ(d.total(), 0u);
+    EXPECT_EQ(d.sum(), 0u);
     EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(d.min(), 0.0);
-    EXPECT_DOUBLE_EQ(d.max(), 0.0);
+    EXPECT_EQ(d.min(), 0u);
+    EXPECT_EQ(d.max(), 0u);
 }
 
 TEST(Distribution, TracksMoments)
 {
-    Distribution d;
-    d.sample(2.0);
-    d.sample(4.0);
-    d.sample(9.0);
-    EXPECT_EQ(d.count(), 3u);
-    EXPECT_DOUBLE_EQ(d.sum(), 15.0);
+    LogHistogram d;
+    d.sample(2);
+    d.sample(4);
+    d.sample(9);
+    EXPECT_EQ(d.total(), 3u);
+    EXPECT_EQ(d.sum(), 15u);
     EXPECT_DOUBLE_EQ(d.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(d.min(), 2.0);
-    EXPECT_DOUBLE_EQ(d.max(), 9.0);
+    EXPECT_EQ(d.min(), 2u);
+    EXPECT_EQ(d.max(), 9u);
+}
+
+TEST(Distribution, SumIsExactPastDoublePrecision)
+{
+    // 2^53 + 1 is the first integer a double cannot hold.
+    LogHistogram d;
+    d.sample(std::uint64_t{1} << 53);
+    d.sample(1);
+    EXPECT_EQ(d.sum(), (std::uint64_t{1} << 53) + 1);
 }
 
 TEST(Distribution, ResetClears)
 {
-    Distribution d;
-    d.sample(1.0);
+    LogHistogram d;
+    d.sample(1);
     d.reset();
-    EXPECT_EQ(d.count(), 0u);
+    EXPECT_EQ(d.total(), 0u);
+    EXPECT_EQ(d.sum(), 0u);
     EXPECT_DOUBLE_EQ(d.mean(), 0.0);
 }
 
 TEST(Distribution, MergeCombinesExactly)
 {
-    Distribution a, b;
-    a.sample(1.0);
-    a.sample(3.0);
-    b.sample(10.0);
-    Distribution m = mergeDistributions(a, b);
-    EXPECT_EQ(m.count(), 3u);
-    EXPECT_DOUBLE_EQ(m.sum(), 14.0);
-    EXPECT_DOUBLE_EQ(m.min(), 1.0);
-    EXPECT_DOUBLE_EQ(m.max(), 10.0);
+    LogHistogram a, b;
+    a.sample(1);
+    a.sample(3);
+    b.sample(10);
+    a.merge(b);
+    EXPECT_EQ(a.total(), 3u);
+    EXPECT_EQ(a.sum(), 14u);
+    EXPECT_EQ(a.min(), 1u);
+    EXPECT_EQ(a.max(), 10u);
 }
 
 TEST(Distribution, MergeWithEmptyIsIdentity)
 {
-    Distribution a, empty;
-    a.sample(5.0);
-    Distribution m = mergeDistributions(a, empty);
-    EXPECT_EQ(m.count(), 1u);
-    EXPECT_DOUBLE_EQ(m.min(), 5.0);
-    EXPECT_DOUBLE_EQ(m.max(), 5.0);
+    LogHistogram a, empty;
+    a.sample(5);
+    a.merge(empty);
+    EXPECT_EQ(a.total(), 1u);
+    EXPECT_EQ(a.sum(), 5u);
+    EXPECT_EQ(a.min(), 5u);
+    EXPECT_EQ(a.max(), 5u);
 }
+
+// The Figure 4/5 histograms are LogHistograms cut into the figures'
+// bins at report time by binFractions().
 
 TEST(Histogram, PaperFigure4Buckets)
 {
-    // Bounds {1,4,8,16}: buckets [0,1], [2,4], [5,8], [9,16], >16.
-    Histogram h({1, 4, 8, 16});
-    ASSERT_EQ(h.numBuckets(), 5u);
+    // Bounds {1,4,8,16}: bins [0,1], [2,4], [5,8], [9,16], >16.
+    LogHistogram h;
     h.sample(1);
     h.sample(2);
     h.sample(4);
@@ -76,66 +96,88 @@ TEST(Histogram, PaperFigure4Buckets)
     h.sample(17);
     h.sample(100);
     EXPECT_EQ(h.total(), 7u);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(1), 2u);
-    EXPECT_EQ(h.bucketCount(2), 1u);
-    EXPECT_EQ(h.bucketCount(3), 1u);
-    EXPECT_EQ(h.bucketCount(4), 2u);
+    const std::vector<HistogramBin> bins = binFractions(h, {1, 4, 8, 16});
+    ASSERT_EQ(bins.size(), 5u);
+    EXPECT_DOUBLE_EQ(bins[0].fraction, 1.0 / 7);
+    EXPECT_DOUBLE_EQ(bins[1].fraction, 2.0 / 7);
+    EXPECT_DOUBLE_EQ(bins[2].fraction, 1.0 / 7);
+    EXPECT_DOUBLE_EQ(bins[3].fraction, 1.0 / 7);
+    EXPECT_DOUBLE_EQ(bins[4].fraction, 2.0 / 7);
 }
 
 TEST(Histogram, BucketFractionsSumToOne)
 {
-    Histogram h({1, 4, 8, 16});
+    LogHistogram h;
     for (std::uint64_t v = 0; v < 40; ++v)
         h.sample(v);
     double sum = 0.0;
-    for (size_t i = 0; i < h.numBuckets(); ++i)
-        sum += h.bucketFraction(i);
+    for (const HistogramBin &bin : binFractions(h, {1, 4, 8, 16}))
+        sum += bin.fraction;
     EXPECT_NEAR(sum, 1.0, 1e-12);
+}
+
+/** The labels binFractions() gives @p bounds. */
+std::vector<std::string>
+labels(const std::vector<std::uint64_t> &bounds)
+{
+    std::vector<std::string> out;
+    for (const HistogramBin &bin : binFractions(LogHistogram(), bounds))
+        out.push_back(bin.label);
+    return out;
 }
 
 TEST(Histogram, Labels)
 {
-    Histogram h({1, 4, 8, 16});
-    EXPECT_EQ(h.bucketLabel(0), "0-1");
-    EXPECT_EQ(h.bucketLabel(1), "2-4");
-    EXPECT_EQ(h.bucketLabel(2), "5-8");
-    EXPECT_EQ(h.bucketLabel(3), "9-16");
-    EXPECT_EQ(h.bucketLabel(4), ">16");
+    EXPECT_EQ(labels({1, 4, 8, 16}),
+              (std::vector<std::string>{"0-1", "2-4", "5-8", "9-16",
+                                        ">16"}));
 }
 
 TEST(Histogram, SingleValueBucketLabel)
 {
-    Histogram h({1, 2, 3});
-    EXPECT_EQ(h.bucketLabel(1), "2");
-    EXPECT_EQ(h.bucketLabel(2), "3");
+    EXPECT_EQ(labels({1, 2, 3}),
+              (std::vector<std::string>{"0-1", "2", "3", ">3"}));
+}
+
+TEST(Histogram, SingleValueBinFractions)
+{
+    LogHistogram h;
+    for (std::uint64_t v : {0u, 1u, 2u, 2u, 3u, 3u, 3u, 9u})
+        h.sample(v);
+    const std::vector<HistogramBin> bins = binFractions(h, {1, 2, 3});
+    ASSERT_EQ(bins.size(), 4u);
+    EXPECT_DOUBLE_EQ(bins[0].fraction, 2.0 / 8);
+    EXPECT_DOUBLE_EQ(bins[1].fraction, 2.0 / 8);
+    EXPECT_DOUBLE_EQ(bins[2].fraction, 3.0 / 8);
+    EXPECT_DOUBLE_EQ(bins[3].fraction, 1.0 / 8);
 }
 
 TEST(Histogram, FractionAboveExact)
 {
-    Histogram h({1, 4, 8, 16});
+    LogHistogram h;
     h.sample(5);
     h.sample(9);
     h.sample(20);
-    h.sample(200);  // beyond the raw-tracking cap
-    EXPECT_NEAR(h.fractionAbove(8), 3.0 / 4.0, 1e-12);
-    EXPECT_NEAR(h.fractionAbove(4), 1.0, 1e-12);
+    h.sample(200);  // in a shared bucket, but certainly above 8
+    EXPECT_DOUBLE_EQ(h.fractionAbove(8), 3.0 / 4.0);
+    EXPECT_DOUBLE_EQ(h.fractionAbove(4), 1.0);
+    EXPECT_DOUBLE_EQ(h.fractionAbove(20), 1.0 / 4.0);
+    EXPECT_DOUBLE_EQ(h.fractionAbove(31), 1.0 / 4.0);
 }
 
 TEST(Histogram, EmptyFractions)
 {
-    Histogram h({1, 2});
-    EXPECT_DOUBLE_EQ(h.bucketFraction(0), 0.0);
+    const LogHistogram h;
+    for (const HistogramBin &bin : binFractions(h, {1, 4, 8, 16}))
+        EXPECT_DOUBLE_EQ(bin.fraction, 0.0) << bin.label;
     EXPECT_DOUBLE_EQ(h.fractionAbove(1), 0.0);
 }
 
 TEST(Histogram, WeightedSampleEqualsRepeatedSamples)
 {
     // The interval-weighted form the event-driven kernel uses must be
-    // exactly equivalent to the per-cycle kernel's repeated calls —
-    // including the raw per-value tallies behind fractionAbove().
-    Histogram repeated({1, 4, 8, 16});
-    Histogram weighted({1, 4, 8, 16});
+    // exactly equivalent to the per-cycle kernel's repeated calls.
+    LogHistogram repeated, weighted;
     const std::uint64_t values[] = {0, 3, 8, 17, 200};
     const std::uint64_t counts[] = {5, 1, 119, 42, 7};
     for (size_t i = 0; i < 5; ++i) {
@@ -144,27 +186,55 @@ TEST(Histogram, WeightedSampleEqualsRepeatedSamples)
         weighted.sample(values[i], counts[i]);
     }
     ASSERT_EQ(repeated.total(), weighted.total());
+    EXPECT_EQ(repeated.sum(), weighted.sum());
+    EXPECT_EQ(repeated.min(), weighted.min());
+    EXPECT_EQ(repeated.max(), weighted.max());
     for (size_t i = 0; i < repeated.numBuckets(); ++i)
         EXPECT_EQ(repeated.bucketCount(i), weighted.bucketCount(i));
-    for (std::uint64_t v : {0u, 1u, 4u, 8u, 16u, 128u, 199u})
+    for (std::uint64_t v : {0u, 1u, 4u, 8u, 16u, 31u})
         EXPECT_DOUBLE_EQ(repeated.fractionAbove(v),
                          weighted.fractionAbove(v));
 }
 
 TEST(Histogram, WeightedSampleOfZeroCountIsANoOp)
 {
-    Histogram h({1, 4});
+    LogHistogram h;
     h.sample(3, 0);
     EXPECT_EQ(h.total(), 0u);
+    EXPECT_EQ(h.sum(), 0u);
+    EXPECT_EQ(h.min(), 0u);
+    EXPECT_EQ(h.max(), 0u);
+    EXPECT_EQ(h.bucketCount(3), 0u);
+
+    // Nor does it disturb a histogram that holds samples.
+    h.sample(5);
+    h.sample(1, 0);
+    h.sample(100, 0);
+    EXPECT_EQ(h.total(), 1u);
+    EXPECT_EQ(h.min(), 5u);
+    EXPECT_EQ(h.max(), 5u);
 }
 
 TEST(Histogram, ResetClears)
 {
-    Histogram h({1, 2});
-    h.sample(1);
+    LogHistogram h;
+    h.sample(1, 4);
     h.reset();
     EXPECT_EQ(h.total(), 0u);
-    EXPECT_EQ(h.bucketCount(0), 0u);
+    EXPECT_EQ(h.bucketCount(1), 0u);
+    for (const HistogramBin &bin : binFractions(h, {1, 2}))
+        EXPECT_DOUBLE_EQ(bin.fraction, 0.0) << bin.label;
+}
+
+TEST(HistogramDeathTest, BadBoundsPanic)
+{
+    // From 32 on, values share buckets: no exact answer exists.
+    LogHistogram h;
+    h.sample(40);
+    EXPECT_DEATH(h.fractionAbove(32), "fractionAbove\\(32\\) is inexact");
+    EXPECT_DEATH(binFractions(h, {1, 32}), "bin bound 32 is inexact");
+    EXPECT_DEATH(binFractions(h, {4, 4}), "strictly increasing");
+    EXPECT_DEATH(binFractions(h, {}), "at least one bound");
 }
 
 TEST(LogHistogram, EmptyIsZero)

@@ -106,7 +106,7 @@ TEST(DramSystem, AggregateStatsSumChannels)
     EXPECT_EQ(agg.reads,
               sys.channel(0).stats().reads + sys.channel(1).stats().reads);
     EXPECT_EQ(agg.rowHits + agg.rowEmpty + agg.rowConflicts, 8u);
-    EXPECT_EQ(agg.readLatency.count(), 8u);
+    EXPECT_EQ(agg.readLatency.total(), 8u);
 }
 
 TEST(DramSystem, ResetStatsClearsCounters)

@@ -269,8 +269,8 @@ TEST(MemoryController, LatencyStatsTrackQueueing)
     drain(mc, 0, 3000);
     EXPECT_EQ(mc.stats().reads, 2u);
     // The second read queued behind the first: mean queueing > 0.
-    EXPECT_GT(mc.stats().readQueueing.max(), 0.0);
-    EXPECT_GT(mc.stats().readLatency.min(), 100.0);
+    EXPECT_GT(mc.stats().readQueueing.max(), 0u);
+    EXPECT_GT(mc.stats().readLatency.min(), 100u);
 }
 
 TEST(MemoryController, BlameDecompositionColdRead)
@@ -318,8 +318,7 @@ TEST(MemoryController, BlameQueueingFeedsInterferenceMatrix)
               waited.blame[BlameComponent::Queueing]);
     EXPECT_EQ(mc.stats().interference.rowSum(0), 0u);
     // Aggregate reconciliation at the controller level.
-    EXPECT_EQ(static_cast<double>(mc.stats().blameTotals.sum()),
-              mc.stats().readLatency.sum());
+    EXPECT_EQ(mc.stats().blameTotals.sum(), mc.stats().readLatency.sum());
 }
 
 TEST(MemoryController, NextEventAtIdleIsNever)

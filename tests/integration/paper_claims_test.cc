@@ -117,9 +117,8 @@ TEST(PaperClaims, ConcurrencyGrowsWithThreads)
 TEST(PaperClaims, MemConcurrencyComesFromManyThreads)
 {
     const MixRun r = runWith("4-MEM", [](SystemConfig &) {});
-    const Histogram &h = r.run.threadsHist;
     // Most samples involve at least 3 of the 4 threads.
-    EXPECT_GT(h.bucketFraction(2) + h.bucketFraction(3), 0.5);
+    EXPECT_GT(r.run.threadsHist.fractionAbove(2), 0.5);
 }
 
 // ---- Figure 6 claim -------------------------------------------------

@@ -176,8 +176,7 @@ TEST(BlameProperty, ConservationAndRowSumsAcrossSchedulers)
 
             // Aggregate conservation: launch-lockstep accumulation
             // reconciles exactly with the latency distribution.
-            EXPECT_EQ(static_cast<double>(cyc.agg.blameTotals.sum()),
-                      cyc.agg.readLatency.sum());
+            EXPECT_EQ(cyc.agg.blameTotals.sum(), cyc.agg.readLatency.sum());
 
             // Drained row-sum consistency, per thread.
             ASSERT_LE(cyc.agg.perThreadBlame.size(),
@@ -237,7 +236,7 @@ TEST(BlameProperty, KernelModesAttributeIdentically)
                   results[1].dram.blameTotals.sum());
         // Conservation of the aggregate against the latency stats the
         // figures already report.
-        EXPECT_EQ(static_cast<double>(results[0].dram.blameTotals.sum()),
+        EXPECT_EQ(results[0].dram.blameTotals.sum(),
                   results[0].dram.readLatency.sum());
         EXPECT_GT(results[0].dram.blameTotals.sum(), 0u);
     }

@@ -1,7 +1,7 @@
 /**
  * @file
- * The `smtdram_fig` flow end to end: bad integer flags die with a
- * fatal() that names the flag before anything reaches stdout, and
+ * The `smtdram_fig` flow end to end: bad integer flags and bad cell
+ * values die with a fatal() before anything reaches stdout, and
  * fig13's --matrix-csv keeps one column per thread of the widest mix.
  */
 
@@ -100,22 +100,40 @@ TEST(FigureFlagsDeathTest, WrappedSocketCountDiesAtParse)
 
 TEST(FigureFlagsDeathTest, BadFlagPrintsNothingToStdout)
 {
-    // Every flag is read, the cells' own included, before the banner
-    // and the paper claim print.
+    // Every flag is read, the cells' own included, and every planned
+    // cell's DRAM and topology validated, before the banner and the
+    // paper claim print.
     struct Case {
         const char *figure;
         std::vector<std::string> args;
-        const char *flag;
+        const char *message;
     };
     const std::vector<Case> cases = {
-        {"fig10_thread_aware", {"--mixes=2-MEM", "--insts=-5"}, "insts"},
-        {"fig10_thread_aware", {"--mixes=2-MEM", "--jobs=-1"}, "jobs"},
-        {"fig10_thread_aware", {"--mixes=2-MEM", "--epoch=-3"}, "epoch"},
-        {"fig9_mapping_rdram", {"--chips=-1"}, "chips"},
-        {"fig12_rowhammer", {"--thresholds=abc"}, "thresholds"},
+        {"fig10_thread_aware", {"--mixes=2-MEM", "--insts=-5"},
+         "fatal: flag --insts expects"},
+        {"fig10_thread_aware", {"--mixes=2-MEM", "--jobs=-1"},
+         "fatal: flag --jobs expects"},
+        {"fig10_thread_aware", {"--mixes=2-MEM", "--epoch=-3"},
+         "fatal: flag --epoch expects"},
+        {"fig9_mapping_rdram", {"--chips=-1"}, "fatal: flag --chips expects"},
+        {"fig12_rowhammer", {"--thresholds=abc"},
+         "fatal: flag --thresholds expects"},
+        {"fig14_numa", {"--insts=200", "--warmup=100", "--sockets=0"},
+         "fatal: topology needs at least one socket"},
+        {"fig14_numa", {"--insts=200", "--warmup=100", "--smt-ways=1"},
+         "fatal: topology oversubscribed"},
+        {"fig12_rowhammer", {"--insts=200", "--warmup=100", "--thresholds=0"},
+         "fatal: a hammer threshold of 0"},
+        {"fig10_thread_aware",
+         {"--mixes=2-MEM", "--insts=200", "--warmup=100", "--ecc",
+          "--scrub-interval=0"},
+         "fatal: ECC is enabled but the patrol-scrub interval is 0"},
     };
     for (const Case &c : cases) {
-        SCOPED_TRACE(std::string(c.figure) + " --" + c.flag);
+        std::string command = c.figure;
+        for (const std::string &arg : c.args)
+            command += " " + arg;
+        SCOPED_TRACE(command);
         const std::string out = testArtifactPath("stdout.txt");
         std::remove(out.c_str());
         EXPECT_EXIT(
@@ -125,8 +143,7 @@ TEST(FigureFlagsDeathTest, BadFlagPrintsNothingToStdout)
                     std::abort();
                 runFig(c.figure, c.args);
             },
-            testing::ExitedWithCode(1),
-            std::string("fatal: flag --") + c.flag + " expects");
+            testing::ExitedWithCode(1), c.message);
         std::ifstream in(out);
         ASSERT_TRUE(in.good()) << "the child never opened " << out;
         std::stringstream printed;

@@ -87,10 +87,13 @@ runKernel(SystemConfig config, const std::vector<AppProfile> &apps,
 }
 
 void
-expectHistogramsEqual(const Histogram &a, const Histogram &b)
+expectHistogramsEqual(const LogHistogram &a, const LogHistogram &b)
 {
     ASSERT_EQ(a.numBuckets(), b.numBuckets());
     EXPECT_EQ(a.total(), b.total());
+    EXPECT_EQ(a.sum(), b.sum());
+    EXPECT_EQ(a.min(), b.min());
+    EXPECT_EQ(a.max(), b.max());
     for (size_t i = 0; i < a.numBuckets(); ++i)
         EXPECT_EQ(a.bucketCount(i), b.bucketCount(i)) << "bucket " << i;
 }

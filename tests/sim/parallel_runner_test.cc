@@ -38,8 +38,8 @@ expectIdenticalMixRuns(const MixRun &a, const MixRun &b)
     EXPECT_EQ(a.run.dram.rowHits, b.run.dram.rowHits);
     EXPECT_EQ(a.run.dram.rowConflicts, b.run.dram.rowConflicts);
     EXPECT_EQ(a.run.dram.busBusyCycles, b.run.dram.busBusyCycles);
-    EXPECT_EQ(a.run.dram.readLatency.count(),
-              b.run.dram.readLatency.count());
+    EXPECT_EQ(a.run.dram.readLatency.total(),
+              b.run.dram.readLatency.total());
     EXPECT_EQ(a.run.dram.readLatency.mean(),
               b.run.dram.readLatency.mean());
     EXPECT_EQ(a.run.perThreadReads, b.run.perThreadReads);

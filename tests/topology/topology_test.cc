@@ -372,7 +372,7 @@ expectSameResult(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.dram.rowEmpty, b.dram.rowEmpty);
     EXPECT_EQ(a.dram.rowConflicts, b.dram.rowConflicts);
     EXPECT_EQ(a.dram.busBusyCycles, b.dram.busBusyCycles);
-    EXPECT_EQ(a.dram.readLatency.count(), b.dram.readLatency.count());
+    EXPECT_EQ(a.dram.readLatency.total(), b.dram.readLatency.total());
     EXPECT_EQ(a.dram.readLatency.sum(), b.dram.readLatency.sum());
     EXPECT_EQ(a.dram.readQueueing.sum(), b.dram.readQueueing.sum());
     for (std::size_t c = 0; c < kNumBlameComponents; ++c) {
