@@ -45,9 +45,9 @@ main()
     std::printf("  DRAM reads/writes  : %llu / %llu\n",
                 (unsigned long long)r.dram.reads,
                 (unsigned long long)r.dram.writes);
-    std::printf("  mem refs/100 insts : %.2f\n", r.memAccessPer100);
+    std::printf("  mem refs/100 insts : %.2f\n", r.memAccessPer100());
     std::printf("  row-buffer miss    : %.1f%%\n",
-                100.0 * r.rowMissRate);
+                100.0 * r.dram.rowMissRate());
     std::printf("  avg read latency   : %.0f cycles\n",
                 r.dram.readLatency.mean());
     return 0;

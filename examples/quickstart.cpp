@@ -68,9 +68,9 @@ main(int argc, char **argv)
                 (unsigned long long)result.run.dram.reads,
                 (unsigned long long)result.run.dram.writes);
     std::printf("  mem accesses/100 inst : %.2f\n",
-                result.run.memAccessPer100);
+                result.run.memAccessPer100());
     std::printf("  row-buffer miss rate  : %.1f%%\n",
-                100.0 * result.run.rowMissRate);
+                100.0 * result.run.dram.rowMissRate());
     std::printf("  avg read latency      : %.0f cycles\n",
                 result.run.dram.readLatency.mean());
 

@@ -121,12 +121,6 @@ Flags::getBool(const std::string &name) const
     fatal("flag --%s expects a boolean, got '%s'", name.c_str(), s.c_str());
 }
 
-bool
-Flags::given(const std::string &name) const
-{
-    return values_.count(name) != 0;
-}
-
 std::vector<std::string>
 splitList(const std::string &csv)
 {

@@ -63,9 +63,6 @@ class Flags
         const std::string &name, const std::string &text,
         std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
-    /** True if the flag was explicitly given on the command line. */
-    bool given(const std::string &name) const;
-
   private:
     struct Decl {
         std::string defaultValue;

@@ -134,7 +134,11 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
     std::string msg = vformat(fmt, args);
     va_end(args);
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    std::exit(1);
+    // _Exit, not exit: a fatal on one sweep worker must not run static
+    // destructors under its siblings.  Flush first, or buffered output
+    // would be lost.
+    std::fflush(nullptr);
+    std::_Exit(1);
 }
 
 void

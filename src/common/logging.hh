@@ -5,7 +5,8 @@
  * panic()  — an internal invariant was violated; this is a simulator
  *            bug.  Aborts (may dump core).
  * fatal()  — the user asked for something impossible (bad config,
- *            bad CLI flag).  Exits with status 1.
+ *            bad CLI flag).  Flushes every stream and exits with
+ *            status 1, running no static destructors.
  * warn()   — something is approximated; simulation continues.
  * inform() — plain status output.
  */

@@ -56,6 +56,8 @@ class LogHistogram
 
     void reset();
 
+    bool operator==(const LogHistogram &) const = default;
+
     std::uint64_t total() const { return total_; }
     std::uint64_t sum() const { return sum_; }
     std::uint64_t min() const { return total_ ? min_ : 0; }

@@ -122,6 +122,8 @@ struct LatencyBlame
         for (std::size_t i = 0; i < kNumBlameComponents; ++i)
             cycles[i] += other.cycles[i];
     }
+
+    bool operator==(const LatencyBlame &) const = default;
 };
 
 /**
@@ -204,6 +206,8 @@ class InterferenceMatrix
                                  : static_cast<ThreadId>(col - 1),
                         other.rows_[row][col]);
     }
+
+    bool operator==(const InterferenceMatrix &) const = default;
 
   private:
     /** rows_[blocked][0] = system blocker; rows_[blocked][j + 1] =

@@ -1,8 +1,10 @@
 #include "dram/dram_system.hh"
 
 #include <algorithm>
+#include <functional>
 #include <iostream>
 #include <ostream>
+#include <type_traits>
 
 #include "common/logging.hh"
 
@@ -313,17 +315,18 @@ DramSystem::channel(std::uint32_t c) const
     return controllers_[c];
 }
 
-template <class Stats>
-Stats
-DramSystem::sum(const Stats &(MemoryController::*get)() const,
-                std::uint32_t first, std::uint32_t last) const
+template <class Get>
+auto
+DramSystem::sum(Get get, std::uint32_t first, std::uint32_t last) const
 {
+    using Stats =
+        std::decay_t<std::invoke_result_t<Get, const MemoryController &>>;
     Stats agg;
     for (std::uint32_t s = first; s < last; ++s) {
         Stats socket;
         for (std::uint32_t c = s * perSocket_; c < (s + 1) * perSocket_;
              ++c)
-            socket.merge((controllers_[c].*get)());
+            socket.merge(std::invoke(get, controllers_[c]));
         agg.merge(socket);
     }
     return agg;
@@ -364,16 +367,11 @@ DramSystem::hammerFlippedRows() const
 }
 
 PowerStats
-DramSystem::aggregatePowerStats() const
+DramSystem::aggregatePowerStats(Cycle now) const
 {
-    return sum(&MemoryController::powerStats, 0, sockets_);
-}
-
-void
-DramSystem::syncPower(Cycle now)
-{
-    for (auto &mc : controllers_)
-        mc.syncPower(now);
+    return sum(
+        [now](const MemoryController &mc) { return mc.powerAt(now).stats(); },
+        0, sockets_);
 }
 
 void
@@ -416,7 +414,8 @@ DramSystem::dumpState(std::ostream &os) const
            << " completed=" << checker_->completed()
            << " live=" << checker_->outstanding() << "}";
     }
-    const PowerStats pagg = aggregatePowerStats();
+    // The meters as the last commands left them, unsynced.
+    const PowerStats pagg = sum(&MemoryController::powerStats, 0, sockets_);
     os << " power{totalNj=" << pagg.totalEnergy
        << " pdEntries=" << pagg.powerdownEntries
        << " srEntries=" << pagg.selfRefreshEntries << "}";

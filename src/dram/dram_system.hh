@@ -152,15 +152,9 @@ class DramSystem : public MemoryPort
     /** Victim rows currently carrying at least one flipped bit. */
     std::uint64_t hammerFlippedRows() const;
 
-    /** Sum of all per-channel energy/power stats. */
-    PowerStats aggregatePowerStats() const;
-
-    /**
-     * Bring every channel's background-energy accounting current to
-     * cycle @p now.  Call before reading power stats; pure
-     * bookkeeping, never changes timing.
-     */
-    void syncPower(Cycle now);
+    /** Sum of all per-channel energy/power stats, each channel's
+     *  meter synced to @p now on a copy (MemoryController::powerAt). */
+    PowerStats aggregatePowerStats(Cycle now) const;
 
     /** @param now stats-boundary cycle; anchors background-energy
      *         accounting for the new measurement window. */
@@ -201,11 +195,11 @@ class DramSystem : public MemoryPort
     /** tick() of socket @p s's channels. */
     void tickSocket(std::uint32_t s, Cycle now);
 
-    /** Sum of @p get over sockets [first, last)'s channels, one
-     *  socket's sum at a time (floating-point totals add per socket). */
-    template <class Stats>
-    Stats sum(const Stats &(MemoryController::*get)() const,
-              std::uint32_t first, std::uint32_t last) const;
+    /** Sum of @p get(channel) over sockets [first, last)'s channels,
+     *  one socket's sum at a time (floating-point totals add per
+     *  socket). */
+    template <class Get>
+    auto sum(Get get, std::uint32_t first, std::uint32_t last) const;
 
     /**
      * The one admission path, for demand and maintenance traffic

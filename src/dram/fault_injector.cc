@@ -4,20 +4,15 @@ namespace smtdram
 {
 
 FaultInjector::FaultInjector(const FaultConfig &config,
-                             const EccConfig &ecc,
-                             const HammerConfig &hammer,
-                             std::uint32_t channel)
+                             const EccConfig &ecc, std::uint32_t channel)
     : config_(config),
       ecc_(ecc),
-      hammer_(hammer),
       // Channel-distinct seeding so ganged sweeps don't see the same
       // fault pattern on every channel.  The ECC stream mixes a
       // different constant so the two mechanisms stay independent
-      // even though they share faults.seed; the hammer stream has its
-      // own seed knob on top of a third constant.
+      // even though they share faults.seed.
       rng_(config.seed + 0x5bd1'e995ULL * (channel + 1)),
       eccRng_(config.seed + 0x9e37'79b9ULL * (channel + 1)),
-      hammerRng_(hammer.seed + 0xc2b2'ae3dULL * (channel + 1)),
       active_(config.active()),
       eccActive_(ecc.injectsErrors())
 {
@@ -76,12 +71,6 @@ FaultInjector::sampleEccRead()
         return EccOutcome::Corrected;
     }
     return EccOutcome::Clean;
-}
-
-bool
-FaultInjector::sampleHammerFlip()
-{
-    return hammerRng_.chance(hammer_.flipProbability);
 }
 
 } // namespace smtdram

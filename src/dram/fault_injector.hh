@@ -60,14 +60,7 @@ class FaultInjector
 {
   public:
     FaultInjector(const FaultConfig &config, const EccConfig &ecc,
-                  const HammerConfig &hammer, std::uint32_t channel);
-
-    /** Convenience: no disturbance model (hammer RNG never drawn). */
-    FaultInjector(const FaultConfig &config, const EccConfig &ecc,
-                  std::uint32_t channel)
-        : FaultInjector(config, ecc, HammerConfig{}, channel)
-    {
-    }
+                  std::uint32_t channel);
 
     bool active() const { return active_; }
 
@@ -94,25 +87,14 @@ class FaultInjector
      */
     EccOutcome sampleEccRead();
 
-    /**
-     * One Bernoulli trial of the rowhammer disturbance model: does
-     * this over-threshold aggressor activation flip one more bit in
-     * the victim row?  Drawn from a third dedicated stream (seeded
-     * from hammer.seed, not faults.seed) so enabling the hammer model
-     * never perturbs the fault or ECC patterns of a given seed.
-     */
-    bool sampleHammerFlip();
-
     const FaultStats &stats() const { return stats_; }
     void resetStats() { stats_ = FaultStats(); }
 
   private:
     FaultConfig config_;
     EccConfig ecc_;
-    HammerConfig hammer_;
     Rng rng_;
     Rng eccRng_;
-    Rng hammerRng_;
     bool active_;
     bool eccActive_;
     /** End of the currently open stall window (no overlap). */

@@ -86,12 +86,12 @@ MemoryController::MemoryController(const DramConfig &config,
     : config_(config),
       channel_(channel),
       scheduler_(scheduler),
-      injector_(config.faults, config.ecc, config.hammer, channel),
+      injector_(config.faults, config.ecc, channel),
       // The address map does not bound the row index (pages map ever
       // upward), so the disturbance model only clips victims at the
       // index-space edges.
       hammer_(config.hammer, config.banksPerChannel(),
-              std::numeric_limits<std::uint32_t>::max()),
+              std::numeric_limits<std::uint32_t>::max(), channel),
       table_(TimingTable::build(config)),
       banks_(config.banksPerChannel()),
       power_(config, channel)
@@ -502,7 +502,7 @@ MemoryController::launch(ReqHandle handle, Cycle now)
         // may append preventive-refresh requests the system will
         // materialize on its next tick.
         if (!hit) {
-            hammer_.recordActivation(bank, req.coord.row, injector_,
+            hammer_.recordActivation(bank, req.coord.row,
                                      pendingMitigations_);
         }
         // A data write overwrites the victim row's content, repairing

@@ -117,6 +117,8 @@ struct ControllerStats {
     /** Accumulate @p other (another channel's or socket's stats). */
     void merge(const ControllerStats &other);
 
+    bool operator==(const ControllerStats &) const = default;
+
     /** Paper's row-buffer miss rate: misses / all accesses. */
     double
     rowMissRate() const
@@ -241,17 +243,14 @@ class MemoryController
     RowHammerModel &hammerModel() { return hammer_; }
     const RowHammerModel &hammerModel() const { return hammer_; }
 
-    /** Energy/power accounting of this channel (always on). */
+    /** Energy/power accounting of this channel (always on) as of the
+     *  last command; background energy and residency accrue lazily,
+     *  so a reader of those takes powerAt(). */
     const PowerStats &powerStats() const { return power_.stats(); }
 
-    /** Total energy attributed to one rank so far, nJ. */
-    double rankEnergy(std::uint32_t rank) const
-    {
-        return power_.rankEnergy(rank);
-    }
-
-    /** Ranks (chip groups) on this channel. */
-    std::uint32_t powerRanks() const { return power_.ranks(); }
+    /** This channel's power meter synced to @p now, on a copy:
+     *  reading never moves the meter, so it never changes a run. */
+    PowerModel powerAt(Cycle now) const { return power_.syncedTo(now); }
 
     /** Lazily evaluated power state of one rank at @p now. */
     PowerState
@@ -259,13 +258,6 @@ class MemoryController
     {
         return power_.stateAt(rank, now);
     }
-
-    /**
-     * Bring background-energy and state-residency accounting current
-     * to cycle @p now.  Pure bookkeeping: never changes timing, safe
-     * to call at any cadence (epoch sampling, run end, post-mortem).
-     */
-    void syncPower(Cycle now) { power_.sync(now); }
 
     /**
      * Attach a request-lifecycle tracer (not owned; nullptr detaches).

@@ -37,11 +37,11 @@
  * the thresholds, so no per-cycle work is needed and the DRAM-system
  * idle fast-path stays intact.  Transitions are materialized —
  * residency and background energy accounted, trace spans emitted,
- * entry precharges metered, exit penalty charged — only when
- * something next touches the rank (an access, a refresh, a stats
- * sync).  With the machine off a rank never leaves Active and never
- * charges a penalty; its busyUntil still anchors the background
- * accounting.
+ * entry precharges metered, exit penalty charged — only when a
+ * command next touches the rank (an access, a refresh).  Stats
+ * readers see a synced copy (syncedTo()), never the live meter.
+ * With the machine off a rank never leaves Active and never charges a
+ * penalty; its busyUntil still anchors the background accounting.
  */
 
 #ifndef SMTDRAM_DRAM_POWER_MODEL_HH
@@ -133,6 +133,8 @@ struct PowerStats {
         lowPowerSpanHist.merge(other.lowPowerSpanHist);
     }
 
+    bool operator==(const PowerStats &) const = default;
+
     /** Component sum (cross-check against totalEnergy). */
     double
     componentEnergy() const
@@ -218,10 +220,22 @@ class PowerModel
     /**
      * Bring every rank's residency/background accounting current to
      * @p now without materializing transitions (no spans, no row
-     * closures).  Safe at any time; splitting an idle window across
-     * sync points accounts identically to not splitting it.
+     * closures).  Splitting an idle window across sync points accounts
+     * the same residency cycles, but its background energy is then
+     * summed in pieces, which is not ULP-identical; readers therefore
+     * take syncedTo() and leave the live meter alone.
      */
     void sync(Cycle now);
+
+    /** A copy of this meter synced to @p now: what a reader sees at
+     *  @p now, without moving the meter itself. */
+    PowerModel
+    syncedTo(Cycle now) const
+    {
+        PowerModel copy = *this;
+        copy.sync(now);
+        return copy;
+    }
 
     /** Stats boundary: zero all accumulators and re-anchor the
      *  background accounting at @p now. */

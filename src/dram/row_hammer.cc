@@ -3,15 +3,16 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "dram/fault_injector.hh"
 
 namespace smtdram
 {
 
 RowHammerModel::RowHammerModel(const HammerConfig &config,
                                std::uint32_t banks,
-                               std::uint32_t rowsPerBank)
-    : config_(config), rowsPerBank_(rowsPerBank), banks_(banks)
+                               std::uint32_t rowsPerBank,
+                               std::uint32_t channel)
+    : config_(config), rowsPerBank_(rowsPerBank), banks_(banks),
+      flipRng_(config.seed + 0xc2b2'ae3dULL * (channel + 1))
 {
     if (config_.mitigates()) {
         for (BankState &b : banks_)
@@ -41,7 +42,6 @@ RowHammerModel::rawPressure(const BankState &bank,
 
 void
 RowHammerModel::recordActivation(std::uint32_t bank, std::uint32_t row,
-                                 FaultInjector &injector,
                                  std::vector<MitigationRequest> &out)
 {
     BankState &b = banks_[bank];
@@ -69,7 +69,7 @@ RowHammerModel::recordActivation(std::uint32_t bank, std::uint32_t row,
             if (pressure < config_.hammerThreshold)
                 continue;
             ++stats_.thresholdCrossings;
-            if (injector.sampleHammerFlip()) {
+            if (flipRng_.chance(config_.flipProbability)) {
                 ++b.flips[victim];
                 ++stats_.victimFlips;
             }

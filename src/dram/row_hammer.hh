@@ -12,13 +12,13 @@
  *    `blastRadius`) minus any pressure already relieved by a
  *    preventive refresh of that victim.  Once pressure passes
  *    `hammerThreshold`, each further aggressor ACT runs one Bernoulli
- *    trial (FaultInjector's dedicated hammer stream) that may flip
- *    one more bit in the victim.  Flips accumulate as *data
- *    corruption*: a refresh restores charge (resetting pressure) but
- *    cannot unflip bits — only an ECC-correcting read or a data write
- *    to the row repairs them.  On the next read of the victim, one
- *    outstanding flip is SECDED-corrected; two or more are a detected
- *    uncorrectable error; with ECC off the read is silently corrupt.
+ *    trial (the model's own flip stream) that may flip one more bit
+ *    in the victim.  Flips accumulate as *data corruption*: a refresh
+ *    restores charge (resetting pressure) but cannot unflip bits —
+ *    only an ECC-correcting read or a data write to the row repairs
+ *    them.  On the next read of the victim, one outstanding flip is
+ *    SECDED-corrected; two or more are a detected uncorrectable
+ *    error; with ECC off the read is silently corrupt.
  *
  * 2. Graphene tracker (approximate, bounded).  A Misra-Gries
  *    frequent-item summary per bank — `trackerCapacity` (row, count)
@@ -44,13 +44,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/random.hh"
 #include "common/types.hh"
 #include "dram/dram_config.hh"
 
 namespace smtdram
 {
-
-class FaultInjector;
 
 /** Per-channel statistics of the disturbance model and mitigation. */
 struct HammerStats {
@@ -93,6 +92,8 @@ struct HammerStats {
         mitigationCycles += other.mitigationCycles;
         trackerEvictions += other.trackerEvictions;
     }
+
+    bool operator==(const HammerStats &) const = default;
 };
 
 /** A preventive refresh the tracker wants the controller to issue. */
@@ -106,8 +107,10 @@ struct MitigationRequest {
 class RowHammerModel
 {
   public:
+    /** @param channel logical-channel index; diversifies the flip
+     *         stream's seed like the fault injector's. */
     RowHammerModel(const HammerConfig &config, std::uint32_t banks,
-                   std::uint32_t rowsPerBank);
+                   std::uint32_t rowsPerBank, std::uint32_t channel = 0);
 
     bool active() const { return config_.active(); }
     bool mitigates() const { return config_.mitigates(); }
@@ -115,12 +118,11 @@ class RowHammerModel
     /**
      * Observe one row activation.  Runs the disturbance trials for
      * the neighbors whose pressure is past the hammer threshold
-     * (drawing from @p injector's hammer stream) and, when mitigation
-     * is on, updates the Misra-Gries table — appending any triggered
+     * (drawing from the flip stream) and, when mitigation is on,
+     * updates the Misra-Gries table — appending any triggered
      * preventive refreshes to @p out.
      */
     void recordActivation(std::uint32_t bank, std::uint32_t row,
-                          FaultInjector &injector,
                           std::vector<MitigationRequest> &out);
 
     /** Bank auto-refresh: charge restored everywhere, so activation
@@ -180,6 +182,9 @@ class RowHammerModel
     HammerConfig config_;
     std::uint32_t rowsPerBank_;
     std::vector<BankState> banks_;
+    /** Flip trials, seeded from hammer.seed (not faults.seed) so the
+     *  hammer model never perturbs the fault or ECC patterns. */
+    Rng flipRng_;
     HammerStats stats_;
 };
 

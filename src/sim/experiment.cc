@@ -131,14 +131,6 @@ configSignature(const SystemConfig &config)
                     (unsigned long long)t.migrationEpoch,
                     (unsigned long long)t.migrationCost);
         }
-        if (!t.pinned.empty()) {
-            sig += "-pin";
-            for (size_t i = 0; i < t.pinned.size(); ++i) {
-                if (i)
-                    sig += ",";
-                sig += std::to_string(t.pinned[i]);
-            }
-        }
     }
     return sig;
 }

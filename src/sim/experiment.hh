@@ -25,6 +25,8 @@ struct MixRun {
     RunResult run;
     /** Weighted speedup = sum_i IPC_mix,i / IPC_alone,i  [28]. */
     double weightedSpeedup = 0.0;
+
+    bool operator==(const MixRun &) const = default;
 };
 
 /** Instruction budgets and seed shared by a sweep's simulations. */

@@ -317,6 +317,8 @@ planSweep(const FigureSpec &spec, const Flags &flags,
     for (WorkloadMix &mix : figureRows(spec, flags)) {
         SweepRow row;
         row.mix = std::move(mix);
+        // An unknown app dies here too, not on a worker.
+        profilesForMix(row.mix);
         for (const Cell &cell : cells) {
             if (!keep.empty() &&
                 std::find(keep.begin(), keep.end(), cell.label) == keep.end())

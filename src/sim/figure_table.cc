@@ -169,7 +169,7 @@ appendRun(std::string &out, const std::string &label, const MixRun &r)
     appendMetric(out, label + ".weighted_speedup", r.weightedSpeedup);
     for (size_t i = 0; i < r.run.ipc.size(); ++i)
         appendMetric(out, label + ".ipc" + std::to_string(i), r.run.ipc[i]);
-    appendMetric(out, label + ".row_hit_rate", 1.0 - r.run.rowMissRate);
+    appendMetric(out, label + ".row_hit_rate", 1.0 - r.run.dram.rowMissRate());
     appendMetric(out, label + ".read_queueing_mean",
                  r.run.dram.readQueueing.mean());
 }
@@ -529,7 +529,7 @@ reportDramLoss(const Sweep &sweep, const Flags &)
              ic.weightedSpeedup / ref_fixed.weightedSpeedup,
              dw.weightedSpeedup / ref_fixed.weightedSpeedup,
              dw_eff.weightedSpeedup / ref_eff.weightedSpeedup,
-             dw.run.memAccessPer100,
+             dw.run.memAccessPer100(),
              100.0 * dw.run.intIssueActiveFrac});
     }
     table.print();
@@ -544,7 +544,7 @@ renderDramLoss(const Sweep &sweep)
         const MixRun &inf = row.runs[0];
         const MixRun &dw = row.runs[1];
         appendMetric(text, row.mix.name + ".dram-DWarn.mem_per_100i",
-                     dw.run.memAccessPer100);
+                     dw.run.memAccessPer100());
         appendMetric(text, row.mix.name + ".tput_retained",
                      dw.weightedSpeedup / inf.weightedSpeedup);
     }
@@ -707,8 +707,9 @@ reportRowMissRates(const Sweep &sweep, const Flags &)
 {
     ResultTable table({"page", "xor", "delta"});
     for (const SweepRow &row : sweep.rows) {
-        const double page = 100.0 * row.runs[0].run.rowMissRate;
-        const double xor_rate = 100.0 * row.runs[1].run.rowMissRate;
+        const double page = 100.0 * row.runs[0].run.dram.rowMissRate();
+        const double xor_rate =
+            100.0 * row.runs[1].run.dram.rowMissRate();
         table.addRow(row.mix.name, {page, xor_rate, page - xor_rate});
     }
     table.print("%9.1f%%");

@@ -15,10 +15,9 @@ namespace
 
 /**
  * The machine an alone-IPC baseline for a mix on @p config runs on:
- * one hardware thread; no observability outputs, so baseline runs
- * never clobber the mix run's trace/stats files; and no pin map,
- * which is sized for the mix (the one thread is placed by policy).
- * The memo keys on exactly this config.
+ * one hardware thread, and no observability outputs, so baseline runs
+ * never clobber the mix run's trace/stats files.  The memo keys on
+ * exactly this config.
  */
 SystemConfig
 aloneConfig(const SystemConfig &config)
@@ -26,7 +25,6 @@ aloneConfig(const SystemConfig &config)
     SystemConfig alone = config;
     alone.core.numThreads = 1;
     alone.observe = ObservabilityConfig{};
-    alone.topology.pinned.clear();
     return alone;
 }
 

@@ -91,8 +91,8 @@ class ParallelExperimentRunner
 
     /**
      * Single-thread IPC of @p app on @p config's machine, memoized:
-     * the run uses one hardware thread, no observability outputs and
-     * no pin map, and so does the key.  Computes inline on the first
+     * the run uses one hardware thread and no observability outputs,
+     * and so does the key.  Computes inline on the first
      * request; safe to call from any thread.
      */
     double aloneIpc(const std::string &app, const SystemConfig &config);

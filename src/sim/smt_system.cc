@@ -1,6 +1,7 @@
 #include "sim/smt_system.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -48,7 +49,7 @@ constexpr std::uint64_t kMigrateThreshold = 16;
 
 /**
  * Per-thread DRAM bandwidth shares in percent, one sample per thread
- * (RunResult::bandwidthShareHist and dram.bandwidth_share_pct).
+ * (the stats document's dram.bandwidth_share_pct).
  * Rounded to nearest: plain truncation systematically biases every
  * share low (four perfectly fair threads each report 24%, not 25%).
  */
@@ -64,6 +65,22 @@ bandwidthShares(const std::vector<std::uint64_t> &reads)
             h.sample((100 * v + total / 2) / total);
     }
     return h;
+}
+
+/** The epoch trace's "blame_<component>" counter names, built once
+ *  from blameComponentName(); Tracer::counter keeps the pointers. */
+const std::array<std::string, kNumBlameComponents> &
+blameCounterNames()
+{
+    static const auto names = [] {
+        std::array<std::string, kNumBlameComponents> n;
+        for (std::size_t c = 0; c < kNumBlameComponents; ++c) {
+            n[c] = std::string("blame_") +
+                   blameComponentName(static_cast<BlameComponent>(c));
+        }
+        return n;
+    }();
+    return names;
 }
 
 } // namespace
@@ -207,15 +224,18 @@ void
 SmtSystem::emitStats(StatsSample &out) const
 {
     // One aggregation per sample: every DRAM, power and hammer stat
-    // below reads these.  The callers that sample the registry
-    // (sampleEpoch, exportObservability) syncPower() first, so the
-    // lazy background accounting is current here.
+    // below reads these.  Power is read through synced copies, one
+    // per channel, so sampling never moves a meter.
     const ControllerStats dram = aggDramStats();
-    const PowerStats power = dram_->aggregatePowerStats();
+    const PowerStats power = dram_->aggregatePowerStats(now_);
     const HammerStats hammer = dram_->aggregateHammerStats();
     const std::vector<std::uint64_t> reads = perThreadReads();
     const std::uint32_t n = config_.core.numThreads;
     const std::uint32_t channels = dram_->channels();
+    std::vector<PowerModel> meters;
+    meters.reserve(channels);
+    for (std::uint32_t c = 0; c < channels; ++c)
+        meters.push_back(dram_->channel(c).powerAt(now_));
 
     out.scalar("dram.reads", dram.reads);
     out.scalar("dram.writes", dram.writes);
@@ -255,12 +275,12 @@ SmtSystem::emitStats(StatsSample &out) const
     out.scalar("dram.power.self_refresh_cycles", power.selfRefreshCycles);
     out.histogram("dram.power.low_power_span", power.lowPowerSpanHist);
     for (std::uint32_t c = 0; c < channels; ++c) {
-        const MemoryController &mc = dram_->channel(c);
+        const PowerModel &meter = meters[c];
         const std::string ch = "dram.ch" + std::to_string(c) + ".";
-        out.scalar(ch + "energy_nj", mc.powerStats().totalEnergy);
-        for (std::uint32_t k = 0; k < mc.powerRanks(); ++k) {
+        out.scalar(ch + "energy_nj", meter.stats().totalEnergy);
+        for (std::uint32_t k = 0; k < meter.ranks(); ++k) {
             out.scalar(ch + "rank" + std::to_string(k) + ".energy_nj",
-                       mc.rankEnergy(k));
+                       meter.rankEnergy(k));
         }
     }
     out.scalar("dram.power.mitigation_energy_nj", power.mitigationEnergy);
@@ -363,7 +383,7 @@ SmtSystem::emitStats(StatsSample &out) const
     // alongside the aggregate residency counters above.
     for (std::uint32_t c = 0; c < channels; ++c) {
         const MemoryController &mc = dram_->channel(c);
-        const PowerStats &p = mc.powerStats();
+        const PowerStats &p = meters[c].stats();
         const std::string ch = "dram.ch" + std::to_string(c) + ".";
         out.scalar(ch + "power.active_cycles", p.activeCycles);
         out.scalar(ch + "power.powerdown_fast_cycles",
@@ -421,9 +441,6 @@ SmtSystem::emitStats(StatsSample &out) const
 void
 SmtSystem::sampleEpoch()
 {
-    // Energy accounting is lazy; bring it current so the epoch's
-    // power scalars describe [resetAt, now] and not a stale horizon.
-    dram_->syncPower(now_);
     if (registry_)
         registry_->sampleEpoch(now_);
     if (tracer_) {
@@ -446,24 +463,18 @@ SmtSystem::sampleEpoch()
         // Blame, residency, and mitigation dynamics per channel.
         // Cumulative counters: Perfetto differentiates visually, and
         // the monotone series diff cleanly across kernels.
-        static const char *const kBlameCounter[kNumBlameComponents] = {
-            "blame_queueing",      "blame_sched_deferral",
-            "blame_bank_conflict", "blame_bus_contention",
-            "blame_refresh_stall", "blame_scrub",
-            "blame_fault_retry",   "blame_ecc_overhead",
-            "blame_power_exit",    "blame_hammer_mitigation",
-            "blame_remote_access", "blame_intrinsic"};
+        const auto &blame_counter = blameCounterNames();
         for (std::uint32_t c = 0; c < dram_->channels(); ++c) {
             const MemoryController &mc = dram_->channel(c);
             const int pid = tracePidChannel(c);
             const ControllerStats &s = mc.stats();
             for (std::size_t k = 0; k < kNumBlameComponents; ++k) {
                 tracer_->counter(
-                    pid, kBlameCounter[k], now_,
+                    pid, blame_counter[k].c_str(), now_,
                     static_cast<double>(s.blameTotals.cycles[k]));
             }
             if (config_.dram.power.enabled) {
-                const PowerStats &p = mc.powerStats();
+                const PowerStats p = mc.powerAt(now_).stats();
                 tracer_->counter(
                     pid, "power_active_cycles", now_,
                     static_cast<double>(p.activeCycles));
@@ -486,7 +497,6 @@ SmtSystem::sampleEpoch()
 void
 SmtSystem::exportObservability()
 {
-    dram_->syncPower(now_);
     if (registry_) {
         if (!config_.observe.statsJsonPath.empty()) {
             std::ofstream os(config_.observe.statsJsonPath);
@@ -932,30 +942,19 @@ SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
 
     // ---- Collect results ----
     res.measuredCycles = now_ - start;
-    std::uint64_t committed_total = 0;
     for (ThreadId t = 0; t < n; ++t) {
         if (finish[t] == 0)
             finish[t] = now_;
         res.committed[t] = committedOf(t) - base[t];
-        committed_total += res.committed[t];
         res.ipc[t] = static_cast<double>(measure_insts) /
                      static_cast<double>(finish[t] - start);
     }
 
     res.dram = aggDramStats();
-    dram_->syncPower(now_);
-    res.power = dram_->aggregatePowerStats();
+    res.power = dram_->aggregatePowerStats(now_);
     res.hammer = dram_->aggregateHammerStats();
     if (config_.topology.nontrivial())
         res.numa = router_->stats();
-    const std::uint64_t row_total =
-        res.dram.rowHits + res.dram.rowEmpty + res.dram.rowConflicts;
-    res.rowMissRate = row_total ? res.dram.rowMissRate() : 0.0;
-    res.memAccessPer100 =
-        committed_total
-            ? 100.0 * static_cast<double>(res.dram.reads) /
-                  static_cast<double>(committed_total)
-            : 0.0;
     std::uint64_t int_issue = 0;
     for (const auto &c : cores_)
         int_issue += c->intIssueActiveCycles();
@@ -976,9 +975,6 @@ SmtSystem::run(std::uint64_t measure_insts, std::uint64_t warmup_insts)
     mispredicts -= base_mispredicts;
     res.branchMispredictRate =
         branches ? static_cast<double>(mispredicts) / branches : 0.0;
-
-    res.perThreadReads = perThreadReads();
-    res.bandwidthShareHist = bandwidthShares(res.perThreadReads);
 
     exportObservability();
     return res;

@@ -49,7 +49,11 @@
 namespace smtdram
 {
 
-/** Everything a bench needs from one simulation run. */
+/**
+ * Everything a bench needs from one simulation run: only what the run
+ * measured, so two runs are the same run exactly when their records
+ * compare ==.  Derived figures are computed from it on demand.
+ */
 struct RunResult {
     Cycle measuredCycles = 0;
     /** Per-thread IPC over the measurement window. */
@@ -62,9 +66,6 @@ struct RunResult {
     PowerStats power;
     /** Rowhammer disturbance/mitigation counters (zero when off). */
     HammerStats hammer;
-    double rowMissRate = 0.0;
-    /** Main-memory accesses (reads) per 100 committed instructions. */
-    double memAccessPer100 = 0.0;
     /** Figure 4: outstanding requests, one sample per cycle the DRAM
      *  is busy (the figure's bins are cut at report time). */
     LogHistogram outstandingHist;
@@ -74,16 +75,23 @@ struct RunResult {
     double intIssueActiveFrac = 0.0;
     double branchMispredictRate = 0.0;
 
-    // --- Observability-layer distribution views ---
-    /** Demand reads delivered per thread over the window. */
-    std::vector<std::uint64_t> perThreadReads;
-    /** Per-thread DRAM bandwidth share, in percent (one sample per
-     *  thread); p-queries answer "how skewed was service?". */
-    LogHistogram bandwidthShareHist;
-
     /** NUMA-layer counters; all zeros unless the topology is
      *  nontrivial() (more than one core). */
     NumaStats numa;
+
+    bool operator==(const RunResult &) const = default;
+
+    /** Main-memory accesses (reads) per 100 committed instructions. */
+    double
+    memAccessPer100() const
+    {
+        std::uint64_t total = 0;
+        for (std::uint64_t c : committed)
+            total += c;
+        return total ? 100.0 * static_cast<double>(dram.reads) /
+                           static_cast<double>(total)
+                     : 0.0;
+    }
 };
 
 /** One simulated machine executing a set of application profiles. */

@@ -90,13 +90,6 @@ computePlacement(const TopologyConfig &topo,
     const std::uint32_t cores = topo.totalCores();
     const std::uint32_t ways = topo.effectiveWays(n);
 
-    if (!topo.pinned.empty()) {
-        fatal_if(topo.pinned.size() != apps.size(),
-                 "pinned placement names %zu threads, mix has %zu",
-                 topo.pinned.size(), apps.size());
-        return topo.pinned;
-    }
-
     std::vector<std::uint32_t> placement(n, 0);
     switch (topo.placement) {
       case PlacementPolicy::Packed:

@@ -28,9 +28,9 @@ double memoryIntensityScore(const AppProfile &app);
 
 /**
  * Compute the initial thread->core map for @p apps on @p topo.
- * An explicit `pinned` map wins over any policy; Migrate starts
- * from the RoundRobin map.  The result always respects the per-core
- * SMT-way capacity (validate() guarantees it is satisfiable).
+ * Migrate starts from the RoundRobin map.  The result always respects
+ * the per-core SMT-way capacity (validate() guarantees it is
+ * satisfiable).
  */
 std::vector<std::uint32_t>
 computePlacement(const TopologyConfig &topo,

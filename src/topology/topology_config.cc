@@ -1,7 +1,5 @@
 #include "topology/topology_config.hh"
 
-#include <vector>
-
 #include "common/logging.hh"
 
 namespace smtdram
@@ -45,26 +43,8 @@ TopologyConfig::validate(std::uint32_t num_threads) const
              "topology oversubscribed: %u threads but %u cores x %u "
              "SMT ways", num_threads, cores, ways);
 
-    if (!pinned.empty()) {
-        fatal_if(pinned.size() != num_threads,
-                 "pinned placement names %zu threads but the machine "
-                 "runs %u", pinned.size(), num_threads);
-        std::vector<std::uint32_t> load(cores, 0);
-        for (std::size_t t = 0; t < pinned.size(); ++t) {
-            fatal_if(pinned[t] >= cores,
-                     "thread %zu pinned to core %u but the topology "
-                     "has only %u cores", t, pinned[t], cores);
-            ++load[pinned[t]];
-        }
-        for (std::uint32_t c = 0; c < cores; ++c) {
-            fatal_if(load[c] > ways,
-                     "core %u oversubscribed: %u threads pinned but "
-                     "only %u SMT ways", c, load[c], ways);
-        }
-    }
-
     if (nontrivial() && smtWays == 0 &&
-        placement == PlacementPolicy::Packed && pinned.empty()) {
+        placement == PlacementPolicy::Packed) {
         warn_once("packed placement with uncapped SMT ways puts every "
                   "thread on core 0 — set smtWays to spread threads");
     }

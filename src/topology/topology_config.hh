@@ -13,7 +13,6 @@
 #define SMTDRAM_TOPOLOGY_TOPOLOGY_CONFIG_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -59,10 +58,6 @@ struct TopologyConfig {
     PlacementPolicy placement = PlacementPolicy::Packed;
     HomePolicy home = HomePolicy::Local;
 
-    /** Explicit thread->core map; overrides `placement` when set.
-     *  Must then have exactly one entry per OS thread. */
-    std::vector<std::uint32_t> pinned;
-
     /** Interconnect: per-hop latency on the socket ring, cycles. */
     Cycle hopLatency = 40;
     /** Cycles one transfer occupies a directed link (bandwidth). */
@@ -97,8 +92,7 @@ struct TopologyConfig {
 
     /**
      * Die (fatal) on structurally impossible topologies: zero-sized
-     * dimensions, a pin map of the wrong length, out-of-range or
-     * oversubscribed thread->core placements.  Emits warn_once
+     * dimensions or more threads than cores x SMT ways.  Emits warn_once
      * diagnostics for legal-but-suspect setups (uncapped packed
      * placement on a multi-core topology, Migrate with epoch 0).
      */

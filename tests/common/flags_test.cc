@@ -53,7 +53,6 @@ TEST(Flags, DefaultsApplyWhenUnset)
     EXPECT_EQ(f.getString("name"), "abc");
     EXPECT_DOUBLE_EQ(f.getDouble("rate"), 0.5);
     EXPECT_FALSE(f.getBool("verbose"));
-    EXPECT_FALSE(f.given("count"));
 }
 
 TEST(Flags, EqualsForm)
@@ -63,7 +62,6 @@ TEST(Flags, EqualsForm)
     f.parse(args.argc(), args.argv(), "doc");
     EXPECT_EQ(f.getInt("count"), 42);
     EXPECT_EQ(f.getString("name"), "xyz");
-    EXPECT_TRUE(f.given("count"));
 }
 
 TEST(Flags, SpaceSeparatedForm)

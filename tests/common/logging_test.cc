@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -127,6 +128,23 @@ TEST(LoggingDeath, PanicHookRunsBeforeAbort)
     setPanicHook([] { std::fputs("hook-ran-postmortem\n", stderr); });
     EXPECT_DEATH(panic("with hook"), "hook-ran-postmortem");
     setPanicHook({});
+}
+
+TEST(LoggingDeath, FatalSkipsStaticDestructors)
+{
+    // A fatal on one sweep worker must not tear down statics its
+    // sibling workers still use: fatal() runs no static destructors.
+    // Were it to, this one would turn exit status 1 into an abort.
+    struct AbortsOnDestruction {
+        ~AbortsOnDestruction() { std::abort(); }
+    };
+    EXPECT_EXIT(
+        {
+            static AbortsOnDestruction guard;
+            (void)guard;
+            fatal("bad value %d", 7);
+        },
+        testing::ExitedWithCode(1), "fatal: bad value 7");
 }
 
 } // namespace

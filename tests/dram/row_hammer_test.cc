@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "dram/fault_injector.hh"
 #include "dram/memory_controller.hh"
 #include "dram/row_hammer.hh"
 
@@ -26,23 +25,16 @@ hammerOn(std::uint64_t threshold, double flip_probability = 1.0)
     return h;
 }
 
-FaultInjector
-injectorFor(const HammerConfig &h)
-{
-    return FaultInjector(FaultConfig{}, EccConfig{}, h, /*channel=*/0);
-}
-
 /** Hammer rows `victim +/- 1` alternately, @p acts activations total. */
 void
-doubleSided(RowHammerModel &model, FaultInjector &inj,
-            std::uint32_t bank, std::uint32_t victim,
-            std::uint64_t acts,
+doubleSided(RowHammerModel &model, std::uint32_t bank,
+            std::uint32_t victim, std::uint64_t acts,
             std::vector<MitigationRequest> *out = nullptr)
 {
     std::vector<MitigationRequest> scratch;
     for (std::uint64_t i = 0; i < acts; ++i) {
         model.recordActivation(bank, i % 2 ? victim + 1 : victim - 1,
-                               inj, out ? *out : scratch);
+                               out ? *out : scratch);
     }
 }
 
@@ -50,10 +42,9 @@ TEST(RowHammerModel, NoFlipsBelowThreshold)
 {
     const HammerConfig h = hammerOn(100);
     RowHammerModel model(h, /*banks=*/4, /*rowsPerBank=*/1u << 20);
-    FaultInjector inj = injectorFor(h);
 
     // Pressure reaches 99 — one short of the threshold.
-    doubleSided(model, inj, 0, 10, 99);
+    doubleSided(model, 0, 10, 99);
     EXPECT_EQ(model.flipsOn(0, 10), 0u);
     EXPECT_EQ(model.stats().victimFlips, 0u);
     EXPECT_EQ(model.stats().activations, 99u);
@@ -69,8 +60,7 @@ TEST(RowHammerModel, FlipsMonotoneInActivationCount)
     for (std::uint64_t acts : {100u, 150u, 200u, 400u}) {
         const HammerConfig h = hammerOn(100);
         RowHammerModel model(h, 4, 1u << 20);
-        FaultInjector inj = injectorFor(h);
-        doubleSided(model, inj, 0, 10, acts);
+        doubleSided(model, 0, 10, acts);
         const std::uint32_t flips = model.flipsOn(0, 10);
         EXPECT_GE(flips, last);
         if (acts > 100) {
@@ -84,9 +74,8 @@ TEST(RowHammerModel, RefreshResetsPressureButNotFlips)
 {
     const HammerConfig h = hammerOn(100);
     RowHammerModel model(h, 4, 1u << 20);
-    FaultInjector inj = injectorFor(h);
 
-    doubleSided(model, inj, 0, 10, 150);
+    doubleSided(model, 0, 10, 150);
     const std::uint32_t flips = model.flipsOn(0, 10);
     ASSERT_GT(flips, 0u);
 
@@ -95,7 +84,7 @@ TEST(RowHammerModel, RefreshResetsPressureButNotFlips)
     // Corruption survives the refresh...
     EXPECT_EQ(model.flipsOn(0, 10), flips);
     // ...but pressure restarts: another sub-threshold burst is safe.
-    doubleSided(model, inj, 0, 10, 99);
+    doubleSided(model, 0, 10, 99);
     EXPECT_EQ(model.flipsOn(0, 10), flips);
 }
 
@@ -104,11 +93,10 @@ TEST(RowHammerModel, BlastRadiusReachesFurtherVictims)
     HammerConfig h = hammerOn(50);
     h.blastRadius = 2;
     RowHammerModel model(h, 4, 1u << 20);
-    FaultInjector inj = injectorFor(h);
 
     std::vector<MitigationRequest> out;
     for (int i = 0; i < 200; ++i)
-        model.recordActivation(0, 10, inj, out);
+        model.recordActivation(0, 10, out);
     // Rows 8, 9, 11, 12 are all within radius 2 of aggressor 10.
     EXPECT_GT(model.flipsOn(0, 8), 0u);
     EXPECT_GT(model.flipsOn(0, 9), 0u);
@@ -121,9 +109,8 @@ TEST(RowHammerModel, ClearFlipsRepairsTheRow)
 {
     const HammerConfig h = hammerOn(100);
     RowHammerModel model(h, 4, 1u << 20);
-    FaultInjector inj = injectorFor(h);
 
-    doubleSided(model, inj, 0, 10, 200);
+    doubleSided(model, 0, 10, 200);
     ASSERT_GT(model.flipsOn(0, 10), 0u);
     // Victim 10 takes double-sided pressure; the aggressors' outer
     // neighbors (8 and 12) each take single-sided pressure of 100,
@@ -140,15 +127,14 @@ TEST(RowHammerModel, PreventiveRefreshRelievesPressure)
 {
     const HammerConfig h = hammerOn(100);
     RowHammerModel model(h, 4, 1u << 20);
-    FaultInjector inj = injectorFor(h);
 
     // 90 activations (pressure 90), relieve, then 90 more: never
     // crosses the threshold of 100, so the victim stays clean —
     // without the relief the same 180 activations flip bits (see
     // FlipsMonotoneInActivationCount).
-    doubleSided(model, inj, 0, 10, 90);
+    doubleSided(model, 0, 10, 90);
     model.onPreventiveRefresh(0, 10);
-    doubleSided(model, inj, 0, 10, 90);
+    doubleSided(model, 0, 10, 90);
     EXPECT_EQ(model.flipsOn(0, 10), 0u);
 }
 
@@ -159,11 +145,10 @@ TEST(RowHammerModel, TrackerRequestsNeighborRefreshesAtThreshold)
     h.trackerCapacity = 4;
     h.mitigationThreshold = 8;
     RowHammerModel model(h, 4, 1u << 20);
-    FaultInjector inj = injectorFor(h);
 
     std::vector<MitigationRequest> out;
     for (int i = 0; i < 8; ++i)
-        model.recordActivation(0, 10, inj, out);
+        model.recordActivation(0, 10, out);
     ASSERT_EQ(out.size(), 2u);  // blastRadius 1: rows 9 and 11
     EXPECT_EQ(out[0].bank, 0u);
     EXPECT_TRUE((out[0].row == 9 && out[1].row == 11) ||
@@ -173,7 +158,7 @@ TEST(RowHammerModel, TrackerRequestsNeighborRefreshesAtThreshold)
     // The entry reset on trigger: 8 more ACTs trigger a second round.
     out.clear();
     for (int i = 0; i < 8; ++i)
-        model.recordActivation(0, 10, inj, out);
+        model.recordActivation(0, 10, out);
     EXPECT_EQ(out.size(), 2u);
 }
 
@@ -188,13 +173,12 @@ TEST(RowHammerModel, MisraGriesHeavyHitterCannotHide)
     h.trackerCapacity = 2;
     h.mitigationThreshold = 64;
     RowHammerModel model(h, 4, 1u << 20);
-    FaultInjector inj = injectorFor(h);
 
     std::vector<MitigationRequest> out;
     std::uint32_t noise_row = 1000;
     for (int i = 0; i < 256 && out.empty(); ++i) {
-        model.recordActivation(0, 10, inj, out);       // hot aggressor
-        model.recordActivation(0, noise_row += 2, inj, out); // churn
+        model.recordActivation(0, 10, out);       // hot aggressor
+        model.recordActivation(0, noise_row += 2, out); // churn
     }
     ASSERT_FALSE(out.empty());
     for (const MitigationRequest &m : out)

@@ -158,7 +158,7 @@ TEST(PaperClaims, XorMappingReducesRowMissesOnRdram)
                    c.dram = DramConfig::directRambus(2);
                    c.dram.mapping = scheme;
                })
-            .run.rowMissRate;
+            .run.dram.rowMissRate();
     };
     const double page = rate(MappingScheme::PageInterleave);
     const double xored = rate(MappingScheme::XorPermute);
@@ -174,7 +174,7 @@ TEST(PaperClaims, RdramManyBanksBeatDdrFewBanks)
         c.dram = DramConfig::directRambus(2);
         c.dram.mapping = mapping;
     });
-    EXPECT_LT(rdram.run.rowMissRate, ddr.run.rowMissRate);
+    EXPECT_LT(rdram.run.dram.rowMissRate(), ddr.run.dram.rowMissRate());
 }
 
 // ---- Figure 10 claim ------------------------------------------------

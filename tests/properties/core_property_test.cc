@@ -89,13 +89,13 @@ TEST_P(SystemProperty, MemMixRunsToCompletion)
     SmtSystem system(config, mixProfiles("2-MEM"), 42);
     const RunResult r = system.run(3000, 1000);
     EXPECT_GT(r.dram.reads, 50u);
-    EXPECT_GE(r.rowMissRate, 0.0);
-    EXPECT_LE(r.rowMissRate, 1.0);
+    EXPECT_GE(r.dram.rowMissRate(), 0.0);
+    EXPECT_LE(r.dram.rowMissRate(), 1.0);
     for (double ipc : r.ipc)
         EXPECT_GT(ipc, 0.0);
     if (GetParam().mode == PageMode::Close) {
         // Close page mode never leaves a row open to hit.
-        EXPECT_DOUBLE_EQ(r.rowMissRate, 1.0);
+        EXPECT_DOUBLE_EQ(r.dram.rowMissRate(), 1.0);
     }
 }
 

@@ -68,10 +68,9 @@ TEST_P(HammerProperty, DisabledHammerIsBitIdentical)
             }
             dram.tick(now);
         }
-        dram.syncPower(now);
         return std::tuple{last_completion,
                           dram.aggregateStats().busBusyCycles,
-                          dram.aggregatePowerStats().totalEnergy,
+                          dram.aggregatePowerStats(now).totalEnergy,
                           corrected};
     };
 
@@ -146,7 +145,6 @@ TEST_P(HammerProperty, MitigationTrafficConservesUnderAttack)
     }
     while (dram.busy())
         dram.tick(++now);
-    dram.syncPower(now);
 
     EXPECT_EQ(delivered, kReads);
     ASSERT_NE(dram.checker(), nullptr);
@@ -160,7 +158,7 @@ TEST_P(HammerProperty, MitigationTrafficConservesUnderAttack)
     // always refreshed before pressure accumulates, so the storm
     // lands no flips even at flip probability 1.
     EXPECT_EQ(h.victimFlips, 0u);
-    EXPECT_GT(dram.aggregatePowerStats().mitigationEnergy, 0.0);
+    EXPECT_GT(dram.aggregatePowerStats(now).mitigationEnergy, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

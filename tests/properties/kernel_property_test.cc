@@ -6,9 +6,9 @@
  * workload, scheduler, page mode, mapping, and a random subset of the
  * robustness subsystems (refresh, faults, ECC + scrub, power states,
  * hammer tracking + mitigation, conservation checker), runs both
- * kernels, and diffs the figure metrics, the stats-registry JSON, and
- * dumpState() byte-for-byte.  The drawn seed is logged on failure so
- * any counterexample replays exactly.
+ * kernels, and diffs the whole RunResult record, the stats-registry
+ * JSON, and dumpState() byte-for-byte.  The drawn seed is logged on
+ * failure so any counterexample replays exactly.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/random.hh"
+#include "run_printer.hh"
 #include "sim/smt_system.hh"
 
 namespace smtdram
@@ -105,7 +106,7 @@ drawApps(Rng &rng, std::uint32_t n, std::string &names)
     return apps;
 }
 
-/** Run both kernels and diff the metrics, the stats JSON and
+/** Run both kernels and diff the records, the stats JSON and
  *  dumpState(). */
 void
 expectKernelsAgree(const SystemConfig &config,
@@ -116,14 +117,7 @@ expectKernelsAgree(const SystemConfig &config,
     const Snapshot evt =
         runKernel(config, apps, seed, KernelMode::EventDriven, 1'200, 400);
 
-    EXPECT_EQ(cyc.r.measuredCycles, evt.r.measuredCycles);
-    EXPECT_EQ(cyc.r.committed, evt.r.committed);
-    EXPECT_EQ(cyc.r.ipc, evt.r.ipc);
-    EXPECT_EQ(cyc.r.perThreadReads, evt.r.perThreadReads);
-    EXPECT_EQ(cyc.r.outstandingHist.total(), evt.r.outstandingHist.total());
-    EXPECT_EQ(cyc.r.threadsHist.total(), evt.r.threadsHist.total());
-    EXPECT_EQ(cyc.r.power.totalEnergy, evt.r.power.totalEnergy);
-    EXPECT_EQ(cyc.r.numa, evt.r.numa);
+    EXPECT_EQ(cyc.r, evt.r);
     EXPECT_EQ(cyc.statsJson, evt.statsJson);
     EXPECT_EQ(cyc.dump, evt.dump);
 }

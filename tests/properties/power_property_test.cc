@@ -113,9 +113,8 @@ TEST_P(PowerProperty, EnergyConservesUnderHostileTraffic)
     }
     while (dram.busy())
         dram.tick(++now);
-    dram.syncPower(now);
 
-    const PowerStats s = dram.aggregatePowerStats();
+    const PowerStats s = dram.aggregatePowerStats(now);
 
     // Conservation #1: the running total kept in lockstep with every
     // component add equals the component sum (FP tolerance only).
@@ -126,9 +125,9 @@ TEST_P(PowerProperty, EnergyConservesUnderHostileTraffic)
     // Conservation #2: per-rank attribution tiles the total.
     double rank_sum = 0.0;
     for (std::uint32_t ch = 0; ch < c.logicalChannels(); ++ch) {
-        const MemoryController &mc = dram.channel(ch);
-        for (std::uint32_t r = 0; r < mc.powerRanks(); ++r)
-            rank_sum += mc.rankEnergy(r);
+        const PowerModel meter = dram.channel(ch).powerAt(now);
+        for (std::uint32_t r = 0; r < meter.ranks(); ++r)
+            rank_sum += meter.rankEnergy(r);
     }
     EXPECT_NEAR(rank_sum, s.totalEnergy, 1e-9 * s.totalEnergy);
 
@@ -137,7 +136,7 @@ TEST_P(PowerProperty, EnergyConservesUnderHostileTraffic)
     // refreshes, and syncs.
     const std::uint64_t rank_cycles =
         static_cast<std::uint64_t>(c.logicalChannels()) *
-        dram.channel(0).powerRanks() * now;
+        dram.channel(0).powerAt(now).ranks() * now;
     EXPECT_EQ(s.activeCycles + s.powerdownFastCycles +
                   s.powerdownSlowCycles + s.selfRefreshCycles,
               rank_cycles);
@@ -191,8 +190,7 @@ TEST_P(PowerProperty, DisabledPowerIsBitIdentical)
             }
             dram.tick(now);
         }
-        dram.syncPower(now);
-        last_energy = dram.aggregatePowerStats().totalEnergy;
+        last_energy = dram.aggregatePowerStats(now).totalEnergy;
         return std::pair{last_completion,
                          dram.aggregateStats().busBusyCycles};
     };

@@ -101,8 +101,8 @@ TEST(FigureFlagsDeathTest, WrappedSocketCountDiesAtParse)
 TEST(FigureFlagsDeathTest, BadFlagPrintsNothingToStdout)
 {
     // Every flag is read, the cells' own included, and every planned
-    // cell's DRAM and topology validated, before the banner and the
-    // paper claim print.
+    // cell's apps, DRAM and topology validated, before the banner and
+    // the paper claim print.
     struct Case {
         const char *figure;
         std::vector<std::string> args;
@@ -128,6 +128,10 @@ TEST(FigureFlagsDeathTest, BadFlagPrintsNothingToStdout)
          {"--mixes=2-MEM", "--insts=200", "--warmup=100", "--ecc",
           "--scrub-interval=0"},
          "fatal: ECC is enabled but the patrol-scrub interval is 0"},
+        {"fig1_cpi_breakdown",
+         {"--apps=mcf,nosuchapp", "--insts=200", "--warmup=100",
+          "--jobs=4"},
+         "fatal: unknown SPEC2000 application"},
     };
     for (const Case &c : cases) {
         std::string command = c.figure;

@@ -4,7 +4,7 @@
  * the skip-to-next-event kernel must produce byte-identical results.
  *
  * Every test runs the same configuration once per KernelMode and
- * diffs (a) all RunResult figure metrics, (b) the full stats-registry
+ * diffs (a) the whole RunResult record, (b) the full stats-registry
  * JSON, and (c) the dumpState() diagnostic text — the last two
  * byte-for-byte.  The matrix test covers every scheduler with
  * refresh, fault injection, ECC + patrol scrub, the low-power state
@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "run_printer.hh"
 #include "sim/smt_system.hh"
 #include "temp_path.hh"
 
@@ -87,50 +88,14 @@ runKernel(SystemConfig config, const std::vector<AppProfile> &apps,
 }
 
 void
-expectHistogramsEqual(const LogHistogram &a, const LogHistogram &b)
-{
-    ASSERT_EQ(a.numBuckets(), b.numBuckets());
-    EXPECT_EQ(a.total(), b.total());
-    EXPECT_EQ(a.sum(), b.sum());
-    EXPECT_EQ(a.min(), b.min());
-    EXPECT_EQ(a.max(), b.max());
-    for (size_t i = 0; i < a.numBuckets(); ++i)
-        EXPECT_EQ(a.bucketCount(i), b.bucketCount(i)) << "bucket " << i;
-}
-
-void
 expectEquivalent(const Snapshot &cyc, const Snapshot &evt)
 {
-    // Figure metrics, exact to the last bit: both kernels execute the
-    // identical sequence of architected cycles, so even the derived
-    // doubles must match bitwise.
-    EXPECT_EQ(cyc.r.measuredCycles, evt.r.measuredCycles);
-    EXPECT_EQ(cyc.r.committed, evt.r.committed);
-    EXPECT_EQ(cyc.r.ipc, evt.r.ipc);
-    EXPECT_EQ(cyc.r.rowMissRate, evt.r.rowMissRate);
-    EXPECT_EQ(cyc.r.memAccessPer100, evt.r.memAccessPer100);
-    EXPECT_EQ(cyc.r.intIssueActiveFrac, evt.r.intIssueActiveFrac);
-    EXPECT_EQ(cyc.r.branchMispredictRate, evt.r.branchMispredictRate);
-    EXPECT_EQ(cyc.r.perThreadReads, evt.r.perThreadReads);
-    EXPECT_EQ(cyc.r.dram.reads, evt.r.dram.reads);
-    EXPECT_EQ(cyc.r.dram.writes, evt.r.dram.writes);
-    EXPECT_EQ(cyc.r.power.totalEnergy, evt.r.power.totalEnergy);
-    EXPECT_EQ(cyc.r.hammer.activations, evt.r.hammer.activations);
-    EXPECT_EQ(cyc.r.hammer.victimFlips, evt.r.hammer.victimFlips);
-
-    // Figure 4/5 histograms: the event-driven kernel accounts skipped
-    // windows with interval-weighted samples; the totals and every
-    // bucket must still match the per-cycle tally exactly.
-    expectHistogramsEqual(cyc.r.outstandingHist, evt.r.outstandingHist);
-    expectHistogramsEqual(cyc.r.threadsHist, evt.r.threadsHist);
-    EXPECT_EQ(cyc.r.bandwidthShareHist.total(),
-              evt.r.bandwidthShareHist.total());
-    EXPECT_EQ(cyc.r.bandwidthShareHist.min(),
-              evt.r.bandwidthShareHist.min());
-    EXPECT_EQ(cyc.r.bandwidthShareHist.max(),
-              evt.r.bandwidthShareHist.max());
-    EXPECT_EQ(cyc.r.bandwidthShareHist.mean(),
-              evt.r.bandwidthShareHist.mean());
+    // The whole record, exact to the last bit: both kernels execute
+    // the identical sequence of architected cycles, so even the
+    // doubles must match bitwise, and the Figure 4/5 histograms the
+    // event kernel fills with interval-weighted samples must match
+    // the per-cycle tally in every bucket.
+    EXPECT_EQ(cyc.r, evt.r);
 
     // Whole observability surface, byte-for-byte.
     EXPECT_EQ(cyc.statsJson, evt.statsJson);

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "run_printer.hh"
 #include "sim/figure_spec.hh"
 #include "sim/parallel_runner.hh"
 
@@ -21,41 +22,11 @@ namespace
 
 const ExperimentParams kSmall{2000, 500, 42};
 
-/** Bit-exact equality across every figure-visible MixRun metric. */
-void
-expectIdenticalMixRuns(const MixRun &a, const MixRun &b)
-{
-    // Doubles compared with ==: the determinism contract is
-    // byte-identical results, not merely close ones.
-    EXPECT_EQ(a.weightedSpeedup, b.weightedSpeedup);
-    EXPECT_EQ(a.run.measuredCycles, b.run.measuredCycles);
-    EXPECT_EQ(a.run.ipc, b.run.ipc);
-    EXPECT_EQ(a.run.committed, b.run.committed);
-    EXPECT_EQ(a.run.rowMissRate, b.run.rowMissRate);
-    EXPECT_EQ(a.run.memAccessPer100, b.run.memAccessPer100);
-    EXPECT_EQ(a.run.dram.reads, b.run.dram.reads);
-    EXPECT_EQ(a.run.dram.writes, b.run.dram.writes);
-    EXPECT_EQ(a.run.dram.rowHits, b.run.dram.rowHits);
-    EXPECT_EQ(a.run.dram.rowConflicts, b.run.dram.rowConflicts);
-    EXPECT_EQ(a.run.dram.busBusyCycles, b.run.dram.busBusyCycles);
-    EXPECT_EQ(a.run.dram.readLatency.total(),
-              b.run.dram.readLatency.total());
-    EXPECT_EQ(a.run.dram.readLatency.mean(),
-              b.run.dram.readLatency.mean());
-    EXPECT_EQ(a.run.perThreadReads, b.run.perThreadReads);
-    EXPECT_EQ(a.run.dram.readLatencyHist.p50(),
-              b.run.dram.readLatencyHist.p50());
-    EXPECT_EQ(a.run.dram.readLatencyHist.p99(),
-              b.run.dram.readLatencyHist.p99());
-    EXPECT_EQ(a.run.dram.correctedErrors, b.run.dram.correctedErrors);
-    EXPECT_EQ(a.run.dram.retriesExhausted, b.run.dram.retriesExhausted);
-}
-
 TEST(ParallelRunner, ParallelIsByteIdenticalToSerialAllSchedulers)
 {
     // The tentpole determinism claim: a --jobs 8 sweep over every
     // scheduler, Criticality included, returns exactly what --jobs 1
-    // returns.
+    // returns, every record field to the last bit.
     const WorkloadMix &mix = mixByName("2-MEM");
 
     auto sweep = [&](unsigned jobs) {
@@ -78,7 +49,7 @@ TEST(ParallelRunner, ParallelIsByteIdenticalToSerialAllSchedulers)
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE("scheduler index " + std::to_string(i));
-        expectIdenticalMixRuns(parallel[i], serial[i]);
+        EXPECT_EQ(parallel[i], serial[i]);
     }
 }
 
@@ -258,8 +229,8 @@ TEST(ParallelRunner, RunIsIncremental)
     runner.run();
     // Earlier results survive later runs; identical submissions give
     // identical results.
-    expectIdenticalMixRuns(runner.mixResult(first), snapshot);
-    expectIdenticalMixRuns(runner.mixResult(second), snapshot);
+    EXPECT_EQ(runner.mixResult(first), snapshot);
+    EXPECT_EQ(runner.mixResult(second), snapshot);
     EXPECT_EQ(runner.submitted(), 2u);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "run_printer.hh"
 #include "sim/smt_system.hh"
 
 namespace smtdram
@@ -38,10 +39,7 @@ TEST(SmtSystem, DeterministicAcrossRuns)
     };
     const RunResult a = once();
     const RunResult b = once();
-    EXPECT_EQ(a.measuredCycles, b.measuredCycles);
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.dram.reads, b.dram.reads);
-    EXPECT_DOUBLE_EQ(a.rowMissRate, b.rowMissRate);
+    EXPECT_EQ(a, b);
 }
 
 TEST(SmtSystem, SeedChangesTheRun)
@@ -75,7 +73,7 @@ TEST(SmtSystem, MemMixKeepsDramBusy)
     SmtSystem system(config, mixProfiles("2-MEM"), 42);
     const RunResult r = system.run(8000, 4000);
     EXPECT_GT(r.dram.reads, 100u);
-    EXPECT_GT(r.memAccessPer100, 1.0);
+    EXPECT_GT(r.memAccessPer100(), 1.0);
     EXPECT_GT(r.outstandingHist.total(), 0u);
     EXPECT_GT(r.threadsHist.total(), 0u);
 }
@@ -85,7 +83,7 @@ TEST(SmtSystem, IlpMixBarelyTouchesDram)
     SystemConfig config = SystemConfig::paperDefault(2);
     SmtSystem system(config, mixProfiles("2-ILP"), 42);
     const RunResult r = system.run(20000, 20000);
-    EXPECT_LT(r.memAccessPer100, 0.5);
+    EXPECT_LT(r.memAccessPer100(), 0.5);
 }
 
 TEST(SmtSystem, InfiniteL3BeatsRealMemoryOnMemMix)
@@ -137,8 +135,8 @@ TEST(SmtSystem, RowMissRateIsAFraction)
     SystemConfig config = SystemConfig::paperDefault(2);
     SmtSystem system(config, mixProfiles("2-MEM"), 42);
     const RunResult r = system.run(5000, 2000);
-    EXPECT_GE(r.rowMissRate, 0.0);
-    EXPECT_LE(r.rowMissRate, 1.0);
+    EXPECT_GE(r.dram.rowMissRate(), 0.0);
+    EXPECT_LE(r.dram.rowMissRate(), 1.0);
 }
 
 } // namespace
