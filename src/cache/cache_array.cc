@@ -160,6 +160,46 @@ CacheArray::fill(Addr addr, bool dirty)
     return install(scan, addr, dirty);
 }
 
+void
+CacheArray::warm(const std::vector<LineRun> &runs)
+{
+    if (config_.infinite)
+        return;
+    panic_if(useClock_ != 0,
+             "%s: warm() needs an array that has never installed or "
+             "touched a line", name_.c_str());
+    const std::uint32_t assoc = config_.assoc;
+    const Addr line_bytes = Addr{1} << lineShift_;
+    // Pass 1: how many fills each set takes.  32-bit counters keep
+    // the L3's pair in the allocator's heap, below its mmap threshold.
+    std::uint64_t total = 0;
+    std::vector<std::uint32_t> fills(sets_, 0);
+    for (const LineRun &r : runs) {
+        total += r.lines;
+        std::uint64_t s = setIndex(r.line);
+        for (std::uint64_t k = 0; k < r.lines; ++k, s = (s + 1) & (sets_ - 1))
+            ++fills[s];
+    }
+    panic_if(total > UINT32_MAX, "%s: warm() of %llu lines overflows its "
+             "per-set counters", name_.c_str(), (unsigned long long)total);
+    // Pass 2: stamp every fill, write only the ones no later fill of
+    // their set evicts.
+    std::vector<std::uint32_t> seen(sets_, 0);
+    for (const LineRun &r : runs) {
+        Addr a = r.line;
+        for (std::uint64_t k = 0; k < r.lines; ++k, a += line_bytes) {
+            ++useClock_;
+            const std::uint64_t s = setIndex(a);
+            const std::uint64_t j = seen[s]++;
+            if (j + assoc < fills[s])
+                continue;
+            Line &l = lines_[s * assoc + j % assoc];
+            l.tagState = (tagOf(a) << 2) | kValid;
+            l.lastUse = useClock_;
+        }
+    }
+}
+
 bool
 CacheArray::setDirty(Addr addr)
 {

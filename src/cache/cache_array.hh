@@ -31,6 +31,12 @@ class CacheArray
         Addr lineAddr = kAddrInvalid;
     };
 
+    /** @p lines consecutive lines, the first at line address @p line. */
+    struct LineRun {
+        Addr line = 0;
+        std::uint64_t lines = 0;
+    };
+
     CacheArray(const CacheLevelConfig &config, std::string name);
 
     /** Side-effect-free lookup (no LRU update). */
@@ -65,6 +71,20 @@ class CacheArray
      */
     Victim fill(Addr addr, bool dirty);
 
+    /**
+     * Leave the array exactly as fill(line, false) of every line of
+     * @p runs, in order, would: the same tags, state bits, LRU stamps,
+     * way positions and use clock.  The array must never have
+     * installed or touched a line (it panics otherwise), and no line
+     * may repeat.  Then every fill misses, the j-th fill into a set
+     * lands in way j mod assoc and evicts the fill assoc before it,
+     * so only each set's last assoc fills survive.  One pass counts
+     * the fills per set and a second writes only the survivors, in
+     * time proportional to lines plus sets.  Does nothing on an
+     * infinite array, as fill() does.
+     */
+    void warm(const std::vector<LineRun> &runs);
+
     /** Mark an existing line dirty; returns false if absent. */
     bool setDirty(Addr addr);
 
@@ -78,12 +98,16 @@ class CacheArray
 
     std::uint64_t numSets() const { return sets_; }
 
+    bool operator==(const CacheArray &) const = default;
+
   private:
     /** 16 bytes: the tag and both state bits share one word. */
     struct Line {
         /** (tag << 2) | kDirty | kValid; 0 = invalid. */
         std::uint64_t tagState = 0;
         std::uint64_t lastUse = 0;
+
+        bool operator==(const Line &) const = default;
     };
     static constexpr std::uint64_t kValid = 1;
     static constexpr std::uint64_t kDirty = 2;

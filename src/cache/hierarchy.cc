@@ -15,6 +15,8 @@ HierarchyConfig::validate() const
                  l2.lineBytes != l3.lineBytes,
              "all cache levels must share one line size");
     fatal_if(!isPowerOfTwo(pageBytes), "page size must be a power of 2");
+    fatal_if(pageBytes < l1d.lineBytes,
+             "a page must hold at least one cache line");
 }
 
 Hierarchy::Hierarchy(const HierarchyConfig &config, MemoryPort &dram,
@@ -374,6 +376,7 @@ void
 Hierarchy::preallocate(ThreadId tid, Addr vstart, std::uint64_t bytes)
 {
     const Addr page = Addr{1} << pt_->pageShift();
+    pt_->reserve(tid, (bytes + page - 1) / page);
     for (Addr v = vstart; v < vstart + bytes; v += page)
         (void)pt_->translate(tid, v);
 }
@@ -387,6 +390,36 @@ Hierarchy::prewarmLine(ThreadId tid, Addr vaddr, bool into_l1)
     l2_.fill(line, false);
     if (into_l1)
         l1d_.fill(line, false);
+}
+
+void
+Hierarchy::prewarm(const std::vector<PrewarmRange> &ranges)
+{
+    const std::uint64_t line_bytes = config_.l1d.lineBytes;
+    const Addr page_mask = (Addr{1} << pt_->pageShift()) - 1;
+    std::vector<CacheArray::LineRun> all;
+    std::vector<CacheArray::LineRun> l1;
+    all.reserve(ranges.size());
+    for (const PrewarmRange &r : ranges) {
+        // prewarmLine()'s steps, one line apart from r.vaddr, taken a
+        // page at a time: one translation per page.
+        const std::uint64_t steps = (r.bytes + line_bytes - 1) / line_bytes;
+        for (std::uint64_t k = 0; k < steps;) {
+            const Addr v = r.vaddr + k * line_bytes;
+            const std::uint64_t in_page = std::min<std::uint64_t>(
+                steps - k, ((v | page_mask) - v) / line_bytes + 1);
+            const CacheArray::LineRun run{lineAlign(pt_->translate(r.tid, v)),
+                                          in_page};
+            all.push_back(run);
+            if (r.intoL1)
+                l1.push_back(run);
+            k += in_page;
+        }
+        generation_ += steps;
+    }
+    l3_.warm(all);
+    l2_.warm(all);
+    l1d_.warm(l1);
 }
 
 void

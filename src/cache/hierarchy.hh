@@ -116,9 +116,32 @@ class Hierarchy
      * when @p into_l1) with no timing and no stats — the structural
      * equivalent of the cache warm-up the paper performs during
      * fast-forwarding.  Victims are dropped (prewarmed lines are
-     * clean).
+     * clean).  prewarm() does the same for a whole warm state at
+     * once; this per-line form stays because it works on a hierarchy
+     * already in use, and it is the oracle prewarm() is tested
+     * against (perfbench's traced machine also warms through it).
      */
     void prewarmLine(ThreadId tid, Addr vaddr, bool into_l1);
+
+    /** One span of a thread's memory for prewarm(). */
+    struct PrewarmRange {
+        ThreadId tid = 0;
+        Addr vaddr = 0;
+        std::uint64_t bytes = 0;
+        /** Into the L1D too, not only the L2 and L3. */
+        bool intoL1 = false;
+    };
+
+    /**
+     * Leave the hierarchy exactly as prewarmLine() would, called for
+     * every line-sized step of every range in order (vaddr, vaddr +
+     * line, ... below vaddr + bytes): the same tag arrays, page-table
+     * state and resourceGeneration().  Each page of a range is
+     * translated once and each array computes its final state
+     * directly (CacheArray::warm), so the L1D, L2 and L3 must never
+     * have been used and no line may repeat.
+     */
+    void prewarm(const std::vector<PrewarmRange> &ranges);
 
     /**
      * Allocate physical frames for [vstart, vstart+bytes) of @p tid
@@ -126,6 +149,8 @@ class Hierarchy
      * Mirrors a program initializing its arrays before the measured
      * region: each region gets a contiguous block of frames, which
      * is what gives regular array strides their DRAM-bank structure.
+     * The thread's page table is sized for the region first, so it
+     * grows at most once per region.
      */
     void preallocate(ThreadId tid, Addr vstart, std::uint64_t bytes);
 

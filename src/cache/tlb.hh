@@ -34,6 +34,14 @@ class PageTables
     /** Translate, allocating a frame on first touch. */
     Addr translate(ThreadId tid, Addr vaddr);
 
+    /** Make room for @p pages more mappings of @p tid, so mapping
+     *  them never regrows the thread's table.  Changes no mapping. */
+    void
+    reserve(ThreadId tid, std::uint64_t pages)
+    {
+        tables_[tid].reserve(tables_[tid].size() + pages);
+    }
+
     Addr vpageOf(Addr vaddr) const { return vaddr >> pageShift_; }
     std::uint64_t framesAllocated() const { return nextFrame_; }
     std::uint32_t pageShift() const { return pageShift_; }

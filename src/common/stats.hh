@@ -148,6 +148,8 @@ class RatioStat
 
     double hitRate() const { return total() ? 1.0 - missRate() : 0.0; }
 
+    bool operator==(const RatioStat &) const = default;
+
   private:
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -7,6 +7,7 @@
 
 #include "common/logging.hh"
 #include "sim/parallel_runner.hh"
+#include "sim/smt_system.hh"
 
 namespace smtdram
 {
@@ -329,9 +330,11 @@ planSweep(const FigureSpec &spec, const Flags &flags,
             applyFlagGroups(flags, spec.groups, config);
             // A bad cell dies here, on the calling thread, before any
             // banner or worker, not once per worker that builds it.
+            // So does a bad SMTDRAM_KERNEL.
             config.dram.validate();
             if (config.topology.active())
                 config.topology.validate(config.core.numThreads);
+            config.kernel = kernelMode(config.kernel);
             row.cells.push_back({cell.label, config, cell.perConfigBaselines});
         }
         rows.push_back(std::move(row));

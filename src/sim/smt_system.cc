@@ -17,21 +17,10 @@
 namespace smtdram
 {
 
-namespace
-{
-
-/**
- * Process-wide kernel override: SMTDRAM_KERNEL=cycle|event flips
- * every SmtSystem built in this process, so whole harnesses (the
- * golden suite, the benches) run the other kernel as a CI matrix leg
- * without plumbing a flag through every construction site.  Read
- * once; both kernels are proven byte-identical so this never changes
- * results, only how fast they are produced.
- */
 KernelMode
 kernelMode(KernelMode configured)
 {
-    static const char *env = std::getenv("SMTDRAM_KERNEL");
+    const char *env = std::getenv("SMTDRAM_KERNEL");
     if (!env || !*env)
         return configured;
     if (!std::strcmp(env, "event") || !std::strcmp(env, "event-driven"))
@@ -42,6 +31,9 @@ kernelMode(KernelMode configured)
                    "got '%s'", env);
     return configured;
 }
+
+namespace
+{
 
 /** Remote reads a thread must accrue per epoch before the OS
  *  scheduler considers moving it (noise floor / hysteresis). */
@@ -529,7 +521,6 @@ SmtSystem::prewarmCaches(const std::vector<AppProfile> &apps)
     // co-scheduled fast-forwarding.  Each thread warms through the
     // hierarchy of the core it was placed on, which is also what
     // makes first-touch frames land on the right home socket.
-    const std::uint64_t line = config_.hierarchy.l1d.lineBytes;
     const std::uint64_t chunk = config_.hierarchy.pageBytes;
     const std::uint64_t cold_cap = config_.hierarchy.l3.sizeBytes;
 
@@ -569,26 +560,29 @@ SmtSystem::prewarmCaches(const std::vector<AppProfile> &apps)
         max_bytes = std::max(max_bytes, cold_prewarm_bytes(a));
     }
 
+    // One range list per hierarchy, in chunk-major, thread-interleaved
+    // order, warmed in one call each.  Every page was mapped above, so
+    // warming one hierarchy after another allocates no frame.
+    std::vector<std::vector<Hierarchy::PrewarmRange>> ranges(
+        hierarchies_.size());
     for (std::uint64_t base = 0; base < max_bytes; base += chunk) {
         for (size_t i = 0; i < apps.size(); ++i) {
             const auto tid = static_cast<ThreadId>(i);
             const AppProfile &a = apps[i];
-            Hierarchy &h = *hierarchies_[threadCore_[i]];
-            for (std::uint64_t off = base;
-                 off < std::min(base + chunk, a.hotBytes);
-                 off += line) {
-                h.prewarmLine(tid, SyntheticStream::kHotBase + off,
-                              true);
+            std::vector<Hierarchy::PrewarmRange> &r = ranges[threadCore_[i]];
+            if (base < a.hotBytes) {
+                r.push_back({tid, SyntheticStream::kHotBase + base,
+                             std::min(chunk, a.hotBytes - base), true});
             }
             const std::uint64_t cold_limit = cold_prewarm_bytes(a);
-            for (std::uint64_t off = base;
-                 off < std::min(base + chunk, cold_limit);
-                 off += line) {
-                h.prewarmLine(tid, SyntheticStream::kColdBase + off,
-                              false);
+            if (base < cold_limit) {
+                r.push_back({tid, SyntheticStream::kColdBase + base,
+                             std::min(chunk, cold_limit - base), false});
             }
         }
     }
+    for (size_t c = 0; c < hierarchies_.size(); ++c)
+        hierarchies_[c]->prewarm(ranges[c]);
 }
 
 void

@@ -50,6 +50,19 @@ namespace smtdram
 {
 
 /**
+ * The kernel a machine configured with @p configured runs.  The
+ * SMTDRAM_KERNEL environment variable (cycle|event) overrides it for
+ * every machine in the process, so whole harnesses (the golden suite,
+ * the benches) run the other kernel as a CI leg without plumbing a
+ * flag through every construction site; a bad value is fatal.  Read
+ * on every call: planSweep() resolves each cell on the calling
+ * thread, so a bad value dies before any output, and a death-test
+ * child can set the variable.  Both kernels are proven byte-identical,
+ * so this never changes results, only how fast they are produced.
+ */
+KernelMode kernelMode(KernelMode configured);
+
+/**
  * Everything a bench needs from one simulation run: only what the run
  * measured, so two runs are the same run exactly when their records
  * compare ==.  Derived figures are computed from it on demand.

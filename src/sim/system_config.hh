@@ -82,8 +82,8 @@ struct SystemConfig {
     /**
      * Which main loop drives the run: the skip-to-next-event kernel
      * unless a test or CI leg asks for the per-cycle oracle.  The
-     * SMTDRAM_KERNEL environment variable ("cycle" / "event"), read
-     * once per process, overrides this so whole harnesses (goldens,
+     * SMTDRAM_KERNEL environment variable ("cycle" / "event")
+     * overrides this (see kernelMode()) so whole harnesses (goldens,
      * benches) can be flipped for a CI leg without plumbing a flag
      * through every call site.
      */

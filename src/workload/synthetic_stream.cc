@@ -35,7 +35,9 @@ SyntheticStream::SyntheticStream(const AppProfile &profile,
       rng_(seed ^ stableHash(std::hash<std::string>{}(profile.name))),
       textSalt_(stableHash(std::hash<std::string>{}(profile.name))),
       pc_(kCodeBase),
-      loopCounters_(profile.codeBytes / 4, 0)
+      // One slot past the code: the return from a call in its last
+      // slot lands there.
+      loopCounters_(profile.codeBytes / 4 + 1, 0)
 {
     fatal_if(profile_.coldBytes < 64, "cold set smaller than a line");
     fatal_if(profile_.hotBytes < 64, "hot set smaller than a line");
@@ -220,6 +222,9 @@ SyntheticStream::makeBranch(MicroOp &op)
     } else {
         const std::uint32_t slot =
             static_cast<std::uint32_t>((op.pc - kCodeBase) >> 2);
+        // A call at that one-past-the-end pc returns further out.
+        if (slot >= loopCounters_.size())
+            loopCounters_.resize(slot + 1, 0);
         const std::uint32_t trip = 2 + static_cast<std::uint32_t>(
             stableHash(op.pc ^ textSalt_ ^ 0x4444) %
             (2 * profile_.loopLength));

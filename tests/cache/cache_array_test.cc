@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "cache/cache_array.hh"
 #include "common/random.hh"
 
@@ -229,6 +233,85 @@ TEST(CacheArrayDeathTest, DoubleInsertPanics)
     cache.insert(addrOf(0, 1), false);
     EXPECT_DEATH(cache.insert(addrOf(0, 1), false),
                  "already-present");
+}
+
+/**
+ * warm() against the line-by-line fill() sequence it replaces, over
+ * every Table 1 geometry plus a 1-way, a 3-way, an 8-way and an
+ * infinite array.  Each trial warms up to 300 runs, each a random
+ * slice of a distinct 128-line page.  The pages crowd into a few
+ * stretches of sets, so sets overflow and evict, and on the arrays
+ * with fewer sets than a page holds lines the runs wrap past the last
+ * set.  The two arrays must match in tags, state bits, LRU stamps,
+ * way positions and use clock.
+ */
+TEST(CacheArray, WarmMatchesFillSequence)
+{
+    std::vector<CacheLevelConfig> geometries = {
+        {64 * 1024, 2, 64, 1, 16},         // Table 1 L1
+        {512 * 1024, 2, 64, 10, 16},       // Table 1 L2
+        {4 * 1024 * 1024, 4, 64, 20, 16},  // Table 1 L3
+        {16 * 64, 1, 64, 1, 16},
+        {64 * 3 * 64, 3, 64, 1, 16},
+        {1024 * 8 * 64, 8, 64, 1, 16},
+    };
+    geometries.push_back(geometries[2]);
+    geometries.back().infinite = true;
+    constexpr std::uint64_t kPageLines = 128;
+    Rng rng(2227);
+    for (const CacheLevelConfig &c : geometries) {
+        // Frames this far apart start on the same set.
+        const std::uint64_t stride =
+            std::max<std::uint64_t>(1, c.numSets() / kPageLines);
+        for (int trial = 0; trial < 8; ++trial) {
+            SCOPED_TRACE(testing::Message()
+                         << c.sizeBytes << "B " << c.assoc << "-way"
+                         << (c.infinite ? " infinite" : "") << ", trial "
+                         << trial);
+            std::vector<CacheArray::LineRun> runs;
+            std::set<std::uint64_t> frames;
+            std::set<std::uint64_t> sets;
+            std::uint64_t lines = 0;
+            const std::uint64_t n_runs = 1 + rng.below(300);
+            while (runs.size() < n_runs) {
+                const std::uint64_t frame =
+                    rng.below(4) + stride * rng.below(1024);
+                if (!frames.insert(frame).second)
+                    continue;
+                const std::uint64_t first = rng.below(kPageLines);
+                const std::uint64_t count =
+                    1 + rng.below(kPageLines - first);
+                const std::uint64_t line = frame * kPageLines + first;
+                runs.push_back({line * 64, count});
+                for (std::uint64_t k = 0; k < count; ++k)
+                    sets.insert((line + k) % c.numSets());
+                lines += count;
+            }
+            CacheArray warmed(c, "x");
+            warmed.warm(runs);
+            CacheArray filled(c, "x");
+            std::uint64_t present = 0;
+            for (const CacheArray::LineRun &run : runs) {
+                for (std::uint64_t k = 0; k < run.lines; ++k) {
+                    filled.fill(run.line + k * 64, false);
+                    present += warmed.probe(run.line + k * 64);
+                }
+            }
+            EXPECT_TRUE(warmed == filled);
+            // More lines than the touched sets hold: some were evicted.
+            if (!c.infinite && lines > sets.size() * c.assoc) {
+                EXPECT_LT(present, lines);
+            }
+        }
+    }
+}
+
+TEST(CacheArrayDeathTest, WarmAfterUsePanics)
+{
+    CacheArray cache(tiny(), "t");
+    cache.fill(addrOf(0, 1), false);
+    EXPECT_DEATH(cache.warm({{addrOf(1, 1), 1}}),
+                 "never installed or touched");
 }
 
 TEST(CacheArray, ResetStats)

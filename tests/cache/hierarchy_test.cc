@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "cache/hierarchy.hh"
+#include "common/random.hh"
 
 #include "dram/dram_system.hh"
 
@@ -469,6 +472,171 @@ TEST(HierarchyBlocking, ReplayMatchesARealBlockedAccess)
         EXPECT_EQ(a.h.access(AccessKind::Load, 0, p * page, 0).tlbPenalty,
                   b.h.access(AccessKind::Load, 0, p * page, 0).tlbPenalty)
             << "page " << p;
+    }
+}
+
+/** A hierarchy on its own DRAM and its own two-thread page tables. */
+struct WarmMachine {
+    explicit WarmMachine(const HierarchyConfig &c)
+        : dram(DramConfig::ddrSdram(2), SchedulerKind::HitFirst),
+          pt(c.pageBytes, 2), h(c, dram, events, 2)
+    {
+        h.setSharedPageTables(&pt);
+    }
+    EventQueue events;
+    DramSystem dram;
+    PageTables pt;
+    Hierarchy h;
+};
+
+/** Warm @p ranges into @p m the line-by-line way prewarm() replaces. */
+void
+prewarmLineByLine(WarmMachine &m,
+                  const std::vector<Hierarchy::PrewarmRange> &ranges)
+{
+    for (const Hierarchy::PrewarmRange &r : ranges) {
+        for (std::uint64_t off = 0; off < r.bytes; off += 64)
+            m.h.prewarmLine(r.tid, r.vaddr + off, r.intoL1);
+    }
+}
+
+void
+expectSameWarmState(WarmMachine &a, WarmMachine &b,
+                    const std::vector<Hierarchy::PrewarmRange> &ranges)
+{
+    EXPECT_TRUE(a.h.l1i() == b.h.l1i());
+    EXPECT_TRUE(a.h.l1d() == b.h.l1d());
+    EXPECT_TRUE(a.h.l2() == b.h.l2());
+    EXPECT_TRUE(a.h.l3() == b.h.l3());
+    EXPECT_EQ(a.h.resourceGeneration(), b.h.resourceGeneration());
+    EXPECT_EQ(a.pt.framesAllocated(), b.pt.framesAllocated());
+    for (const Hierarchy::PrewarmRange &r : ranges) {
+        for (std::uint64_t off = 0; off < r.bytes; off += 64) {
+            ASSERT_EQ(a.pt.translate(r.tid, r.vaddr + off),
+                      b.pt.translate(r.tid, r.vaddr + off));
+        }
+    }
+}
+
+/**
+ * prewarm() against the prewarmLine() calls it replaces, on the paper
+ * hierarchy with two threads.  First as SmtSystem warms: every page
+ * mapped beforehand, then a hot region per thread into the L1D and a
+ * cold one beyond the L3, interleaved a page at a time; each level
+ * overflows.  Then on fresh machines with nothing mapped: ranges that
+ * start off a line and cross pages, so prewarm() maps frames in the
+ * order prewarmLine() does.  All four tag arrays,
+ * resourceGeneration() and every frame must match.
+ */
+TEST(Hierarchy, PrewarmMatchesPrewarmLine)
+{
+    const HierarchyConfig config;
+    const std::uint64_t page = config.pageBytes;
+    {
+        struct Region {
+            ThreadId tid;
+            Addr base;
+            std::uint64_t bytes;
+            bool intoL1;
+        };
+        const std::vector<Region> regions = {
+            {0, 0x1000'0000, 40 * 1024, true},
+            {0, 0x2000'0000, 3 * 1024 * 1024, false},
+            {1, 0x1000'0000, 30 * 1024 + 1000, true},
+            {1, 0x2000'0000, 5 * 512 * 1024 + 100, false},
+        };
+        WarmMachine bulk(config), lines(config);
+        std::vector<Hierarchy::PrewarmRange> ranges;
+        for (const Region &r : regions) {
+            bulk.h.preallocate(r.tid, r.base, r.bytes);
+            lines.h.preallocate(r.tid, r.base, r.bytes);
+        }
+        for (std::uint64_t base = 0; base < 3 * 1024 * 1024; base += page) {
+            for (const Region &r : regions) {
+                if (base < r.bytes) {
+                    ranges.push_back({r.tid, r.base + base,
+                                      std::min(page, r.bytes - base),
+                                      r.intoL1});
+                }
+            }
+        }
+        bulk.h.prewarm(ranges);
+        prewarmLineByLine(lines, ranges);
+        SCOPED_TRACE("preallocated, page-sized chunks");
+        expectSameWarmState(bulk, lines, ranges);
+        EXPECT_GT(bulk.h.resourceGeneration(), 5u * 1024 * 1024 / 64);
+    }
+    {
+        WarmMachine bulk(config), lines(config);
+        std::vector<Hierarchy::PrewarmRange> ranges;
+        Addr cursor[2] = {0x1000'0000, 0x2000'0000};
+        Rng rng(37);
+        for (int i = 0; i < 400; ++i) {
+            const auto tid = static_cast<ThreadId>(rng.below(2));
+            const Addr vaddr = cursor[tid] + rng.below(4 * 64);
+            const std::uint64_t bytes = 1 + rng.below(3 * page);
+            ranges.push_back({tid, vaddr, bytes, rng.chance(0.3)});
+            // The next range starts past this one's last line.
+            const std::uint64_t steps = (bytes + 63) / 64;
+            cursor[tid] = ((vaddr >> 6) + steps) << 6;
+        }
+        bulk.h.prewarm(ranges);
+        prewarmLineByLine(lines, ranges);
+        SCOPED_TRACE("unmapped, unaligned, page-crossing ranges");
+        expectSameWarmState(bulk, lines, ranges);
+    }
+}
+
+/**
+ * preallocate() sizes the thread's page table for the whole region,
+ * then maps it page by page.  The frames, and the order in which they
+ * are handed out, must be exactly those of the plain per-page loop,
+ * on the sequential counter and on an external frame source.
+ */
+TEST(PageTables, PreallocateKeepsFirstTouchOrder)
+{
+    struct Region {
+        ThreadId tid;
+        Addr base;
+        std::uint64_t bytes;
+    };
+    const std::vector<Region> regions = {
+        {0, 0x40'0000, 64 * 1024},
+        {1, 0x40'0000, 48 * 1024},
+        {0, 0x2000'0000, 192 * 1024 * 1024},  // mcf's cold region
+        {1, 0x1000'0000, 100'000},
+        {1, 0x2000'0000 + 4096, 3 * 1024 * 1024},
+        {0, 0x1000'0000, 16 * 1024},
+    };
+    for (const bool external : {false, true}) {
+        SCOPED_TRACE(external ? "external frame source" : "sequential");
+        WarmMachine m(HierarchyConfig{});
+        PageTables plain(m.h.config().pageBytes, 2);
+        std::vector<ThreadId> asked;
+        std::vector<ThreadId> asked_plain;
+        if (external) {
+            m.pt.setFrameSource([&asked](ThreadId tid) {
+                asked.push_back(tid);
+                return Addr{5000} + 3 * asked.size();
+            });
+            plain.setFrameSource([&asked_plain](ThreadId tid) {
+                asked_plain.push_back(tid);
+                return Addr{5000} + 3 * asked_plain.size();
+            });
+        }
+        const Addr page = m.h.config().pageBytes;
+        for (const Region &r : regions) {
+            m.h.preallocate(r.tid, r.base, r.bytes);
+            for (Addr v = r.base; v < r.base + r.bytes; v += page)
+                (void)plain.translate(r.tid, v);
+        }
+        EXPECT_EQ(m.pt.framesAllocated(), plain.framesAllocated());
+        EXPECT_EQ(asked, asked_plain);
+        for (const Region &r : regions) {
+            for (Addr v = r.base; v < r.base + r.bytes; v += page)
+                ASSERT_EQ(m.pt.translate(r.tid, v), plain.translate(r.tid, v));
+        }
+        EXPECT_EQ(m.pt.framesAllocated(), plain.framesAllocated());
     }
 }
 

@@ -101,12 +101,14 @@ TEST(FigureFlagsDeathTest, WrappedSocketCountDiesAtParse)
 TEST(FigureFlagsDeathTest, BadFlagPrintsNothingToStdout)
 {
     // Every flag is read, the cells' own included, and every planned
-    // cell's apps, DRAM and topology validated, before the banner and
-    // the paper claim print.
+    // cell's apps, DRAM, topology and SMTDRAM_KERNEL override
+    // validated, before the banner and the paper claim print.
     struct Case {
         const char *figure;
         std::vector<std::string> args;
         const char *message;
+        /** SMTDRAM_KERNEL for the child, when set. */
+        const char *kernel = nullptr;
     };
     const std::vector<Case> cases = {
         {"fig10_thread_aware", {"--mixes=2-MEM", "--insts=-5"},
@@ -132,6 +134,10 @@ TEST(FigureFlagsDeathTest, BadFlagPrintsNothingToStdout)
          {"--apps=mcf,nosuchapp", "--insts=200", "--warmup=100",
           "--jobs=4"},
          "fatal: unknown SPEC2000 application"},
+        {"fig10_thread_aware",
+         {"--mixes=2-MEM", "--jobs=4", "--insts=2000", "--warmup=500"},
+         "fatal: SMTDRAM_KERNEL must be 'cycle' or 'event', got 'bogus'",
+         "bogus"},
     };
     for (const Case &c : cases) {
         std::string command = c.figure;
@@ -143,6 +149,8 @@ TEST(FigureFlagsDeathTest, BadFlagPrintsNothingToStdout)
         EXPECT_EXIT(
             {
                 alarm(60);
+                if (c.kernel)
+                    setenv("SMTDRAM_KERNEL", c.kernel, 1);
                 if (!std::freopen(out.c_str(), "w", stdout))
                     std::abort();
                 runFig(c.figure, c.args);

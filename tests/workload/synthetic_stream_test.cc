@@ -101,6 +101,47 @@ TEST(SyntheticStream, PcStaysInCodeRegion)
     }
 }
 
+/**
+ * A call in the code region's last slot returns one slot past its
+ * end, and a conditional branch there reads a loop counter.  gzip's
+ * profile under another name (so another program text) does that at
+ * seed 42.  In a busier variant (more branches, five times the
+ * calls), a call at that one-past-the-end pc returns one slot further
+ * still.  Under AddressSanitizer an out-of-bounds counter fails this
+ * test.
+ */
+TEST(SyntheticStream, ReturnPastLastSlotStaysInBounds)
+{
+    AppProfile renamed = specProfile("gzip");
+    renamed.name = "probe2227";
+    AppProfile busier = specProfile("gzip");
+    busier.name = "probe32060";
+    busier.loadFrac = 0.2;
+    busier.storeFrac = 0.1;
+    busier.branchFrac = 0.2;
+    busier.callFrac = 0.05;
+    struct Case {
+        AppProfile profile;
+        int ops;
+        /** Bytes past the region's end of the conditional branch. */
+        Addr pastEnd;
+    };
+    for (const Case &c :
+         {Case{renamed, 1'500'000, 0}, Case{busier, 50'000, 4}}) {
+        SCOPED_TRACE(c.profile.name);
+        const Addr site =
+            SyntheticStream::kCodeBase + c.profile.codeBytes + c.pastEnd;
+        SyntheticStream s(c.profile, 42);
+        int conditionals = 0;
+        for (int i = 0; i < c.ops; ++i) {
+            const MicroOp op = s.next();
+            conditionals += op.pc == site && op.cls == OpClass::Branch &&
+                            !op.isCall && !op.isReturn;
+        }
+        EXPECT_GT(conditionals, 0);
+    }
+}
+
 TEST(SyntheticStream, MemoryAddressesStayInTheirRegions)
 {
     const AppProfile p = basicProfile();
